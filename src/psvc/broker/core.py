@@ -13,12 +13,11 @@ descriptor directory; the IP is implicitly 127.0.0.1.
 from __future__ import annotations
 
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from ..kit import write_port_file
 from ..protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -47,14 +46,7 @@ class EndpointFileError(ValueError):
 
 def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
     """Atomically publish the broker port for proxies to find."""
-    path = Path(ps_dir) / ENDPOINT_FILE
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=ENDPOINT_FILE)
-    try:
-        os.write(fd, str(port).encode("ascii"))
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    return path
+    return write_port_file(Path(ps_dir) / ENDPOINT_FILE, port)
 
 
 def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:

@@ -14,7 +14,7 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPSConnection
 from typing import Callable
 from urllib.parse import urlsplit
@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
 REMOTE_PROBE_TIMEOUT_S = 3.0
+STOP_TIMEOUT_S = 5.0
 _POLL_INTERVAL_S = 0.02
 
 LOOPBACK = "127.0.0.1"
@@ -57,6 +58,18 @@ def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Pop
             if time.monotonic() >= deadline:
                 raise SpawnFailure(f"service not listening on {host}:{port}") from None
             time.sleep(_POLL_INTERVAL_S)
+
+
+def stop_process(proc: subprocess.Popen) -> None:
+    """Terminate a child politely, kill it if it lingers, and reap it."""
+    if proc.poll() is not None:
+        return
+    proc.terminate()
+    try:
+        proc.wait(timeout=STOP_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 @dataclass
@@ -162,12 +175,5 @@ class ServiceLauncher:
     def shutdown(self) -> None:
         """Terminate every child this launcher started."""
         for rec in self._records.values():
-            proc = rec.proc
-            if proc is None or proc.poll() is not None:
-                continue
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+            if rec.proc is not None:
+                stop_process(rec.proc)

@@ -19,20 +19,15 @@ fresh catalog snapshot.
 from __future__ import annotations
 
 import json
-import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlsplit
 
+from ..kit import KitRequest, KitResponse, ServiceServer, header_value
 from ..protocol import (
-    BROKER_RESULT,
     ERR_PARAMETERS,
     H_CALLBACK,
     H_ERROR,
     H_SERVICE,
     MalformedDirective,
-    REASON_PHRASES,
     decode_white_query,
     decode_yellow_query,
 )
@@ -40,112 +35,8 @@ from ..transcript import SERVE, SPAWN, Transcript
 from .core import Broker, BrokerOptions, BrokerReply, write_endpoint_file
 from .runtime import ServiceLauncher
 
-log = logging.getLogger(__name__)
 
-
-class _BrokerHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    broker: Broker
-    transcript: Transcript
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: _BrokerHTTPServer
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-    def _reply(self, reply: BrokerReply, method: str, path: str, svc_tag: str | None) -> None:
-        # Log before the bytes leave: the caller reacts the moment it has
-        # them, and transcript order must reflect causality.
-        self.server.transcript.emit(
-            SERVE,
-            method,
-            path,
-            reply.status,
-            loc=reply.location,
-            svc=svc_tag if reply.error is None else None,
-            err=reply.error,
-        )
-        self.send_response_only(reply.status, REASON_PHRASES.get(reply.status))
-        self.send_header("Location", reply.location)
-        if reply.service is not None:
-            self.send_header(H_SERVICE, reply.service)
-        if reply.error is not None:
-            self.send_header(H_ERROR, reply.error)
-        self.send_header("Content-Length", "0")
-        self.send_header("Connection", "close")
-        self.end_headers()
-
-    def _plain(self, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response_only(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
-
-    def do_HEAD(self) -> None:
-        parts = urlsplit(self.path)
-        broker = self.server.broker
-        service = self.headers.get(H_SERVICE)
-        callback = self.headers.get(H_CALLBACK)
-        sp_host = self.headers.get("Referer")
-
-        if parts.path == "/resolve":
-            ref = parse_qs(parts.query).get("ref", [""])[0]
-            if not service or not sp_host or not ref:
-                self._reply(
-                    BrokerReply(location=f":{ref}", error=ERR_PARAMETERS),
-                    "HEAD", self.path, None,
-                )
-                return
-            reply = broker.resolve_handle(service, sp_host, ref)
-            self._reply(reply, "HEAD", self.path, "endpoint")
-            return
-
-        if parts.path in ("/yellow", "/white"):
-            if not service or not callback or not sp_host:
-                self._reply(
-                    BrokerReply(location=callback or ":", error=ERR_PARAMETERS),
-                    "HEAD", parts.path, None,
-                )
-                return
-            try:
-                if parts.path == "/yellow":
-                    query = decode_yellow_query(service)
-                    reply = broker.serve_yellow(query, sp_host, callback)
-                    names = len(json.loads(reply.service)["response"]) if reply.service else 0
-                    self._reply(reply, "HEAD", parts.path, f"names[{names}]")
-                else:
-                    query = decode_white_query(service)
-                    reply = broker.serve_white(query, sp_host, callback)
-                    self._reply(reply, "HEAD", parts.path, "handle")
-            except MalformedDirective:
-                self._reply(
-                    BrokerReply(location=callback, error=ERR_PARAMETERS),
-                    "HEAD", parts.path, None,
-                )
-            return
-
-        self._plain(404, "unknown path\n")
-
-    def do_POST(self) -> None:
-        if urlsplit(self.path).path == "/reload":
-            catalog = self.server.broker.reload_catalog()
-            self.server.transcript.emit(SERVE, "POST", "/reload", 200)
-            self._plain(200, f"catalog reloaded: {len(catalog)} services\n")
-        else:
-            self._plain(404, "unknown path\n")
-
-    def do_GET(self) -> None:
-        self._plain(405, "use HEAD for broker calls\n")
-
-
-class BrokerServer:
+class BrokerServer(ServiceServer):
     """Runs a Broker behind a loopback HTTP endpoint and publishes it."""
 
     def __init__(
@@ -163,13 +54,9 @@ class BrokerServer:
             launcher = ServiceLauncher(on_spawn=self._on_spawn)
             broker = Broker(self.ps_dir, options=options, launcher=launcher)
         self.broker = broker
-        self._httpd = _BrokerHTTPServer(("127.0.0.1", port), _Handler)
-        self._httpd.broker = self.broker
-        self._httpd.transcript = self.transcript
-        self.port = self._httpd.server_address[1]
+        super().__init__(("127.0.0.1", port), self._handle)
         if publish_endpoint:
             write_endpoint_file(self.ps_dir, self.port)
-        self._thread: threading.Thread | None = None
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)
@@ -178,19 +65,62 @@ class BrokerServer:
     def endpoint(self) -> str:
         return f"127.0.0.1:{self.port}"
 
-    def start(self) -> None:
-        """Serve in a background thread (tests and embedding)."""
-        self._thread = threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.1), daemon=True
+    def _reply(self, reply: BrokerReply, path: str, svc_tag: str | None) -> KitResponse:
+        # Log before the bytes leave: the caller reacts the moment it has
+        # them, and transcript order must reflect causality.
+        self.transcript.emit(
+            SERVE,
+            "HEAD",
+            path,
+            reply.status,
+            loc=reply.location,
+            svc=svc_tag if reply.error is None else None,
+            err=reply.error,
         )
-        self._thread.start()
+        headers = [("Location", reply.location)]
+        if reply.service is not None:
+            headers.append((H_SERVICE, reply.service))
+        if reply.error is not None:
+            headers.append((H_ERROR, reply.error))
+        return KitResponse(reply.status, tuple(headers))
 
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+    def _handle(self, request: KitRequest) -> KitResponse:
+        if request.method == "POST":
+            if request.path != "/reload":
+                return KitResponse.text("unknown path\n", 404)
+            catalog = self.broker.reload_catalog()
+            self.transcript.emit(SERVE, "POST", "/reload", 200)
+            return KitResponse.text(f"catalog reloaded: {len(catalog)} services\n")
+        if request.method != "HEAD":
+            return KitResponse.text("use HEAD for broker calls\n", 405)
+
+        service = header_value(request.headers, H_SERVICE)
+        callback = header_value(request.headers, H_CALLBACK)
+        sp_host = header_value(request.headers, "Referer")
+        if request.path == "/resolve":
+            ref = request.query.get("ref", "")
+            if not service or not sp_host or not ref:
+                reply = BrokerReply(location=f":{ref}", error=ERR_PARAMETERS)
+                return self._reply(reply, request.target, None)
+            reply = self.broker.resolve_handle(service, sp_host, ref)
+            return self._reply(reply, request.target, "endpoint")
+
+        if request.path not in ("/yellow", "/white"):
+            return KitResponse.text("unknown path\n", 404)
+        if not service or not callback or not sp_host:
+            reply = BrokerReply(location=callback or ":", error=ERR_PARAMETERS)
+            return self._reply(reply, request.path, None)
+        try:
+            if request.path == "/yellow":
+                reply = self.broker.serve_yellow(decode_yellow_query(service), sp_host, callback)
+                names = len(json.loads(reply.service)["response"]) if reply.service else 0
+                return self._reply(reply, request.path, f"names[{names}]")
+            reply = self.broker.serve_white(decode_white_query(service), sp_host, callback)
+            return self._reply(reply, request.path, "handle")
+        except MalformedDirective:
+            reply = BrokerReply(location=callback, error=ERR_PARAMETERS)
+            return self._reply(reply, request.path, None)
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        super().shutdown()
         self.broker.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5)

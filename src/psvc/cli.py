@@ -19,7 +19,6 @@ import logging
 import os
 import signal
 import sys
-import tempfile
 import threading
 from base64 import b64decode
 from pathlib import Path
@@ -33,16 +32,12 @@ def default_ps_dir() -> Path:
     return (Path(base) if base else Path.home()) / PS_DIR_NAME
 
 
-def _write_port_file(path: str, port: int) -> None:
-    # Write-then-rename so a polling reader never sees a half-written file.
-    fd, tmp = tempfile.mkstemp(dir=str(Path(path).parent), prefix=".port-")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(str(port))
-    os.replace(tmp, path)
+def _serve_until_signal(server, port_file: str | None) -> int:
+    """Publish the bound port if asked, serve until SIGINT/SIGTERM, tear down."""
+    from .kit import write_port_file
 
-
-def _serve_until_signal(server) -> int:
-    """Run a started server until SIGINT/SIGTERM, then tear it down."""
+    if port_file:
+        write_port_file(port_file, server.port)
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
@@ -72,10 +67,8 @@ def _cmd_broker_run(args: argparse.Namespace) -> int:
         handle_max_age_s=args.handle_max_age,
     )
     server = BrokerServer(ps_dir, port=args.port, options=options)
-    if args.port_file:
-        _write_port_file(args.port_file, server.port)
     print(f"broker at {server.endpoint} serving {ps_dir}", flush=True)
-    return _serve_until_signal(server)
+    return _serve_until_signal(server, args.port_file)
 
 
 def _cmd_proxy_run(args: argparse.Namespace) -> int:
@@ -90,10 +83,8 @@ def _cmd_proxy_run(args: argparse.Namespace) -> int:
         broker_autolaunch=not args.no_broker_autolaunch,
     )
     server = ProxyServer(config)
-    if args.port_file:
-        _write_port_file(args.port_file, server.port)
     print(f"proxy at {server.address} (per-user dir {args.ps_dir})", flush=True)
-    return _serve_until_signal(server)
+    return _serve_until_signal(server, args.port_file)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -140,10 +131,8 @@ def _cmd_demo_sp(args: argparse.Namespace) -> int:
     if args.yp_query:
         config.yp_query = json.loads(args.yp_query)
     sp = DemoSP(config)
-    if args.port_file:
-        _write_port_file(args.port_file, sp.port)
     print(f"demo SP at {sp.netloc}", flush=True)
-    return _serve_until_signal(sp)
+    return _serve_until_signal(sp, args.port_file)
 
 
 def _cmd_demo_service(args: argparse.Namespace) -> int:

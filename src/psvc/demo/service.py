@@ -29,8 +29,11 @@ from ..kit import (
     ServiceServer,
     bootstrap,
     detect_psvc_invocation,
+    header_value,
     sp_return_page,
 )
+from ..protocol import H_ERROR
+from ..transcript import SERVE, Transcript
 
 USER = "demo-user"
 DEVICE = "Portuguese eID"
@@ -56,6 +59,7 @@ _CHALLENGE = """<!DOCTYPE html>
 class MockAuthService:
     def __init__(self, port: int) -> None:
         self.port = port
+        self.transcript = Transcript.from_env("Service")
         self._dialogs: dict[str, dict[str, str]] = {}
         self._lock = threading.Lock()
 
@@ -70,18 +74,27 @@ class MockAuthService:
             "headers": [[k, v] for k, v in request.headers],
             "body_sha256": hashlib.sha256(request.body).hexdigest(),
             "body_len": len(request.body),
-            "referer": request.header("Referer"),
-            "invocation_marker": request.header("PSvc-Invocation"),
+            "referer": header_value(request.headers, "Referer"),
+            "invocation_marker": header_value(request.headers, "PSvc-Invocation"),
         }
         path = Path(dump_dir) / f"invocation-{time.monotonic_ns()}.json"
         path.write_text(json.dumps(record, indent=1), "utf-8")
 
     def handle(self, request: KitRequest) -> KitResponse:
         if request.method == "GET" and request.path == "/auth":
-            return self._auth(request)
-        if request.method == "POST" and request.path == "/confirm":
-            return self._confirm(request)
-        return KitResponse.text("no such page\n", status=404)
+            response = self._auth(request)
+        elif request.method == "POST" and request.path == "/confirm":
+            response = self._confirm(request)
+        else:
+            response = KitResponse.text("no such page\n", status=404)
+        self.transcript.emit(
+            SERVE,
+            request.method,
+            request.target,
+            response.status,
+            in_err=header_value(request.headers, H_ERROR),
+        )
+        return response
 
     def _auth(self, request: KitRequest) -> KitResponse:
         if not detect_psvc_invocation(dict(request.headers)):
@@ -120,7 +133,9 @@ def main(argv: list[str]) -> int:
     except BootstrapError as exc:
         print(f"cannot start: {exc}", flush=True)
         return 2
-    server = ServiceServer(context, MockAuthService(context.port).handle)
+    server = ServiceServer(
+        (context.bind_address, context.port), MockAuthService(context.port).handle
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -19,10 +19,10 @@ import logging
 import secrets
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, quote, urlsplit
+from urllib.parse import quote
 
+from ..kit import KitRequest, KitResponse, ServiceServer, header_value
 from ..protocol import (
     BROKER_RESULT,
     H_CALLBACK,
@@ -31,7 +31,6 @@ from ..protocol import (
     H_PARAMETERS,
     H_SERVICE,
     H_VERSION,
-    REASON_PHRASES,
     SERVICE_CALL,
     WHITE_PAGES,
     YELLOW_PAGES,
@@ -91,8 +90,8 @@ def _page(title: str, body: str) -> bytes:
     ).encode("utf-8")
 
 
-class DemoSP:
-    """State plus route handlers; the HTTP plumbing lives in _Handler."""
+class DemoSP(ServiceServer):
+    """Session state plus one route handler per page."""
 
     def __init__(self, config: SPConfig):
         self.config = config
@@ -100,10 +99,17 @@ class DemoSP:
         self.sessions: dict[str, _Session] = {}
         self.cookies: dict[str, str] = {}  # token -> user
         self.lock = threading.Lock()
-        self._httpd = _SPHTTPServer((config.host, config.port), _Handler)
-        self._httpd.sp = self
-        self.port = self._httpd.server_address[1]
-        self._thread: threading.Thread | None = None
+        self._routes = {
+            ("GET", "/"): self._front,
+            ("GET", "/login"): self._login,
+            ("GET", "/discover"): self._discover,
+            ("GET", "/evil313"): self._evil313,
+            ("POST", "/wp-callback"): self._wp_callback,
+            ("POST", "/yp-callback"): self._yp_callback,
+            ("POST", "/invoke-error"): self._invoke_error,
+            ("POST", "/result"): self._result,
+        }
+        super().__init__((config.host, config.port), self._handle)
 
     @property
     def netloc(self) -> str:
@@ -144,175 +150,111 @@ class DemoSP:
                     return self.cookies.get(value)
         return None
 
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.1), daemon=True
-        )
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-
-class _SPHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    sp: DemoSP
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: _SPHTTPServer
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
-
     # -- plumbing ---------------------------------------------------------
+
+    def _handle(self, request: KitRequest) -> KitResponse:
+        if request.method not in ("GET", "POST"):
+            return KitResponse.text(f"unsupported method {request.method}\n", 501)
+        route = self._routes.get((request.method, request.path))
+        if route is None:
+            return self._html(request, 404, "Not found", "<p>no such page</p>")
+        return route(request)
 
     def _finish(
         self,
+        request: KitRequest,
         status: int,
         headers: list[tuple[str, str]],
         body: bytes = b"",
         **detail,
-    ) -> None:
-        sp = self.server.sp
+    ) -> KitResponse:
         # Log before the bytes leave so transcript order follows causality.
-        sp.transcript.emit(
+        self.transcript.emit(
             SERVE,
-            self.command,
-            self.path,
+            request.method,
+            request.target,
             status,
-            in_err=self.headers.get(H_ERROR),
+            in_err=header_value(request.headers, H_ERROR),
             **detail,
         )
-        self.send_response_only(status, REASON_PHRASES.get(status))
-        for key, value in headers:
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
+        return KitResponse(status, tuple(headers), body)
 
-    def _html(self, status: int, title: str, markup: str, **detail) -> None:
-        self._finish(
+    def _html(
+        self, request: KitRequest, status: int, title: str, markup: str, **detail
+    ) -> KitResponse:
+        return self._finish(
+            request,
             status,
             [("Content-Type", "text/html; charset=utf-8")],
             _page(title, markup),
             **detail,
         )
 
-    def _redirect(self, to: str) -> None:
-        self._finish(302, [("Location", to)], loc=to)
-
-    def _query(self) -> dict[str, str]:
-        parsed = parse_qs(urlsplit(self.path).query, keep_blank_values=True)
-        return {k: v[0] for k, v in parsed.items()}
-
-    def _form(self) -> dict[str, str]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length).decode("utf-8", "replace") if length else ""
-        return {k: v[0] for k, v in parse_qs(raw, keep_blank_values=True).items()}
+    def _redirect(self, request: KitRequest, to: str) -> KitResponse:
+        return self._finish(request, 302, [("Location", to)], loc=to)
 
     # -- routes -------------------------------------------------------------
 
-    def do_GET(self) -> None:
-        path = urlsplit(self.path).path
-        if path == "/":
-            self._front()
-        elif path == "/login":
-            self._login()
-        elif path == "/discover":
-            self._discover()
-        elif path == "/evil313":
-            self._evil313()
-        else:
-            self._html(404, "Not found", "<p>no such page</p>")
-
-    def do_POST(self) -> None:
-        path = urlsplit(self.path).path
-        if path == "/wp-callback":
-            self._wp_callback()
-        elif path == "/yp-callback":
-            self._yp_callback()
-        elif path == "/invoke-error":
-            self._invoke_error()
-        elif path == "/result":
-            self._result()
-        else:
-            self._html(404, "Not found", "<p>no such page</p>")
-
-    def _front(self) -> None:
-        sp = self.server.sp
-        user = sp.user_for_cookie(self.headers.get("Cookie"))
+    def _front(self, request: KitRequest) -> KitResponse:
+        user = self.user_for_cookie(header_value(request.headers, "Cookie"))
         if user is None:
-            self._redirect(sp.absolute("/login?next=/"))
-            return
-        self._html(
+            return self._redirect(request, self.absolute("/login?next=/"))
+        return self._html(
+            request,
             200,
             "Members area",
             f"<h1>Members area</h1><p>authenticated as {user}</p>",
         )
 
-    def _login(self) -> None:
-        sp = self.server.sp
-        if sp.user_for_cookie(self.headers.get("Cookie")) is not None:
-            self._redirect(sp.absolute(self._query().get("next", "/")))
-            return
-        if not speaks_version(self.headers.get(H_VERSION)):
-            self._html(
+    def _login(self, request: KitRequest) -> KitResponse:
+        next_url = request.query.get("next", "/")
+        if self.user_for_cookie(header_value(request.headers, "Cookie")) is not None:
+            return self._redirect(request, self.absolute(next_url))
+        if not speaks_version(header_value(request.headers, H_VERSION)):
+            return self._html(
+                request,
                 200,
                 "Sign in",
                 "<p>this site signs users in through a personal service, "
                 "which your client does not announce</p>",
             )
-            return
-        session = sp.new_session(self._query().get("next", "/"))
-        headers = [(H_CALLBACK, sp.absolute(f"/wp-callback?sid={session.sid}"))]
-        if sp.config.fault != FAULT_MALFORMED_311:
-            headers.insert(0, (H_SERVICE, json.dumps(sp.config.wp_query)))
-        self._finish(WHITE_PAGES, headers, svc="query")
+        session = self.new_session(next_url)
+        headers = [(H_CALLBACK, self.absolute(f"/wp-callback?sid={session.sid}"))]
+        if self.config.fault != FAULT_MALFORMED_311:
+            headers.insert(0, (H_SERVICE, json.dumps(self.config.wp_query)))
+        return self._finish(request, WHITE_PAGES, headers, svc="query")
 
-    def _discover(self) -> None:
-        sp = self.server.sp
-        if not speaks_version(self.headers.get(H_VERSION)):
-            self._html(200, "Discovery", "<p>client announces no redirection support</p>")
-            return
+    def _discover(self, request: KitRequest) -> KitResponse:
+        if not speaks_version(header_value(request.headers, H_VERSION)):
+            return self._html(
+                request, 200, "Discovery", "<p>client announces no redirection support</p>"
+            )
         headers = [
-            (H_SERVICE, json.dumps(sp.config.yp_query)),
-            (H_CALLBACK, sp.absolute("/yp-callback")),
+            (H_SERVICE, json.dumps(self.config.yp_query)),
+            (H_CALLBACK, self.absolute("/yp-callback")),
         ]
-        self._finish(YELLOW_PAGES, headers, svc="query")
+        return self._finish(request, YELLOW_PAGES, headers, svc="query")
 
-    def _evil313(self) -> None:
-        sp = self.server.sp
-        target = self._query().get("to") or sp.config.evil_location or "http://127.0.0.1:9/"
-        self._finish(BROKER_RESULT, [("Location", target), (H_SERVICE, "forged")], loc=target)
+    def _evil313(self, request: KitRequest) -> KitResponse:
+        target = request.query.get("to") or self.config.evil_location or "http://127.0.0.1:9/"
+        return self._finish(
+            request, BROKER_RESULT, [("Location", target), (H_SERVICE, "forged")], loc=target
+        )
 
-    def _wp_callback(self) -> None:
-        sp = self.server.sp
-        session = sp.session(self._query().get("sid"))
+    def _wp_callback(self, request: KitRequest) -> KitResponse:
+        session = self.session(request.query.get("sid"))
         if session is None:
-            self._html(403, "Unknown session", "<p>no such sign-in attempt</p>")
-            return
-        error = self.headers.get(H_ERROR)
+            return self._html(request, 403, "Unknown session", "<p>no such sign-in attempt</p>")
+        error = header_value(request.headers, H_ERROR)
         if error:
             session.error = error
-            self._html(
+            return self._html(
+                request,
                 200,
                 "Sign-in unavailable",
                 f"<p>authentication unavailable: {error}</p>",
             )
-            return
-        raw = self.headers.get(H_SERVICE)
+        raw = header_value(request.headers, H_SERVICE)
         envelope = None
         if raw:
             try:
@@ -321,17 +263,17 @@ class _Handler(BaseHTTPRequestHandler):
                 log.warning("unusable broker result: %s", exc)
         if envelope is None or not isinstance(envelope.response, dict):
             session.error = "empty"
-            self._html(
+            return self._html(
+                request,
                 200,
                 "Sign-in unavailable",
                 "<p>authentication unavailable: no personal service found</p>",
             )
-            return
 
         handle = envelope.response["handle"]
-        if sp.config.fault == FAULT_TAMPER_HANDLE:
+        if self.config.fault == FAULT_TAMPER_HANDLE:
             handle = _tamper(handle)
-        return_url = quote(sp.absolute("/result"), safe="")
+        return_url = quote(self.absolute("/result"), safe="")
         headers = [
             (H_SERVICE, json.dumps({"handle": handle})),
             (H_METHOD, "GET"),
@@ -339,17 +281,20 @@ class _Handler(BaseHTTPRequestHandler):
                 H_PARAMETERS,
                 f"/auth?return={return_url}&sid={session.sid}&nonce={session.nonce}",
             ),
-            (H_CALLBACK, sp.absolute(f"/invoke-error?sid={session.sid}")),
+            (H_CALLBACK, self.absolute(f"/invoke-error?sid={session.sid}")),
         ]
-        headers.extend(sp.config.invoke_extra_headers)
-        self._finish(SERVICE_CALL, headers, sp.config.invoke_extra_body, svc="handle")
+        headers.extend(self.config.invoke_extra_headers)
+        return self._finish(
+            request, SERVICE_CALL, headers, self.config.invoke_extra_body, svc="handle"
+        )
 
-    def _yp_callback(self) -> None:
-        raw = self.headers.get(H_SERVICE)
-        error = self.headers.get(H_ERROR)
+    def _yp_callback(self, request: KitRequest) -> KitResponse:
+        raw = header_value(request.headers, H_SERVICE)
+        error = header_value(request.headers, H_ERROR)
         if error or not raw:
-            self._html(200, "Discovery", f"<p>listing failed: {error or 'no result'}</p>")
-            return
+            return self._html(
+                request, 200, "Discovery", f"<p>listing failed: {error or 'no result'}</p>"
+            )
         try:
             envelope = decode_broker_result(raw)
             names = envelope.response if isinstance(envelope.response, list) else []
@@ -358,40 +303,41 @@ class _Handler(BaseHTTPRequestHandler):
         items = "".join(
             f"<li>{json.dumps(name, ensure_ascii=False)}</li>" for name in names
         )
-        self._html(
+        return self._html(
+            request,
             200,
             "Discovery",
             f"<p>{len(names)} service(s) available</p><ul>{items}</ul>",
             svc=f"names[{len(names)}]",
         )
 
-    def _invoke_error(self) -> None:
-        sp = self.server.sp
-        session = sp.session(self._query().get("sid"))
-        error = self.headers.get(H_ERROR) or "unknown"
+    def _invoke_error(self, request: KitRequest) -> KitResponse:
+        session = self.session(request.query.get("sid"))
+        error = header_value(request.headers, H_ERROR) or "unknown"
         if session is not None:
             session.error = error
-        self._html(
+        return self._html(
+            request,
             200,
             "Sign-in failed",
             f"<p>authentication failed: {error}</p>",
         )
 
-    def _result(self) -> None:
-        sp = self.server.sp
-        form = self._form()
-        session = sp.session(form.get("sid"))
+    def _result(self, request: KitRequest) -> KitResponse:
+        form = request.form()
+        session = self.session(form.get("sid"))
         if session is None or form.get("nonce") != session.nonce:
-            self._html(403, "Rejected", "<p>result does not match any sign-in attempt</p>")
-            return
-        user = form.get("user", "someone")
-        token = sp.issue_cookie(user)
-        self._finish(
+            return self._html(
+                request, 403, "Rejected", "<p>result does not match any sign-in attempt</p>"
+            )
+        token = self.issue_cookie(form.get("user", "someone"))
+        return self._finish(
+            request,
             302,
             [
                 ("Set-Cookie", f"{COOKIE_NAME}={token}; Path=/"),
-                ("Location", sp.absolute(session.next_url)),
+                ("Location", self.absolute(session.next_url)),
             ],
-            loc=sp.absolute(session.next_url),
+            loc=self.absolute(session.next_url),
             setcookie=1,
         )

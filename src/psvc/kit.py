@@ -1,23 +1,30 @@
-"""Building blocks for writing a personal service.
+"""Building blocks for writing a personal service, and the HTTP scaffold.
 
 A personal service is an ordinary loopback HTTP server whose listening
 port arrives as the final command-line argument (the broker allocates
 it at launch).  The kit turns that convention into a context, spots
 proxy-built invocation requests, and renders the page that hands
-results back to the SP via an auto-submitting POST form.
+results back to the SP via an auto-submitting POST form.  Its
+one-handler-function server is also what broker, proxy and demo SP
+serve on.
 """
 
 from __future__ import annotations
 
 import html
+import logging
+import os
+import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, Mapping, Sequence
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import H_INVOCATION
-from .transcript import SERVE, Transcript
+from .protocol import H_INVOCATION, REASON_PHRASES
+
+log = logging.getLogger(__name__)
 
 
 class BootstrapError(ValueError):
@@ -48,6 +55,18 @@ def bootstrap(argv: Sequence[str]) -> ServiceContext:
     except ValueError:
         raise BootstrapError(f"last argument {last!r} is not a port number") from None
     return ServiceContext(port=port)
+
+
+def write_port_file(path: Path | str, port: int) -> Path:
+    """Publish a listening port; write-then-rename, so a reader never sees half."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    try:
+        os.write(fd, str(port).encode("ascii"))
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
+    return path
 
 
 def detect_psvc_invocation(headers: Mapping[str, str]) -> bool:
@@ -104,20 +123,23 @@ def sp_return_page(
     return page.encode("utf-8")
 
 
+def header_value(headers: Iterable[tuple[str, str]], name: str) -> str | None:
+    """The first value of a header, its name compared without case."""
+    low = name.lower()
+    for key, value in headers:
+        if key.lower() == low:
+            return value
+    return None
+
+
 @dataclass(frozen=True)
 class KitRequest:
     method: str
+    target: str  # the request line's target, as sent
     path: str
     query: dict[str, str]
     headers: tuple[tuple[str, str], ...]
     body: bytes
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for key, value in self.headers:
-            if key.lower() == low:
-                return value
-        return None
 
     def form(self) -> dict[str, str]:
         """Decode an application/x-www-form-urlencoded body."""
@@ -130,6 +152,7 @@ class KitResponse:
     status: int = 200
     headers: tuple[tuple[str, str], ...] = ()
     body: bytes = b""
+    reason: str | None = None  # None: the PSvc phrase for 31x, else the standard one
 
     @classmethod
     def html(cls, markup: bytes | str, status: int = 200) -> "KitResponse":
@@ -146,45 +169,26 @@ class KitResponse:
 
 
 class ServiceServer:
-    """Tiny loopback HTTP server driven by one handler function."""
+    """HTTP server driven by one handler function; every psvc party runs on it.
 
-    def __init__(
-        self,
-        context: ServiceContext,
-        handler: Callable[[KitRequest], KitResponse],
-        *,
-        actor: str = "Service",
-    ):
-        self.context = context
-        self.handler = handler
-        self.transcript = Transcript.from_env(actor)
-        outer = self
+    It binds in the constructor, so the port is known (and can be
+    published) before serving starts.  Every request method reaches the
+    handler, and each response goes out with Content-Length and
+    ``Connection: close`` once the handler returns, so an event the
+    handler logs precedes the bytes.  A request whose Content-Length is
+    not a decimal count gets a 400 without reaching the handler.
+    """
 
+    def __init__(self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse]):
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
             def log_message(self, fmt: str, *args) -> None:
-                pass
+                log.debug("%s %s", self.address_string(), fmt % args)
 
-            def _run(self) -> None:
-                parts = urlsplit(self.path)
-                length = int(self.headers.get("Content-Length") or 0)
-                request = KitRequest(
-                    method=self.command,
-                    path=parts.path,
-                    query={k: v[0] for k, v in parse_qs(parts.query).items()},
-                    headers=tuple(self.headers.items()),
-                    body=self.rfile.read(length) if length else b"",
-                )
-                response = outer.handler(request)
-                outer.transcript.emit(
-                    SERVE,
-                    request.method,
-                    self.path,
-                    response.status,
-                    in_err=request.header("PSvc-Error"),
-                )
-                self.send_response_only(response.status)
+            def _send(self, response: KitResponse) -> None:
+                status = response.status
+                self.send_response_only(status, response.reason or REASON_PHRASES.get(status))
                 for key, value in response.headers:
                     self.send_header(key, value)
                 self.send_header("Content-Length", str(len(response.body)))
@@ -193,9 +197,27 @@ class ServiceServer:
                 if response.body and self.command != "HEAD":
                     self.wfile.write(response.body)
 
-            do_GET = do_POST = do_HEAD = _run
+            def _run(self) -> None:
+                text = (self.headers.get("Content-Length") or "0").strip()
+                if not (text.isascii() and text.isdigit()):
+                    self._send(KitResponse.text("malformed Content-Length\n", 400))
+                    return
+                length = int(text)
+                parts = urlsplit(self.path)
+                request = KitRequest(
+                    method=self.command,
+                    target=self.path,
+                    path=parts.path,
+                    query={k: v[0] for k, v in parse_qs(parts.query).items()},
+                    headers=tuple(self.headers.items()),
+                    body=self.rfile.read(length) if length else b"",
+                )
+                self._send(handler(request))
 
-        self._httpd = ThreadingHTTPServer((context.bind_address, context.port), _Handler)
+            do_GET = do_POST = do_HEAD = do_PUT = do_DELETE = _run
+            do_OPTIONS = do_PATCH = do_CONNECT = _run
+
+        self._httpd = ThreadingHTTPServer(address, _Handler)
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 
@@ -204,6 +226,7 @@ class ServiceServer:
         return self._httpd.server_address[1]
 
     def start(self) -> None:
+        """Serve in a background thread."""
         self._thread = threading.Thread(
             target=lambda: self._httpd.serve_forever(poll_interval=0.1), daemon=True
         )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 YELLOW_PAGES = 310

@@ -6,8 +6,8 @@ and runs the broker conversation the browser cannot:
 
     310/311  query the broker (HEAD /yellow or /white), then POST the
              result envelope to the SP's callback URL
-    312      register a pending call, resolve the handle (HEAD
-             /resolve?ref=...), then send the service request itself:
+    312      resolve the handle (HEAD /resolve?ref=...), accept only a
+             result naming that same ref, then send the service request:
              the directive's method, the endpoint plus PSvc-Parameters,
              every carried header, the body byte for byte, plus
              ``Referer`` naming the SP and ``PSvc-Invocation: 1``
@@ -29,14 +29,15 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.client import HTTPConnection
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from secrets import token_urlsafe
 from urllib.parse import urlsplit
 
 from .broker.core import EndpointFileError, read_endpoint_file
+from .broker.runtime import stop_process
+from .kit import KitRequest, KitResponse, ServiceServer, header_value
 from .protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -111,23 +112,6 @@ class UpstreamResponse:
     headers: tuple[tuple[str, str], ...]
     body: bytes
     origin: str  # host:port that produced it
-
-    def header(self, name: str) -> str | None:
-        low = name.lower()
-        for key, value in self.headers:
-            if key.lower() == low:
-                return value
-        return None
-
-
-@dataclass(frozen=True)
-class PendingCall:
-    """A service invocation waiting for its broker resolution."""
-
-    ref: str
-    directive: PsvcDirective
-    sp_host: str
-    created: float = field(default_factory=time.monotonic)
 
 
 def strip_hop_by_hop(headers: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> list[tuple[str, str]]:
@@ -277,14 +261,8 @@ class BrokerLink:
         return self._published()
 
     def shutdown(self) -> None:
-        proc = self._proc
-        if proc is not None and proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        if self._proc is not None:
+            stop_process(self._proc)
 
 
 @dataclass
@@ -303,22 +281,6 @@ class PersonalServiceProxy:
         self.config = config
         self.broker = BrokerLink(config.ps_dir, autolaunch=config.broker_autolaunch)
         self.transcript = Transcript.from_env("Proxy")
-        self._pending: dict[str, PendingCall] = {}
-        self._pending_lock = threading.Lock()
-
-    # -- pending service calls -------------------------------------------
-
-    def register_pending(self, directive: PsvcDirective, sp_host: str) -> str:
-        ref = token_urlsafe(16)
-        with self._pending_lock:
-            self._pending[ref] = PendingCall(ref, directive, sp_host)
-        return ref
-
-    def pop_pending(self, ref: str) -> PendingCall | None:
-        with self._pending_lock:
-            return self._pending.pop(ref, None)
-
-    # -- transaction processing ------------------------------------------
 
     def handle_transaction(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
@@ -370,13 +332,6 @@ class PersonalServiceProxy:
         log.warning("reporting %r to %s: %s", code, callback, reason)
         return self._post_to_sp(callback, service=None, error=code)
 
-    @staticmethod
-    def _raw_callback(headers: tuple[tuple[str, str], ...]) -> str | None:
-        for key, value in headers:
-            if key.lower() == H_CALLBACK.lower():
-                return value
-        return None
-
     def _do_listing(self, response: UpstreamResponse) -> UpstreamResponse:
         """Serve a 310/311 by asking the broker and POSTing its envelope back."""
         sp_host = response.origin
@@ -384,7 +339,7 @@ class PersonalServiceProxy:
             directive = parse_directive(response.status, list(response.headers), response.body)
         except MalformedDirective as exc:
             return self._report_error(
-                self._raw_callback(response.headers), ERR_PARAMETERS, str(exc)
+                header_value(response.headers, H_CALLBACK), ERR_PARAMETERS, str(exc)
             )
 
         if directive.kind == YELLOW_PAGES:
@@ -413,17 +368,17 @@ class PersonalServiceProxy:
                 directive.callback, service=encode_broker_result(empty), error=None
             )
 
+        location = header_value(reply.headers, "Location")
+        error = header_value(reply.headers, H_ERROR)
         self.transcript.emit(
-            RECV, "HEAD", path, reply.status,
-            origin=reply.origin,
-            loc=reply.header("Location"),
-            err=reply.header(H_ERROR),
+            RECV, "HEAD", path, reply.status, origin=reply.origin, loc=location, err=error
         )
         if reply.status != BROKER_RESULT:
             raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
-        location = reply.header("Location") or directive.callback
         return self._post_to_sp(
-            location, service=reply.header(H_SERVICE), error=reply.header(H_ERROR)
+            location or directive.callback,
+            service=header_value(reply.headers, H_SERVICE),
+            error=error,
         )
 
     def _do_invoke(self, response: UpstreamResponse) -> UpstreamResponse:
@@ -433,53 +388,46 @@ class PersonalServiceProxy:
             directive = parse_directive(response.status, list(response.headers), response.body)
         except MalformedDirective as exc:
             return self._report_error(
-                self._raw_callback(response.headers), ERR_PARAMETERS, str(exc)
+                header_value(response.headers, H_CALLBACK), ERR_PARAMETERS, str(exc)
             )
 
-        ref = self.register_pending(directive, sp_host)
+        # The resolution arrives within this request, so the ref only has
+        # to be checked against the one just sent.
+        ref = token_urlsafe(16)
         try:
-            try:
-                self.transcript.emit(SEND, "HEAD", f"/resolve?ref={ref}", svc="handle")
-                reply = self.broker.call(
-                    f"/resolve?ref={ref}",
-                    [(H_SERVICE, directive.handle), ("Referer", sp_host)],
-                )
-            except BrokerUnreachable as exc:
-                return self._report_error(
-                    directive.callback, ERR_SERVICE, f"broker unreachable: {exc}"
-                )
-
-            self.transcript.emit(
-                RECV, "HEAD", "/resolve", reply.status,
-                origin=reply.origin,
-                loc=reply.header("Location"),
-                err=reply.header(H_ERROR),
+            self.transcript.emit(SEND, "HEAD", f"/resolve?ref={ref}", svc="handle")
+            reply = self.broker.call(
+                f"/resolve?ref={ref}",
+                [(H_SERVICE, directive.handle), ("Referer", sp_host)],
             )
-            if reply.status != BROKER_RESULT:
-                raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
-            error = reply.header(H_ERROR)
-            if error is not None:
-                code = error if error in ERROR_CODES else ERR_SERVICE
-                return self._report_error(
-                    directive.callback, code, f"broker refused the call: {error}"
-                )
+        except BrokerUnreachable as exc:
+            return self._report_error(
+                directive.callback, ERR_SERVICE, f"broker unreachable: {exc}"
+            )
 
-            location = reply.header("Location") or ""
-            if not location.startswith(":"):
-                raise Diagnostic(502, "broker resolution lacked an internal reference")
-            pending = self.pop_pending(location[1:])
-            if pending is None:
-                raise Diagnostic(502, "broker resolution named an unknown call reference")
-            endpoint = reply.header(H_SERVICE)
-            if not endpoint:
-                raise Diagnostic(502, "broker resolution lacked a service endpoint")
-            return self._call_service(pending, endpoint)
-        finally:
-            self.pop_pending(ref)
+        location = header_value(reply.headers, "Location")
+        error = header_value(reply.headers, H_ERROR)
+        self.transcript.emit(
+            RECV, "HEAD", "/resolve", reply.status, origin=reply.origin, loc=location, err=error
+        )
+        if reply.status != BROKER_RESULT:
+            raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
+        if error is not None:
+            code = error if error in ERROR_CODES else ERR_SERVICE
+            return self._report_error(
+                directive.callback, code, f"broker refused the call: {error}"
+            )
+        if location != f":{ref}":
+            raise Diagnostic(502, "broker resolution did not name this call's reference")
+        endpoint = header_value(reply.headers, H_SERVICE)
+        if not endpoint:
+            raise Diagnostic(502, "broker resolution lacked a service endpoint")
+        return self._call_service(directive, sp_host, endpoint)
 
-    def _call_service(self, pending: PendingCall, endpoint: str) -> UpstreamResponse:
+    def _call_service(
+        self, directive: PsvcDirective, sp_host: str, endpoint: str
+    ) -> UpstreamResponse:
         """Issue the held request to the now-live personal service."""
-        directive = pending.directive
         base = endpoint if "://" in endpoint else f"http://{endpoint}"
         url = base.rstrip("/") + (directive.parameters or "/")
         headers = [
@@ -487,12 +435,12 @@ class PersonalServiceProxy:
             for k, v in strip_hop_by_hop(directive.carried_headers)
             if k.lower() != "content-length"
         ]
-        headers.append(("Referer", pending.sp_host))
+        headers.append(("Referer", sp_host))
         headers.append((H_INVOCATION, "1"))
         if directive.method in ("GET", "POST"):
             headers.append((H_VERSION, PROTOCOL_VERSION))
         self.transcript.emit(
-            SEND, directive.method, url, referer=pending.sp_host, svc="invocation"
+            SEND, directive.method, url, referer=sp_host, svc="invocation"
         )
         return send_request(directive.method, url, headers, directive.carried_body)
 
@@ -506,109 +454,55 @@ class PersonalServiceProxy:
             )
             log.warning("refusing 313 from %s (broker is %s)", response.origin, broker_netloc)
             raise Diagnostic(502, "refused a broker-result redirection from a non-broker source")
-        location = response.header("Location") or ""
+        location = header_value(response.headers, "Location") or ""
         if location.startswith(":"):
             raise Diagnostic(502, "broker result referenced a call this proxy never made")
         return self._post_to_sp(
             location,
-            service=response.header(H_SERVICE),
-            error=response.header(H_ERROR),
+            service=header_value(response.headers, H_SERVICE),
+            error=header_value(response.headers, H_ERROR),
         )
 
     def shutdown(self) -> None:
         self.broker.shutdown()
 
 
-class _ProxyHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    engine: PersonalServiceProxy
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server: _ProxyHTTPServer
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("%s %s", self.address_string(), fmt % args)
-
-    def _respond(self, status: int, reason: str, headers: list[tuple[str, str]], body: bytes) -> None:
-        self.send_response_only(status, reason or None)
-        for key, value in headers:
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("Connection", "close")
-        self.end_headers()
-        if body and self.command != "HEAD":
-            self.wfile.write(body)
-
-    def _respond_plain(self, status: int, text: str) -> None:
-        self._respond(
-            status,
-            "",
-            [("Content-Type", "text/plain; charset=utf-8")],
-            text.encode("utf-8"),
-        )
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
-
-    def _proxy(self) -> None:
-        engine = self.server.engine
-        url = self.path
-        if not url.startswith("http://"):
-            if url.startswith("https://"):
-                self._respond_plain(501, "https is relayed by tunneling only, which this proxy does not do\n")
-            else:
-                self._respond_plain(400, "expected an absolute http:// request target\n")
-            return
-        headers = list(self.headers.items())
-        try:
-            final = engine.handle_transaction(self.command, url, headers, self._read_body())
-        except Diagnostic as diag:
-            engine.transcript.emit(SERVE, self.command, url, diag.status, diag=diag.reason)
-            self._respond_plain(diag.status, diag.reason + "\n")
-            return
-        out = [
-            (k, v)
-            for k, v in strip_hop_by_hop(list(final.headers))
-            if k.lower() != "content-length"
-        ]
-        engine.transcript.emit(SERVE, self.command, url, final.status)
-        self._respond(final.status, final.reason, out, final.body)
-
-    do_GET = do_POST = do_HEAD = do_PUT = do_DELETE = do_OPTIONS = do_PATCH = _proxy
-
-    def do_CONNECT(self) -> None:
-        self._respond_plain(501, "CONNECT tunneling is not provided\n")
-
-
-class ProxyServer:
+class ProxyServer(ServiceServer):
     """Binds the engine to a listening socket."""
 
     def __init__(self, config: ProxyConfig):
         self.engine = PersonalServiceProxy(config)
-        self._httpd = _ProxyHTTPServer((config.listen_host, config.listen_port), _Handler)
-        self._httpd.engine = self.engine
-        self.port = self._httpd.server_address[1]
-        self._thread: threading.Thread | None = None
+        super().__init__((config.listen_host, config.listen_port), self._handle)
 
     @property
     def address(self) -> str:
         return f"{self._httpd.server_address[0]}:{self.port}"
 
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.1), daemon=True
-        )
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+    def _handle(self, request: KitRequest) -> KitResponse:
+        url = request.target
+        if request.method == "CONNECT":
+            return KitResponse.text("CONNECT tunneling is not provided\n", 501)
+        if url.startswith("https://"):
+            return KitResponse.text(
+                "https is relayed by tunneling only, which this proxy does not do\n", 501
+            )
+        if not url.startswith("http://"):
+            return KitResponse.text("expected an absolute http:// request target\n", 400)
+        try:
+            final = self.engine.handle_transaction(
+                request.method, url, list(request.headers), request.body
+            )
+        except Diagnostic as diag:
+            self.engine.transcript.emit(SERVE, request.method, url, diag.status, diag=diag.reason)
+            return KitResponse.text(diag.reason + "\n", diag.status)
+        headers = [
+            (k, v)
+            for k, v in strip_hop_by_hop(list(final.headers))
+            if k.lower() != "content-length"
+        ]
+        self.engine.transcript.emit(SERVE, request.method, url, final.status)
+        return KitResponse(final.status, tuple(headers), final.body, final.reason)
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        super().shutdown()
         self.engine.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5)

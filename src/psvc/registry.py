@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -43,14 +43,6 @@ class DescriptorError(ValueError):
 
 class CatalogDirError(OSError):
     """The descriptor directory is missing or unreadable."""
-
-
-class NoMatch(LookupError):
-    """A white query matched no service."""
-
-
-class AmbiguousMatch(LookupError):
-    """A white query matched more than one service."""
 
 
 @dataclass(frozen=True)
@@ -184,16 +176,3 @@ def list_matching_white(catalog: Catalog, query: dict[str, Any]) -> list[Service
         if white_match(query, catalog.entries[sid].presentation)
     ]
 
-
-def resolve_unique(catalog: Catalog, query: dict[str, Any]) -> ServiceDescriptor:
-    """The single service matching a white query.
-
-    Raises NoMatch when nothing matches and AmbiguousMatch when the
-    query does not pin down one service.
-    """
-    hits = list_matching_white(catalog, query)
-    if not hits:
-        raise NoMatch(f"no service matches {query!r}")
-    if len(hits) > 1:
-        raise AmbiguousMatch(f"{len(hits)} services match {query!r}")
-    return hits[0]

@@ -23,13 +23,11 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 import traceback
 from base64 import b64encode
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from difflib import unified_diff
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import Any, Callable
@@ -38,7 +36,8 @@ from urllib.parse import quote, urljoin
 import requests
 
 from .broker.core import ENDPOINT_FILE, read_endpoint_file
-from .broker.runtime import allocate_port
+from .broker.runtime import allocate_port, stop_process
+from .kit import KitRequest, KitResponse, ServiceServer
 from .transcript import ENV_VAR as TRANSCRIPT_ENV
 from .transcript import Event, SPAWN, read_events
 
@@ -46,7 +45,6 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 # The directory holding the running psvc package; children import it from here.
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
-FLOW_TIMEOUT_S = 30.0
 REQUEST_TIMEOUT_S = 15.0
 BOOT_TIMEOUT_S = 10.0
 OUTPUT_TAIL_LINES = 20
@@ -113,14 +111,7 @@ class Party:
         )
 
     def stop(self) -> None:
-        if self.proc.poll() is not None:
-            return
-        self.proc.terminate()
-        try:
-            self.proc.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+        stop_process(self.proc)
 
     def output(self) -> str:
         if self.proc.stdout is None:
@@ -166,39 +157,18 @@ def wait_for_tcp(host: str, port: int, party: Party, timeout: float = BOOT_TIMEO
     raise ScenarioFailure(f"nothing listening on {host}:{port}")
 
 
-class Victim:
+class Victim(ServiceServer):
     """Records any request that reaches it; a successful attack would."""
 
     def __init__(self) -> None:
-        hits: list[tuple[str, str]] = []
-        self.hits = hits
-
-        class _H(BaseHTTPRequestHandler):
-            def log_message(self, *a) -> None:
-                pass
-
-            def _any(self) -> None:
-                hits.append((self.command, self.path))
-                body = b"victim\n"
-                self.send_response_only(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.send_header("Connection", "close")
-                self.end_headers()
-                self.wfile.write(body)
-
-            do_GET = do_POST = do_HEAD = _any
-
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _H)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
+        self.hits: list[tuple[str, str]] = []
+        super().__init__(("127.0.0.1", 0), self._hit)
         self.netloc = f"127.0.0.1:{self.port}"
-        threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.05), daemon=True
-        ).start()
+        self.start()
 
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+    def _hit(self, request: KitRequest) -> KitResponse:
+        self.hits.append((request.method, request.target))
+        return KitResponse(200, (), b"victim\n")
 
 
 # -- synthetic browser ------------------------------------------------------

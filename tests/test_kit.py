@@ -6,6 +6,7 @@ from html.parser import HTMLParser
 
 import pytest
 
+from psvc import kit
 from psvc.broker.runtime import allocate_port
 from psvc.kit import (
     BootstrapError,
@@ -135,6 +136,7 @@ class TestKitRequest:
     def make(self, body: bytes = b"") -> KitRequest:
         return KitRequest(
             method="POST",
+            target="/auth?sid=1",
             path="/auth",
             query={"sid": "1"},
             headers=(("Content-Type", "application/x-www-form-urlencoded"),),
@@ -150,8 +152,10 @@ class TestKitRequest:
 
     def test_header_lookup_ignores_case(self):
         request = self.make()
-        assert request.header("content-type") == "application/x-www-form-urlencoded"
-        assert request.header("X-Missing") is None
+        assert kit.header_value(request.headers, "content-type") == (
+            "application/x-www-form-urlencoded"
+        )
+        assert kit.header_value(request.headers, "X-Missing") is None
 
 
 class TestKitResponse:
@@ -180,7 +184,7 @@ class TestServiceServer:
                 return KitResponse.text("no", status=500)
             return KitResponse.html(f"<p>{request.method} {request.path}</p>")
 
-        server = ServiceServer(ServiceContext(port=allocate_port()), handler)
+        server = ServiceServer(("127.0.0.1", allocate_port()), handler)
         server.start()
         try:
             yield server, seen
@@ -200,7 +204,7 @@ class TestServiceServer:
         assert body == b"<p>GET /auth</p>"
         request = seen[0]
         assert request.query == {"sid": "7", "mode": "fast"}
-        assert request.header("X-Probe") == "yes"
+        assert kit.header_value(request.headers, "X-Probe") == "yes"
         assert request.body == b""
 
     def test_post_body_reaches_handler(self, service):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -192,6 +193,24 @@ class TestPlainRelay:
         status, _, body = via(server, "GET", "/just/a/path")
         assert status == 400
         assert b"absolute" in body
+
+    def test_non_numeric_content_length_is_400(self, proxy, stub):
+        origin = stub()
+        server = proxy()
+        status, _, body = http_exchange(
+            server.address, "GET", origin.url("/"), [("Content-Length", "abc")], timeout=2
+        )
+        assert (status, body) == (400, b"malformed Content-Length\n")
+        assert origin.requests == []
+
+    def test_negative_content_length_is_400(self, proxy, stub):
+        origin = stub()
+        server = proxy()
+        status, _, body = http_exchange(
+            server.address, "GET", origin.url("/"), [("Content-Length", "-1")], timeout=2
+        )
+        assert (status, body) == (400, b"malformed Content-Length\n")
+        assert origin.requests == []
 
     def test_https_target_rejected(self, proxy):
         server = proxy()
@@ -425,14 +444,53 @@ class TestServiceInvocation:
         for name in (H_SERVICE, H_METHOD, H_PARAMETERS, H_CALLBACK):
             assert called.header(name) is None
 
-    def test_no_pending_calls_left_behind(self, proxy, stub):
+    def test_resolution_applies_only_to_the_call_that_asked(self, proxy, stub):
         sp = stub()
         service = stub()
-        broker = broker_stub(stub, endpoint=service.netloc)
-        sp.enqueue(self.invoke_response(sp))
+        broker = stub()
+        sp.default = lambda recorded: Scripted(
+            312,
+            (
+                (H_SERVICE, json.dumps("h-abc")),
+                (H_PARAMETERS, "/auth?" + urlsplit(recorded.path).query),
+            ),
+        )
+        refs: list[str] = []
+        first_arrived, second_arrived, first_done = (threading.Event() for _ in range(3))
+
+        def resolve(recorded):
+            refs.append(parse_qs(urlsplit(recorded.path).query)["ref"][0])
+            if len(refs) == 1:
+                # Hold the first call, then hand it the second call's ref.
+                first_arrived.set()
+                second_arrived.wait(5)
+            else:
+                second_arrived.set()
+                first_done.wait(5)
+            return Scripted(
+                BROKER_RESULT, (("Location", f":{refs[-1]}"), (H_SERVICE, service.netloc))
+            )
+
+        broker.default = resolve
         server = proxy(broker_port=broker.port)
-        assert via(server, "GET", sp.url("/login"))[0] == 200
-        assert server.engine._pending == {}
+        results = {}
+
+        def browse(name):
+            results[name] = via(server, "GET", sp.url(f"/login?call={name}"))
+
+        first = threading.Thread(target=browse, args=("first",))
+        first.start()
+        assert first_arrived.wait(5)
+        second = threading.Thread(target=browse, args=("second",))
+        second.start()
+        first.join(10)
+        first_done.set()
+        second.join(10)
+        assert not first.is_alive() and not second.is_alive()
+
+        assert results["first"][0] == 502
+        assert results["second"][0] == 200
+        assert [r.path for r in service.requests] == ["/auth?call=second"]
 
     def test_resolution_error_reaches_callback(self, proxy, stub):
         sp = stub()

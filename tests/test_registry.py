@@ -8,15 +8,12 @@ import pytest
 
 from psvc.protocol import YellowQuery, json_equal
 from psvc.registry import (
-    AmbiguousMatch,
     BROKER_DESCRIPTOR,
     CatalogDirError,
     DescriptorError,
-    NoMatch,
     list_matching,
     list_matching_white,
     load_catalog,
-    resolve_unique,
     validate_descriptor,
 )
 
@@ -163,10 +160,10 @@ class TestLoadCatalog:
         entry = catalog.entries["cc"]
         assert len(entry.presentation) == 5
         assert entry.presentation["Device name"] == "Cartão de Cidadão"
-        hit = resolve_unique(
+        hits = list_matching_white(
             catalog, {"Purpose": "authentication", "Device": "Portuguese eID"}
         )
-        assert hit.descriptor_id == "cc"
+        assert [d.descriptor_id for d in hits] == ["cc"]
 
 
 class TestMatching:
@@ -190,11 +187,12 @@ class TestMatching:
                 {"Purpose": "authentication", "Device": "B"},
             ],
         )
-        assert resolve_unique(catalog, {"Device": "A"}).descriptor_id == "s000"
-        with pytest.raises(AmbiguousMatch):
-            resolve_unique(catalog, {"Purpose": "authentication"})
-        with pytest.raises(NoMatch):
-            resolve_unique(catalog, {"Device": "C"})
+        def ids(query):
+            return [d.descriptor_id for d in list_matching_white(catalog, query)]
+
+        assert ids({"Device": "A"}) == ["s000"]
+        assert ids({"Purpose": "authentication"}) == ["s000", "s001"]
+        assert ids({"Device": "C"}) == []
 
     def test_random_catalogs_agree_with_brute_force(self, tmp_path):
         rng = random.Random(31337)
