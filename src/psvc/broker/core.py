@@ -31,7 +31,7 @@ from ..protocol import (
 )
 from ..registry import Catalog, list_matching, list_matching_white, load_catalog
 from .handles import HandleCodec, HandleError
-from .policy import AccessPolicy, load_policy
+from .policy import load_policy
 from .runtime import ServiceLauncher, SpawnFailure
 
 log = logging.getLogger(__name__)
@@ -94,13 +94,12 @@ class Broker:
         self,
         ps_dir: Path | str,
         *,
-        policy: AccessPolicy | None = None,
         options: BrokerOptions | None = None,
         launcher: ServiceLauncher | None = None,
     ):
         self.ps_dir = Path(ps_dir)
         self.options = options or BrokerOptions()
-        self.policy = policy if policy is not None else load_policy(self.ps_dir)
+        self.policy = load_policy(self.ps_dir)
         self.launcher = launcher or ServiceLauncher()
         self.codec = HandleCodec(max_age_s=self.options.handle_max_age_s)
         self.catalog: Catalog = load_catalog(self.ps_dir)

@@ -1,10 +1,12 @@
-"""Launch-on-demand for local services, liveness probes for remote ones.
+"""Launch-on-demand for local services.
 
 Local services run as child processes.  The broker picks a free
 loopback port, releases it, and appends it to the descriptor's argument
 vector; the child is expected to bind it on a loopback address.  A dead
 child is only discovered at the next resolve, which relaunches it,
-possibly on a different port.
+possibly on a different port.  Remote services are never contacted
+here: their URL is handed out as is, and an invocation that cannot
+reach one fails at the proxy, which reports ``service`` to the SP.
 """
 
 from __future__ import annotations
@@ -15,16 +17,13 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPSConnection
 from typing import Callable
-from urllib.parse import urlsplit
 
 from ..registry import ServiceDescriptor
 
 log = logging.getLogger(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
-REMOTE_PROBE_TIMEOUT_S = 3.0
 STOP_TIMEOUT_S = 5.0
 _POLL_INTERVAL_S = 0.02
 
@@ -32,7 +31,7 @@ LOOPBACK = "127.0.0.1"
 
 
 class SpawnFailure(RuntimeError):
-    """The service could not be started or reached."""
+    """The service could not be started."""
 
 
 def allocate_port(host: str = LOOPBACK) -> int:
@@ -93,11 +92,9 @@ class ServiceLauncher:
         self,
         *,
         launch_timeout_s: float = LAUNCH_TIMEOUT_S,
-        probe_timeout_s: float = REMOTE_PROBE_TIMEOUT_S,
         on_spawn: Callable[[str, int, int, int], None] | None = None,
     ):
         self.launch_timeout_s = launch_timeout_s
-        self.probe_timeout_s = probe_timeout_s
         self.on_spawn = on_spawn
         self._records: dict[str, RuntimeRecord] = {}
         self._locks: dict[str, threading.Lock] = {}
@@ -113,12 +110,11 @@ class ServiceLauncher:
     def ensure_live(self, desc: ServiceDescriptor) -> str:
         """Return a live endpoint for the descriptor, launching if needed.
 
-        Local services yield "host:port"; remote ones yield their URL.
-        Raises SpawnFailure when the service cannot be brought up or
-        reached.
+        Local services yield "host:port"; remote ones yield their URL,
+        unchecked.  Raises SpawnFailure when a local service cannot be
+        brought up.
         """
         if desc.is_remote:
-            self._probe_remote(desc.url)
             return desc.url
 
         with self._lock_for(desc.descriptor_id):
@@ -158,19 +154,6 @@ class ServiceLauncher:
         if self.on_spawn is not None:
             self.on_spawn(desc.descriptor_id, port, proc.pid, rec.launch_count)
         return f"{LOOPBACK}:{port}"
-
-    def _probe_remote(self, url: str) -> None:
-        """HEAD the remote service; any HTTP response means it is reachable."""
-        parts = urlsplit(url)
-        conn_cls = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        conn = conn_cls(parts.hostname, parts.port, timeout=self.probe_timeout_s)
-        try:
-            conn.request("HEAD", parts.path or "/")
-            conn.getresponse()
-        except OSError as exc:
-            raise SpawnFailure(f"remote service {url} unreachable: {exc}") from None
-        finally:
-            conn.close()
 
     def shutdown(self) -> None:
         """Terminate every child this launcher started."""

@@ -44,19 +44,15 @@ class BrokerServer(ServiceServer):
         ps_dir: Path | str,
         *,
         port: int = 0,
-        publish_endpoint: bool = True,
-        broker: Broker | None = None,
         options: BrokerOptions | None = None,
     ):
         self.ps_dir = Path(ps_dir)
         self.transcript = Transcript.from_env("Broker")
-        if broker is None:
-            launcher = ServiceLauncher(on_spawn=self._on_spawn)
-            broker = Broker(self.ps_dir, options=options, launcher=launcher)
-        self.broker = broker
+        launcher = ServiceLauncher(on_spawn=self._on_spawn)
+        self.broker = Broker(self.ps_dir, options=options, launcher=launcher)
+        # Bound and listening by now, so a reader of broker.ept can connect.
         super().__init__(("127.0.0.1", port), self._handle)
-        if publish_endpoint:
-            write_endpoint_file(self.ps_dir, self.port)
+        write_endpoint_file(self.ps_dir, self.port)
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)

@@ -62,7 +62,6 @@ class SPConfig:
     wp_query: dict[str, Any] = field(default_factory=lambda: dict(DEFAULT_WP_QUERY))
     yp_query: dict[str, Any] = field(default_factory=lambda: dict(DEFAULT_YP_QUERY))
     fault: str | None = None
-    evil_location: str | None = None
     # Extra headers/body attached to the 312, carried to the service.
     invoke_extra_headers: tuple[tuple[str, str], ...] = ()
     invoke_extra_body: bytes = b""
@@ -236,7 +235,7 @@ class DemoSP(ServiceServer):
         return self._finish(request, YELLOW_PAGES, headers, svc="query")
 
     def _evil313(self, request: KitRequest) -> KitResponse:
-        target = request.query.get("to") or self.config.evil_location or "http://127.0.0.1:9/"
+        target = request.query.get("to") or "http://127.0.0.1:9/"
         return self._finish(
             request, BROKER_RESULT, [("Location", target), (H_SERVICE, "forged")], loc=target
         )

@@ -168,6 +168,13 @@ class KitResponse:
         )
 
 
+class _Listener(ThreadingHTTPServer):
+    # The default backlog of 5 holds fewer connections than a burst of
+    # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
+    request_queue_size = 64
+    daemon_threads = True
+
+
 class ServiceServer:
     """HTTP server driven by one handler function; every psvc party runs on it.
 
@@ -217,8 +224,7 @@ class ServiceServer:
             do_GET = do_POST = do_HEAD = do_PUT = do_DELETE = _run
             do_OPTIONS = do_PATCH = do_CONNECT = _run
 
-        self._httpd = ThreadingHTTPServer(address, _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Listener(address, _Handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -86,8 +86,6 @@ _DIRECTIVE_HEADERS = frozenset(
 class MalformedDirective(ValueError):
     """A 310/311/312 response whose PSvc headers cannot be used."""
 
-    code = ERR_PARAMETERS
-
 
 @dataclass(frozen=True)
 class YellowQuery:

@@ -17,8 +17,10 @@ and runs the broker conversation the browser cannot:
 Responses chain (a callback POST may yield a 312, an invocation may
 yield another redirection) up to a bounded depth.  A broker that cannot
 be reached for a listing turns into an empty-result POST to the
-callback so the SP can carry on.  Plain responses relay to the browser
-untouched apart from hop-by-hop headers.  HTTPS is not intercepted.
+callback so the SP can carry on, and a failed service invocation is
+reported there as ``service``.  Plain responses relay to the browser
+untouched apart from hop-by-hop headers; one that cannot be read is a
+502.  HTTPS is not intercepted.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from pathlib import Path
 from secrets import token_urlsafe
 from urllib.parse import urlsplit
@@ -99,8 +101,16 @@ class Diagnostic(Exception):
         self.reason = reason
 
 
+class Unreachable(Diagnostic):
+    """No reply: the connection was refused, timed out or broke."""
+
+    def __init__(self, origin: str, cause: OSError):
+        super().__init__(502, f"upstream {origin} unreachable: {cause}")
+        self.refused = isinstance(cause, ConnectionRefusedError)
+
+
 class BrokerUnreachable(Exception):
-    """No live broker endpoint could be found or launched."""
+    """No broker answered, and none could be launched."""
 
 
 @dataclass(frozen=True)
@@ -166,13 +176,24 @@ def send_request(
             origin=origin,
         )
     except OSError as exc:
-        raise Diagnostic(502, f"upstream {origin} unreachable: {exc}") from None
+        raise Unreachable(origin, exc) from None
+    except HTTPException as exc:
+        raise Diagnostic(502, f"upstream {origin} sent an unreadable reply: {exc!r}") from None
     finally:
         conn.close()
 
 
 class BrokerLink:
-    """Finds the user's broker, launching it from broker.psd when needed."""
+    """Calls the user's broker where broker.ept says it is.
+
+    Nothing is probed up front: each call reads broker.ept and sends its
+    HEAD.  Only a refused connection (or no endpoint file) starts
+    recovery, under one lock: re-read broker.ept and retry at a port it
+    newly names, else launch a broker from broker.psd once and retry
+    once.  A timeout or a reset means a broker may be there, so it never
+    launches a second one, whose fresh key would void every handle the
+    first one minted.
+    """
 
     def __init__(self, ps_dir: Path | str, *, autolaunch: bool = True):
         self.ps_dir = Path(ps_dir)
@@ -188,31 +209,32 @@ class BrokerLink:
         except OSError:
             return False
 
-    def _published(self) -> tuple[str, int] | None:
+    def endpoint_or_none(self) -> tuple[str, int] | None:
+        """The endpoint broker.ept names, unchecked; None without a usable file."""
         try:
-            host, port = read_endpoint_file(self.ps_dir)
+            return read_endpoint_file(self.ps_dir)
         except EndpointFileError:
             return None
-        return (host, port) if self._connectable(host, port) else None
 
     def endpoint(self) -> tuple[str, int]:
-        """A live broker endpoint; may launch one from broker.psd."""
-        live = self._published()
-        if live:
-            return live
-        if not self.autolaunch:
-            raise BrokerUnreachable("no live broker endpoint published")
+        """The published broker endpoint; launches a broker when none is published."""
+        return self.endpoint_or_none() or self._recover(None)
+
+    def _recover(self, refused: tuple[str, int] | None) -> tuple[str, int]:
+        """An endpoint to retry after `refused` (None: no endpoint file) failed."""
         with self._lock:
-            live = self._published()
-            if live:
-                return live
+            published = self.endpoint_or_none()
+            if published is not None and published != refused:
+                return published  # another thread or process got there first
+            if not self.autolaunch:
+                raise BrokerUnreachable("no live broker endpoint published")
             self._launch()
             deadline = time.monotonic() + BROKER_LAUNCH_TIMEOUT_S
             while time.monotonic() < deadline:
-                live = self._published()
-                if live:
-                    return live
-                if self._proc is not None and self._proc.poll() is not None:
+                published = self.endpoint_or_none()
+                if published is not None and self._connectable(*published):
+                    return published
+                if self._proc.poll() is not None:
                     raise BrokerUnreachable(
                         f"broker exited with status {self._proc.returncode}"
                     )
@@ -244,21 +266,32 @@ class BrokerLink:
             raise BrokerUnreachable(f"cannot launch broker: {exc}") from None
 
     def call(self, path_and_query: str, headers: list[tuple[str, str]]) -> UpstreamResponse:
-        """HEAD the broker; raises BrokerUnreachable when it cannot answer."""
+        """HEAD the broker; BrokerUnreachable when no broker answers.
+
+        A reply that arrives but cannot be read stays a 502 Diagnostic:
+        the broker is there, so it must not pass for an absent one.
+        """
         host, port = self.endpoint()
         try:
-            return send_request(
-                "HEAD",
-                f"http://{host}:{port}{path_and_query}",
-                headers,
-                b"",
-                timeout=BROKER_CALL_TIMEOUT_S,
-            )
-        except Diagnostic as exc:
+            return self._head(host, port, path_and_query, headers)
+        except Unreachable as exc:
+            if not exc.refused:
+                raise BrokerUnreachable(exc.reason) from None
+        host, port = self._recover((host, port))
+        try:
+            return self._head(host, port, path_and_query, headers)
+        except Unreachable as exc:
             raise BrokerUnreachable(exc.reason) from None
 
-    def endpoint_or_none(self) -> tuple[str, int] | None:
-        return self._published()
+    @staticmethod
+    def _head(host: str, port: int, path_and_query: str, headers) -> UpstreamResponse:
+        return send_request(
+            "HEAD",
+            f"http://{host}:{port}{path_and_query}",
+            headers,
+            b"",
+            timeout=BROKER_CALL_TIMEOUT_S,
+        )
 
     def shutdown(self) -> None:
         if self._proc is not None:
@@ -422,7 +455,12 @@ class PersonalServiceProxy:
         endpoint = header_value(reply.headers, H_SERVICE)
         if not endpoint:
             raise Diagnostic(502, "broker resolution lacked a service endpoint")
-        return self._call_service(directive, sp_host, endpoint)
+        try:
+            return self._call_service(directive, sp_host, endpoint)
+        except Diagnostic as exc:
+            return self._report_error(
+                directive.callback, ERR_SERVICE, f"invocation failed: {exc.reason}"
+            )
 
     def _call_service(
         self, directive: PsvcDirective, sp_host: str, endpoint: str

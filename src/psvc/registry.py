@@ -62,7 +62,11 @@ class ServiceDescriptor:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Immutable snapshot of one descriptor directory."""
+    """Immutable snapshot of one descriptor directory.
+
+    ``entries`` is ordered by descriptor id (load_catalog sorts once), and
+    the matchers list hits in that order.
+    """
 
     source_dir: Path
     entries: dict[str, ServiceDescriptor]
@@ -134,10 +138,10 @@ def validate_descriptor(
 
 
 def load_catalog(directory: Path | str) -> Catalog:
-    """Load every usable ``*.psd`` in a directory, skipping broken ones."""
+    """Load every usable ``*.psd`` in a directory, ordered by id; skip broken ones."""
     directory = Path(directory)
     try:
-        files = sorted(directory.iterdir())
+        files = sorted(directory.iterdir(), key=lambda path: path.stem)
     except OSError as exc:
         raise CatalogDirError(f"cannot read {directory}: {exc}") from None
 
@@ -160,19 +164,11 @@ def load_catalog(directory: Path | str) -> Catalog:
 
 
 def list_matching(catalog: Catalog, query: YellowQuery) -> list[ServiceDescriptor]:
-    """All services matching a yellow query, ordered by descriptor id."""
-    return [
-        catalog.entries[sid]
-        for sid in sorted(catalog.entries)
-        if yellow_match(query, catalog.entries[sid].presentation)
-    ]
+    """All services matching a yellow query, in catalog order."""
+    return [d for d in catalog.entries.values() if yellow_match(query, d.presentation)]
 
 
 def list_matching_white(catalog: Catalog, query: dict[str, Any]) -> list[ServiceDescriptor]:
-    """All services matching a white query, ordered by descriptor id."""
-    return [
-        catalog.entries[sid]
-        for sid in sorted(catalog.entries)
-        if white_match(query, catalog.entries[sid].presentation)
-    ]
+    """All services matching a white query, in catalog order."""
+    return [d for d in catalog.entries.values() if white_match(query, d.presentation)]
 

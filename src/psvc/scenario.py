@@ -19,7 +19,6 @@ import os
 import re
 import shutil
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -134,6 +133,7 @@ class Party:
 
 
 def wait_for_file(path: Path, party: Party, timeout: float = BOOT_TIMEOUT_S) -> str:
+    """The content of a port file; every party writes it once it is listening."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         party.check_alive()
@@ -143,18 +143,6 @@ def wait_for_file(path: Path, party: Party, timeout: float = BOOT_TIMEOUT_S) -> 
                 return text
         time.sleep(0.02)
     raise ScenarioFailure(f"{path} never appeared")
-
-
-def wait_for_tcp(host: str, port: int, party: Party, timeout: float = BOOT_TIMEOUT_S) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        party.check_alive()
-        try:
-            with socket.create_connection((host, port), timeout=0.25):
-                return
-        except OSError:
-            time.sleep(0.02)
-    raise ScenarioFailure(f"nothing listening on {host}:{port}")
 
 
 class Victim(ServiceServer):
@@ -341,12 +329,11 @@ class ScenarioContext:
         self.parties.append(party)
         wait_for_file(self.ps_dir / ENDPOINT_FILE, party)
         host, port = read_endpoint_file(self.ps_dir)
-        wait_for_tcp(host, port, party)
         netloc = f"{host}:{port}"
         self.tokens[netloc] = "broker"
         return netloc
 
-    def boot_proxy(self, *, autolaunch: bool = True) -> str:
+    def boot_proxy(self) -> str:
         port_file = self.workdir / "proxy.port"
         argv = [
             sys.executable, "-m", "psvc", "proxy", "run",
@@ -354,12 +341,9 @@ class ScenarioContext:
             "--ps-dir", str(self.ps_dir),
             "--port-file", str(port_file),
         ]
-        if not autolaunch:
-            argv.append("--no-broker-autolaunch")
         party = Party("proxy", argv, self.child_env(), self.workdir)
         self.parties.append(party)
         port = int(wait_for_file(port_file, party))
-        wait_for_tcp("127.0.0.1", port, party)
         self.proxy_netloc = f"127.0.0.1:{port}"
         self.tokens[self.proxy_netloc] = "proxy"
         return self.proxy_netloc
@@ -387,7 +371,6 @@ class ScenarioContext:
         party = Party("sp", argv, self.child_env(**(env or {})), self.workdir)
         self.parties.append(party)
         port = int(wait_for_file(port_file, party))
-        wait_for_tcp("127.0.0.1", port, party)
         self.sp_netloc = f"127.0.0.1:{port}"
         self.tokens[self.sp_netloc] = "sp"
         return self.sp_netloc

@@ -25,7 +25,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 ENV_VAR = "PSVC_TRANSCRIPT"
 
@@ -112,7 +112,3 @@ def read_events(path: str | os.PathLike) -> list[Event]:
         )
     events.sort(key=lambda e: e.ts)
     return events
-
-
-def render_events(events: Iterable[Event]) -> list[str]:
-    return [e.render() for e in events]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import sys
 import threading
 from pathlib import Path
@@ -10,6 +11,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+import psvc.proxy
 from psvc.broker.core import write_endpoint_file
 from psvc.broker.runtime import allocate_port
 from psvc.protocol import (
@@ -212,6 +214,14 @@ class TestPlainRelay:
         assert (status, body) == (400, b"malformed Content-Length\n")
         assert origin.requests == []
 
+    def test_unreadable_upstream_reply_is_502(self, proxy, stub):
+        origin = stub()
+        origin.enqueue(Scripted(200, (("X-Big", "a" * 70_000),), b"never read\n"))
+        server = proxy()
+        status, _, body = via(server, "GET", origin.url("/"))
+        assert status == 502
+        assert b"unreadable" in body
+
     def test_https_target_rejected(self, proxy):
         server = proxy()
         status, _, _ = via(server, "GET", "https://secure.test/")
@@ -362,6 +372,24 @@ class TestListingFlows:
         result = decode_broker_result(sp.requests[1].header(H_SERVICE))
         assert result.operation == OP_WHITE
         assert result.response is None
+
+    def test_unreadable_broker_reply_is_502_not_an_empty_listing(self, proxy, stub):
+        sp = stub()
+        broker = stub()
+        sp.enqueue(
+            Scripted(310, ((H_SERVICE, '{"Purpose": "x"}'), (H_CALLBACK, sp.url("/cb"))))
+        )
+        broker.enqueue(
+            Scripted(
+                BROKER_RESULT,
+                (("Location", sp.url("/cb")), (H_SERVICE, "a" * 70_000)),
+            )
+        )
+        server = proxy(broker_port=broker.port)
+        status, _, body = via(server, "GET", sp.url("/discover"))
+        assert status == 502
+        assert b"unreadable" in body
+        assert [r.path for r in sp.requests] == ["/discover"]
 
     def test_malformed_listing_reported_without_broker_call(self, proxy, stub):
         sp = stub()
@@ -534,6 +562,17 @@ class TestServiceInvocation:
         assert via(server, "GET", sp.url("/login"))[0] == 200
         assert sp.requests[1].header(H_ERROR) == ERR_SERVICE
 
+    def test_unreachable_service_is_reported_to_callback(self, proxy, stub):
+        sp = stub()
+        broker = broker_stub(stub, endpoint=f"127.0.0.1:{allocate_port()}")
+        sp.enqueue(self.invoke_response(sp), Scripted(200, (), b"told the sp\n"))
+        server = proxy(broker_port=broker.port)
+        status, _, body = via(server, "GET", sp.url("/login"))
+        assert (status, body) == (200, b"told the sp\n")
+        posted = sp.requests[1]
+        assert (posted.method, posted.path) == ("POST", "/err")
+        assert posted.header(H_ERROR) == ERR_SERVICE
+
     def test_invoke_without_handle_is_parameters(self, proxy, stub):
         sp = stub()
         sp.enqueue(
@@ -664,6 +703,17 @@ srv.serve_forever()
 """
 
 
+def write_marker_broker(ps_dir: Path) -> None:
+    """A broker.psd whose launch only leaves a file named "launched"."""
+    write_descriptor(
+        ps_dir,
+        "broker",
+        {"Purpose": "service brokering"},
+        cmd=[sys.executable, "-c", "open('launched', 'w').close()"],
+        workdir=str(ps_dir),
+    )
+
+
 class TestBrokerLink:
     def test_no_endpoint_and_no_autolaunch(self, tmp_path):
         link = BrokerLink(tmp_path, autolaunch=False)
@@ -671,10 +721,54 @@ class TestBrokerLink:
         with pytest.raises(BrokerUnreachable):
             link.endpoint()
 
-    def test_stale_endpoint_file_ignored(self, tmp_path):
-        write_endpoint_file(tmp_path, allocate_port())
+    def test_stale_endpoint_without_autolaunch_launches_nothing(self, tmp_path):
+        port = allocate_port()
+        write_endpoint_file(tmp_path, port)
+        write_marker_broker(tmp_path)
         link = BrokerLink(tmp_path, autolaunch=False)
-        assert link.endpoint_or_none() is None
+        assert link.endpoint_or_none() == ("127.0.0.1", port)  # read, not probed
+        with pytest.raises(BrokerUnreachable):
+            link.call("/white", [])
+        assert not (tmp_path / "launched").exists()
+
+    def test_slow_broker_is_not_launched_twice(self, tmp_path, monkeypatch):
+        # A live broker whose accept queue is full: connecting times out.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(0)
+        queued = socket.create_connection(listener.getsockname())
+        write_endpoint_file(tmp_path, listener.getsockname()[1])
+        write_marker_broker(tmp_path)
+        monkeypatch.setattr(psvc.proxy, "BROKER_CALL_TIMEOUT_S", 0.5)
+        link = BrokerLink(tmp_path, autolaunch=True)
+        try:
+            with pytest.raises(BrokerUnreachable):
+                link.call("/white", [])
+        finally:
+            link.shutdown()
+            queued.close()
+            listener.close()
+        assert not (tmp_path / "launched").exists()
+
+    def test_refused_endpoint_relaunches_and_retries(self, tmp_path):
+        stale = allocate_port()
+        write_endpoint_file(tmp_path, stale)
+        write_descriptor(
+            tmp_path,
+            "broker",
+            {"Purpose": "service brokering"},
+            cmd=[sys.executable, "-c", MINI_BROKER],
+            workdir=str(tmp_path),
+        )
+        link = BrokerLink(tmp_path, autolaunch=True)
+        try:
+            reply = link.call("/white", [])
+            # BaseHTTPRequestHandler has no do_HEAD: any answer means the call arrived.
+            assert reply.status == 501
+            assert reply.origin != f"127.0.0.1:{stale}"
+            assert reply.origin == "127.0.0.1:" + (tmp_path / "broker.ept").read_text()
+        finally:
+            link.shutdown()
 
     def test_autolaunch_needs_a_descriptor(self, tmp_path):
         link = BrokerLink(tmp_path, autolaunch=True)

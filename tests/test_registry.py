@@ -179,6 +179,17 @@ class TestMatching:
         hits = list_matching(catalog, YellowQuery("p", "a"))
         assert [d.descriptor_id for d in hits] == ["s000", "s002"]
 
+    def test_id_order_wins_over_file_name_order(self, tmp_path):
+        # "a-b.psd" sorts before "a.psd" by file name, but id "a" before "a-b".
+        write_descriptor(tmp_path, "a-b", {"Purpose": "x"}, cmd=["x"])
+        write_descriptor(tmp_path, "a", {"Purpose": "x"}, cmd=["x"])
+        catalog = load_catalog(tmp_path)
+        assert list(catalog.entries) == ["a", "a-b"]
+        hits = list_matching(catalog, YellowQuery("Purpose", "x"))
+        assert [d.descriptor_id for d in hits] == ["a", "a-b"]
+        hits = list_matching_white(catalog, {"Purpose": "x"})
+        assert [d.descriptor_id for d in hits] == ["a", "a-b"]
+
     def test_white_unique_and_errors(self, tmp_path):
         catalog = self._catalog(
             tmp_path,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from psvc.scenario import (
     run_scenario,
     wait_for_file,
 )
+from psvc.transcript import SPAWN
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -63,3 +65,34 @@ def test_boot_wait_reports_a_child_that_died(tmp_path):
     message = str(failure.value)
     assert "doomed exited with status 7" in message
     assert "doomed-marker" in message
+
+
+def test_concurrent_sign_ins_all_succeed_with_one_spawn(tmp_path):
+    ctx = ScenarioContext("concurrent-sign-in", tmp_path)
+    failures: list[str] = []
+
+    def sign_in(times: int) -> None:
+        for _ in range(times):
+            try:
+                page = ctx.browser().run_flow(ctx.sp_url("/"))
+                if "authenticated as demo-user" not in page.text:
+                    failures.append(f"{page.status_code}: {page.text[:200]!r}")
+            except Exception as exc:
+                failures.append(repr(exc))
+
+    try:
+        ctx.write_demo_descriptors()
+        ctx.boot_broker()
+        ctx.boot_proxy()
+        ctx.boot_sp()
+        clients = [threading.Thread(target=sign_in, args=(5,)) for _ in range(8)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(120)
+        assert not any(client.is_alive() for client in clients)
+        spawns = [e for e in ctx.events() if e.direction == SPAWN]
+    finally:
+        ctx.teardown()
+    assert failures == []
+    assert len(spawns) == 1

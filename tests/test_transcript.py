@@ -14,7 +14,6 @@ from psvc.transcript import (
     SPAWN,
     Transcript,
     read_events,
-    render_events,
 )
 
 
@@ -109,4 +108,4 @@ class TestRendering:
             Event(1, "A", SEND, "GET", "/one"),
             Event(2, "B", SERVE, "GET", "/one", 200),
         ]
-        assert render_events(events) == ["A       > GET /one", "B       = GET /one -> 200"]
+        assert [e.render() for e in events] == ["A       > GET /one", "B       = GET /one -> 200"]
