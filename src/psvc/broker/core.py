@@ -85,6 +85,7 @@ class BrokerReply:
     service: str | None = None
     error: str | None = None
     status: int = BROKER_RESULT
+    names: int = 0  # how many service names a yellow listing carries
 
 
 class Broker:
@@ -120,7 +121,9 @@ class Broker:
             if self._visible(sp_host, d.descriptor_id)
         ]
         envelope = BrokerResult(OP_YELLOW, query.as_object(), names)
-        return BrokerReply(location=callback, service=encode_broker_result(envelope))
+        return BrokerReply(
+            location=callback, service=encode_broker_result(envelope), names=len(names)
+        )
 
     def serve_white(self, query: dict[str, Any], sp_host: str, callback: str) -> BrokerReply:
         """Resolve a white query to exactly one service and mint its handle."""

@@ -18,7 +18,6 @@ fresh catalog snapshot.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..kit import KitRequest, KitResponse, ServiceServer, header_value
@@ -109,8 +108,7 @@ class BrokerServer(ServiceServer):
         try:
             if request.path == "/yellow":
                 reply = self.broker.serve_yellow(decode_yellow_query(service), sp_host, callback)
-                names = len(json.loads(reply.service)["response"]) if reply.service else 0
-                return self._reply(reply, request.path, f"names[{names}]")
+                return self._reply(reply, request.path, f"names[{reply.names}]")
             reply = self.broker.serve_white(decode_white_query(service), sp_host, callback)
             return self._reply(reply, request.path, "handle")
         except MalformedDirective:

