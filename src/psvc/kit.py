@@ -14,8 +14,11 @@ from __future__ import annotations
 import html
 import logging
 import os
+import socket
+import sys
 import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -168,29 +171,82 @@ class KitResponse:
         )
 
 
+# Bounds on kept-alive connections; each open connection holds a thread.
+KEEPALIVE_IDLE_S = 5.0  # an idle connection is closed after this long
+KEEPALIVE_MAX = 32  # past this many open connections, replies carry Connection: close
+MAX_BODY_BYTES = 8 << 20  # a longer request body gets a 413
+LINGER_S = 1.0  # how long a refused request's unread body is drained
+
+
 class _Listener(ThreadingHTTPServer):
     # The default backlog of 5 holds fewer connections than a burst of
     # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
     request_queue_size = 64
     daemon_threads = True
 
+    def __init__(self, address, handler_class) -> None:
+        self.open: set[socket.socket] = set()
+        self.open_lock = threading.Lock()
+        super().__init__(address, handler_class)
+
+    def process_request(self, request, client_address) -> None:
+        with self.open_lock:
+            self.open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self.open_lock:
+            self.open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client may reset a kept connection at any time; that ends it.
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            log.debug("%s went away: %s", client_address, exc)
+        else:
+            super().handle_error(request, client_address)
+
+    def close_open(self) -> None:
+        """End every accepted connection; a handler waiting on one reads EOF."""
+        with self.open_lock:
+            kept = list(self.open)
+        for sock in kept:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its peer or its handler
+
 
 class ServiceServer:
-    """HTTP server driven by one handler function; every psvc party runs on it.
+    """HTTP/1.1 server driven by one handler function; every psvc party runs on it.
 
     It binds in the constructor, so the port is known (and can be
     published) before serving starts.  Every request method reaches the
-    handler, and each response goes out with Content-Length and
-    ``Connection: close`` once the handler returns, so an event the
-    handler logs precedes the bytes.  A request whose Content-Length is
-    not a decimal count gets a 400, and one with a Transfer-Encoding a
-    411, without reaching the handler: the body is read by Content-Length
-    only, and a framed body must not reach the handler as empty.
+    handler, and each response goes out with Content-Length once the
+    handler returns, so an event the handler logs precedes the bytes.
+
+    Connections stay open for further requests unless the client asks
+    for ``close``.  An idle connection is closed after
+    ``KEEPALIVE_IDLE_S``, and past ``KEEPALIVE_MAX`` open connections a
+    reply carries ``Connection: close``.  ``shutdown()`` ends the kept
+    connections too, so no handler thread serves on after it.
+
+    A request whose Content-Length is not a decimal count gets a 400,
+    one with a Transfer-Encoding a 411, and one whose body is over
+    ``MAX_BODY_BYTES`` a 413, without reaching the handler: the body is
+    read by Content-Length only, and a framed body must not reach the
+    handler as empty.  These replies close the connection, so the
+    unread body is never parsed as the next request.
     """
 
     def __init__(self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse]):
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            timeout = KEEPALIVE_IDLE_S
+            # Headers and body go out in two writes; with Nagle on, a kept
+            # connection stalls the body until the peer's delayed ACK.
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt: str, *args) -> None:
                 log.debug("%s %s", self.address_string(), fmt % args)
@@ -201,20 +257,39 @@ class ServiceServer:
                 for key, value in response.headers:
                     self.send_header(key, value)
                 self.send_header("Content-Length", str(len(response.body)))
-                self.send_header("Connection", "close")
+                if self.close_connection or len(self.server.open) > KEEPALIVE_MAX:
+                    self.send_header("Connection", "close")  # also ends the loop
                 self.end_headers()
                 if response.body and self.command != "HEAD":
                     self.wfile.write(response.body)
 
+            def _refuse(self, message: str, status: int) -> None:
+                self.close_connection = True  # the body is left unread
+                self._send(KitResponse.text(message, status))
+                # Closing on unread bytes resets the connection, and a client
+                # still sending its body would lose the reply: send EOF, then
+                # read and drop what arrives for a moment.
+                self.request.shutdown(socket.SHUT_WR)
+                self.request.settimeout(LINGER_S)
+                deadline = time.monotonic() + LINGER_S
+                try:
+                    while time.monotonic() < deadline and self.rfile.read1(65536):
+                        pass
+                except OSError:
+                    pass  # timed out or reset: either way the client is done
+
             def _run(self) -> None:
                 if "Transfer-Encoding" in self.headers:
-                    self._send(KitResponse.text("request body needs a Content-Length\n", 411))
+                    self._refuse("request body needs a Content-Length\n", 411)
                     return
                 text = (self.headers.get("Content-Length") or "0").strip()
                 if not (text.isascii() and text.isdigit()):
-                    self._send(KitResponse.text("malformed Content-Length\n", 400))
+                    self._refuse("malformed Content-Length\n", 400)
                     return
                 length = int(text)
+                if length > MAX_BODY_BYTES:
+                    self._refuse(f"request body over {MAX_BODY_BYTES} bytes\n", 413)
+                    return
                 parts = urlsplit(self.path)
                 request = KitRequest(
                     method=self.command,
@@ -249,5 +324,6 @@ class ServiceServer:
     def shutdown(self) -> None:
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_open()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -27,19 +27,20 @@ from __future__ import annotations
 
 import json
 import logging
+import select
 import socket
 import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from pathlib import Path
 from secrets import token_urlsafe
 from urllib.parse import urlsplit
 
 from .broker.core import EndpointFileError, read_endpoint_file
 from .broker.runtime import stop_process
-from .kit import KitRequest, KitResponse, ServiceServer, header_value
+from .kit import KEEPALIVE_IDLE_S, KitRequest, KitResponse, ServiceServer, header_value
 from .protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -74,6 +75,12 @@ UPSTREAM_TIMEOUT_S = 15.0
 BROKER_CALL_TIMEOUT_S = 5.0
 BROKER_PROBE_TIMEOUT_S = 0.4
 BROKER_LAUNCH_TIMEOUT_S = 10.0
+
+# Idle upstream connections kept for reuse, across all origins.  Half
+# the scaffold's idle timeout leaves a margin before a server closes
+# its end, so a reused connection is rarely one being closed.
+POOL_MAX = 32
+POOL_IDLE_S = KEEPALIVE_IDLE_S / 2
 
 # End at this proxy; never forwarded (RFC 7230 hop-by-hop set).
 HOP_BY_HOP = frozenset(
@@ -137,6 +144,67 @@ def strip_hop_by_hop(headers: list[tuple[str, str]] | tuple[tuple[str, str], ...
     ]
 
 
+class _Pool:
+    """Idle upstream connections, oldest first, shared by the proxy's threads."""
+
+    def __init__(self) -> None:
+        self._idle: list[tuple[float, str, HTTPConnection]] = []  # (since, origin, conn)
+        self._lock = threading.Lock()
+
+    def take(self, origin: str) -> HTTPConnection | None:
+        """The newest idle connection to `origin` that is still open, if any."""
+        horizon = time.monotonic() - POOL_IDLE_S
+        found = None
+        with self._lock:
+            kept = [entry for entry in self._idle if entry[0] >= horizon]
+            dropped = [conn for since, _, conn in self._idle if since < horizon]
+            for i in range(len(kept) - 1, -1, -1):
+                if kept[i][1] == origin:
+                    found = kept.pop(i)[2]
+                    break
+            self._idle = kept
+        if found is not None and not _alive(found):
+            dropped.append(found)
+            found = None
+        for conn in dropped:
+            conn.close()
+        return found
+
+    def give(self, origin: str, conn: HTTPConnection) -> None:
+        with self._lock:
+            self._idle.append((time.monotonic(), origin, conn))
+            evicted = self._idle.pop(0)[2] if len(self._idle) > POOL_MAX else None
+        if evicted is not None:
+            evicted.close()
+
+
+def _alive(conn: HTTPConnection) -> bool:
+    """True when nothing, not even EOF, waits to be read on an idle connection."""
+    poller = select.poll()
+    poller.register(conn.sock, select.POLLIN)
+    return not poller.poll(0)
+
+
+_POOL = _Pool()
+
+
+def _exchange(
+    conn: HTTPConnection, method: str, target: str, origin: str,
+    headers: list[tuple[str, str]], body: bytes,
+) -> HTTPResponse:
+    """Send one request on `conn`; the reply comes back unread."""
+    conn.putrequest(method, target, skip_host=True, skip_accept_encoding=True)
+    if not any(k.lower() == "host" for k, _ in headers):
+        conn.putheader("Host", origin)
+    have_length = any(k.lower() == "content-length" for k, _ in headers)
+    for key, value in headers:
+        conn.putheader(key, value)
+    if not have_length and (body or method not in ("GET", "HEAD")):
+        conn.putheader("Content-Length", str(len(body)))
+    conn.endheaders(body or None)
+    return conn.getresponse()
+
+
 def send_request(
     method: str,
     url: str,
@@ -145,7 +213,13 @@ def send_request(
     *,
     timeout: float = UPSTREAM_TIMEOUT_S,
 ) -> UpstreamResponse:
-    """One plain HTTP exchange; headers go out exactly as given."""
+    """One plain HTTP exchange; headers go out exactly as given.
+
+    It runs on an idle pooled connection to the origin when there is
+    one.  A HEAD or GET whose pooled connection breaks before the reply
+    (the server closed it meanwhile) is sent once more on a fresh
+    connection; any other method is never sent twice.
+    """
     parts = urlsplit(url)
     if parts.scheme != "http" or not parts.hostname:
         raise Diagnostic(400, f"cannot forward to {url!r}: only plain http URLs")
@@ -153,34 +227,44 @@ def send_request(
     target = parts.path or "/"
     if parts.query:
         target += "?" + parts.query
-    conn = HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+
+    def fresh() -> HTTPConnection:
+        return HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
+
+    conn = _POOL.take(origin)
+    pooled = conn is not None
+    if pooled:
+        conn.sock.settimeout(timeout)
+    else:
+        conn = fresh()
+    reusable = False
     try:
-        conn.putrequest(method, target, skip_host=True, skip_accept_encoding=True)
-        if not any(k.lower() == "host" for k, _ in headers):
-            conn.putheader("Host", origin)
-        have_length = any(k.lower() == "content-length" for k, _ in headers)
-        for key, value in headers:
-            conn.putheader(key, value)
-        if not have_length and (body or method not in ("GET", "HEAD")):
-            conn.putheader("Content-Length", str(len(body)))
-        conn.endheaders()
-        if body:
-            conn.send(body)
-        resp = conn.getresponse()
-        payload = b"" if method == "HEAD" else resp.read()
-        return UpstreamResponse(
-            status=resp.status,
-            reason=resp.reason or "",
-            headers=tuple((k, v) for k, v in resp.getheaders()),
-            body=payload,
-            origin=origin,
-        )
+        try:
+            resp = _exchange(conn, method, target, origin, headers, body)
+        except (ConnectionResetError, BrokenPipeError):
+            if not pooled or method not in ("GET", "HEAD"):
+                raise
+            conn.close()
+            conn = fresh()
+            resp = _exchange(conn, method, target, origin, headers, body)
+        payload = resp.read()  # b"" for a HEAD; leaves the connection reusable
+        reusable = not resp.will_close
     except OSError as exc:
         raise Unreachable(origin, exc) from None
     except HTTPException as exc:
         raise Diagnostic(502, f"upstream {origin} sent an unreadable reply: {exc!r}") from None
     finally:
-        conn.close()
+        if not reusable:
+            conn.close()
+    if reusable:
+        _POOL.give(origin, conn)
+    return UpstreamResponse(
+        status=resp.status,
+        reason=resp.reason or "",
+        headers=tuple(resp.getheaders()),
+        body=payload,
+        origin=origin,
+    )
 
 
 class BrokerLink:

@@ -239,6 +239,19 @@ def chunked_post(netloc: str, target: str, body: bytes, timeout: float = 10.0) -
         conn.close()
 
 
+def count_accepts(server) -> list[tuple[str, int]]:
+    """The client address of every connection a kit.ServiceServer accepts from now on."""
+    accepts: list[tuple[str, int]] = []
+    process = server._httpd.process_request
+
+    def counted(request, client_address):
+        accepts.append(client_address)
+        process(request, client_address)
+
+    server._httpd.process_request = counted
+    return accepts
+
+
 def header_value(headers: list[tuple[str, str]], name: str) -> str | None:
     low = name.lower()
     for key, value in headers:

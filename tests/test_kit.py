@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import socket
+import time
 from html.parser import HTMLParser
+from http.client import HTTPConnection
 
 import pytest
 
@@ -20,7 +23,7 @@ from psvc.kit import (
 )
 from psvc.protocol import H_INVOCATION
 
-from conftest import chunked_post, header_value, http_exchange
+from conftest import chunked_post, count_accepts, header_value, http_exchange
 
 
 class TestBootstrap:
@@ -236,3 +239,146 @@ class TestServiceServer:
         assert status == 200
         assert body == b""
         assert int(header_value(headers, "Content-Length")) > 0
+
+
+def read_to_eof(sock, timeout: float = 5.0) -> bytes:
+    sock.settimeout(timeout)
+    data = b""
+    while chunk := sock.recv(65536):
+        data += chunk
+    return data
+
+
+class TestKeepAlive:
+    @pytest.fixture()
+    def served(self, monkeypatch):
+        """Factory for started servers echoing method and path: (server, requests seen, accepts).
+
+        Keyword arguments set kit constants (for example KEEPALIVE_IDLE_S=0.3)
+        before the server is built.
+        """
+        made: list[ServiceServer] = []
+
+        def make(**limits):
+            for name, value in limits.items():
+                monkeypatch.setattr(kit, name, value)
+            seen: list[KitRequest] = []
+
+            def handler(request: KitRequest) -> KitResponse:
+                seen.append(request)
+                return KitResponse.text(f"{request.method} {request.path}")
+
+            server = ServiceServer(("127.0.0.1", 0), handler)
+            accepts = count_accepts(server)
+            server.start()
+            made.append(server)
+            return server, seen, accepts
+
+        yield make
+        for server in made:
+            server.shutdown()
+
+    def test_two_requests_share_one_accepted_connection(self, served):
+        server, seen, accepts = served()
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            for path in ("/one", "/two"):
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                assert (resp.status, resp.read()) == (200, f"GET {path}".encode())
+                assert resp.getheader("Connection") is None
+        finally:
+            conn.close()
+        assert [r.path for r in seen] == ["/one", "/two"]
+        assert len(accepts) == 1
+
+    def test_connection_close_is_echoed_and_ends_the_connection(self, served):
+        server, seen, _ = served()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(b"GET /only HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+            reply = read_to_eof(sock)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"\r\nConnection: close" in head
+        assert body == b"GET /only"
+
+    def test_idle_connection_is_closed_after_the_timeout(self, served):
+        server, _, _ = served(KEEPALIVE_IDLE_S=0.3)
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("GET", "/")
+            conn.getresponse().read()
+            started = time.monotonic()
+            assert read_to_eof(conn.sock) == b""
+            assert time.monotonic() - started < 3
+        finally:
+            conn.close()
+
+    def test_past_the_cap_replies_close(self, served):
+        server, _, _ = served(KEEPALIVE_MAX=1)
+        first = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        second = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            first.request("GET", "/a")
+            resp = first.getresponse()
+            assert (resp.read(), resp.getheader("Connection")) == (b"GET /a", None)
+            second.request("GET", "/b")
+            resp = second.getresponse()
+            assert (resp.read(), resp.getheader("Connection")) == (b"GET /b", "close")
+        finally:
+            first.close()
+            second.close()
+
+    @pytest.mark.parametrize(
+        "refused, status",
+        [
+            (b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n", b"411"),
+            (b"Content-Length: 5x\r\n\r\nhello", b"400"),
+            (b"Content-Length: 40\r\n\r\n", b"413"),
+        ],
+        ids=["chunked-411", "malformed-400", "oversized-413"],
+    )
+    def test_no_request_is_served_after_an_unread_body(self, served, refused, status):
+        server, seen, _ = served(MAX_BODY_BYTES=16)
+        pipelined = b"GET /second HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            # For the 413, the pipelined request is the 40-byte body itself.
+            sock.sendall(b"POST /first HTTP/1.1\r\nHost: x\r\n" + refused + pipelined)
+            reply = read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 " + status)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close" in reply
+        assert seen == []
+
+    def test_body_over_the_cap_is_refused_with_413(self, served):
+        server, seen, _ = served(MAX_BODY_BYTES=16)
+        netloc = f"127.0.0.1:{server.port}"
+        status, _, body = http_exchange(netloc, "POST", "/big", body=b"x" * 17)
+        assert (status, body) == (413, b"request body over 16 bytes\n")
+        status, _, body = http_exchange(netloc, "POST", "/fits", body=b"x" * 16)
+        assert (status, body) == (200, b"POST /fits")
+        assert [r.body for r in seen] == [b"x" * 16]
+
+    def test_refused_client_can_finish_sending_its_body(self, served):
+        server, _, _ = served(MAX_BODY_BYTES=16)
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(b"POST /big HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n")
+            sock.settimeout(5)
+            reply = sock.recv(65536)  # the 413 comes before any body byte is sent
+            for _ in range(10):
+                time.sleep(0.01)  # time for a reset to come back, had the server closed
+                sock.sendall(b"x" * 10_000)
+            reply += read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 413")
+        assert reply.endswith(b"request body over 16 bytes\n")
+
+    def test_shutdown_closes_kept_connections(self, served):
+        server, _, _ = served(KEEPALIVE_IDLE_S=60)  # only shutdown() can end it in time
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("GET", "/")
+            conn.getresponse().read()
+            server.shutdown()
+            assert read_to_eof(conn.sock) == b""
+        finally:
+            conn.close()

@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import json
 import socket
+import string
 import sys
 import threading
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import psvc.kit
 import psvc.proxy
 from psvc.broker.core import write_endpoint_file
+from psvc.broker.server import BrokerServer
 from psvc.broker.runtime import allocate_port
+from psvc.demo.service import MockAuthService
+from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP, SPConfig
+from psvc.kit import ServiceServer
 from psvc.protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -40,8 +48,16 @@ from psvc.proxy import (
     ProxyServer,
     strip_hop_by_hop,
 )
+from psvc.scenario import Browser
 
-from conftest import Scripted, chunked_post, header_value, http_exchange, write_descriptor
+from conftest import (
+    Scripted,
+    chunked_post,
+    count_accepts,
+    header_value,
+    http_exchange,
+    write_descriptor,
+)
 
 
 @pytest.fixture()
@@ -249,6 +265,56 @@ class TestPlainRelay:
             ]
         )
         assert kept == [("X-Two", "2")]
+
+
+# RFC 9110 §7.6.1: Connection itself, the connection-specific fields it
+# lists, and the fields every intermediary treats as hop-by-hop.
+FIXED_HOP_BY_HOP = [
+    "Connection", "Keep-Alive", "Proxy-Connection", "TE", "Transfer-Encoding", "Upgrade",
+    "Proxy-Authenticate", "Proxy-Authorization", "Trailer", "Trailers",
+]
+TOKENS = st.text(string.ascii_letters + string.digits + "!#$%&'*+-.^_`|~", min_size=1, max_size=12)
+CASES = [str, str.lower, str.upper, str.swapcase, str.title]
+VALUES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=10)
+
+
+@st.composite
+def header_lists(draw):
+    """Headers mixing hop-by-hop names, end-to-end names and Connection lists, in any case."""
+    end_to_end = draw(st.lists(TOKENS, min_size=1, max_size=6))
+
+    def name() -> str:
+        return draw(st.sampled_from(CASES))(draw(st.sampled_from(FIXED_HOP_BY_HOP + end_to_end)))
+
+    def connection_list() -> str:
+        ows = st.sampled_from(["", " ", "\t", "  "])
+        return ",".join(
+            draw(ows) + (name() if draw(st.booleans()) else draw(TOKENS)) + draw(ows)
+            for _ in range(draw(st.integers(0, 4)))
+        )
+
+    headers = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            headers.append((draw(st.sampled_from(CASES))("Connection"), connection_list()))
+        else:
+            headers.append((name(), draw(VALUES)))
+    return headers
+
+
+class TestStripHopByHop:
+    @settings(max_examples=200, deadline=None)
+    @given(header_lists())
+    def test_drops_exactly_the_hop_by_hop_fields(self, headers):
+        named = {
+            token.strip(" \t").lower()
+            for key, value in headers
+            if key.lower() == "connection"
+            for token in value.split(",")
+        }
+        dropped = {name.lower() for name in FIXED_HOP_BY_HOP} | named
+        kept = strip_hop_by_hop(headers)
+        assert kept == [(k, v) for k, v in headers if k.lower() not in dropped]
 
 
 class TestListingFlows:
@@ -798,3 +864,200 @@ class TestBrokerLink:
         finally:
             link.shutdown()
         assert link._proc.poll() is not None
+
+
+class RawOrigin:
+    """A keep-alive origin on a bare socket, told per request how to answer.
+
+    `script(nth)` is called after the nth request on a connection was
+    read; it returns "reply", "reply-close" (reply, then hang up
+    without saying so) or "drop" (hang up without replying).
+    """
+
+    def __init__(self, script):
+        self.script = script
+        self.requests: list[tuple[int, str, str]] = []  # (connection number, method, path)
+        self.accepts = 0
+        self.hung_up = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.netloc = f"127.0.0.1:{self._listener.getsockname()[1]}"
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def url(self, path: str) -> str:
+        return f"http://{self.netloc}{path}"
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            self.accepts += 1
+            threading.Thread(target=self._serve, args=(sock, self.accepts), daemon=True).start()
+
+    def _serve(self, sock: socket.socket, number: int) -> None:
+        with sock, sock.makefile("rb") as rfile:
+            nth = 0
+            while line := rfile.readline():
+                nth += 1
+                method, path, _ = line.decode("latin-1").split(" ", 2)
+                length = 0
+                while (header := rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = header.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                rfile.read(length)
+                self.requests.append((number, method, path))
+                action = self.script(nth)
+                if action == "drop":
+                    break
+                body = b"" if method == "HEAD" else b"ok"
+                sock.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n" + body)
+                if action == "reply-close":
+                    break
+        self.hung_up.set()
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+@pytest.fixture()
+def raw_origin():
+    made: list[RawOrigin] = []
+
+    def make(script) -> RawOrigin:
+        made.append(RawOrigin(script))
+        return made[-1]
+
+    yield make
+    for origin in made:
+        origin.close()
+
+
+class TestConnectionPool:
+    def test_keep_alive_reply_is_reused(self, raw_origin):
+        origin = raw_origin(lambda nth: "reply")
+        for path in ("/a", "/b", "/c"):
+            assert psvc.proxy.send_request("GET", origin.url(path), [], b"").body == b"ok"
+        assert origin.accepts == 1
+
+    def test_connection_close_reply_is_never_pooled(self, stub):
+        origin = stub()  # answers every request with Connection: close
+        for _ in range(2):
+            assert psvc.proxy.send_request("GET", origin.url("/"), [], b"").status == 200
+            assert psvc.proxy._POOL.take(origin.netloc) is None
+
+    def test_post_on_a_connection_closed_while_idle_goes_fresh(self, raw_origin):
+        origin = raw_origin(lambda nth: "reply-close")
+        psvc.proxy.send_request("GET", origin.url("/warm"), [], b"")
+        assert origin.hung_up.wait(5)
+        reply = psvc.proxy.send_request("POST", origin.url("/cb"), [], b"x=1")
+        assert reply.body == b"ok"
+        assert origin.requests == [(1, "GET", "/warm"), (2, "POST", "/cb")]
+
+    def test_post_is_never_sent_twice(self, raw_origin):
+        # The server reads the POST on the pooled connection, then hangs up.
+        origin = raw_origin(lambda nth: "drop" if nth == 2 else "reply")
+        psvc.proxy.send_request("GET", origin.url("/warm"), [], b"")
+        with pytest.raises(psvc.proxy.Unreachable):
+            psvc.proxy.send_request("POST", origin.url("/cb"), [], b"x=1")
+        assert origin.requests == [(1, "GET", "/warm"), (1, "POST", "/cb")]
+        assert origin.accepts == 1
+
+    @pytest.mark.parametrize("method", ["HEAD", "GET"])
+    def test_stale_pooled_idempotent_request_is_resent_once(self, raw_origin, method):
+        origin = raw_origin(lambda nth: "drop" if nth == 2 else "reply")
+        psvc.proxy.send_request(method, origin.url("/warm"), [], b"")
+        reply = psvc.proxy.send_request(method, origin.url("/again"), [], b"")
+        assert reply.status == 200
+        assert origin.requests == [(1, method, "/warm"), (1, method, "/again"), (2, method, "/again")]
+
+    def test_sign_in_reuses_upstream_connections(self, tmp_path, monkeypatch):
+        # No idle limit may end a connection between sign-ins on a slow host.
+        monkeypatch.setattr(psvc.kit, "KEEPALIVE_IDLE_S", 60.0)
+        monkeypatch.setattr(psvc.proxy, "POOL_IDLE_S", 60.0)
+        service_port = allocate_port()
+        service = ServiceServer(
+            ("127.0.0.1", service_port), MockAuthService(service_port).handle
+        )
+        write_descriptor(
+            tmp_path, "cc", dict(DEFAULT_WP_QUERY), url=f"http://127.0.0.1:{service_port}"
+        )
+        broker = BrokerServer(tmp_path)
+        sp = DemoSP(SPConfig(port=0))
+        front = ProxyServer(ProxyConfig(listen_port=0, ps_dir=tmp_path, broker_autolaunch=False))
+        parties = {"service": service, "broker": broker, "sp": sp}
+        accepts = {name: count_accepts(server) for name, server in parties.items()}
+        for server in [*parties.values(), front]:
+            server.start()
+        try:
+            for _ in range(3):
+                page = Browser(front.address).run_flow(sp.absolute("/"))
+                assert "authenticated as demo-user" in page.text
+        finally:
+            for server in [front, *parties.values()]:
+                server.shutdown()
+        # 3 sign-ins made 15 SP, 6 broker and 6 service exchanges.
+        assert {name: len(a) for name, a in accepts.items()} == {
+            "service": 1, "broker": 1, "sp": 1
+        }
+
+    def test_broker_restart_behind_a_pooled_connection(self, tmp_path, stub):
+        write_descriptor(tmp_path, "cc", {"Purpose": "authentication"}, cmd=["false"])
+        write_descriptor(
+            tmp_path,
+            "broker",
+            {"Purpose": "service brokering"},
+            cmd=[sys.executable, "-c", LAUNCHED_BROKER.format(src=str(SRC_DIR))],
+            workdir=str(tmp_path),
+        )
+        first = BrokerServer(tmp_path)
+        first.start()
+        sp = stub()
+
+        def answer(recorded):
+            if recorded.method == "GET":
+                return Scripted(
+                    310,
+                    ((H_SERVICE, '{"Purpose": "authentication"}'), (H_CALLBACK, sp.url("/cb"))),
+                    reason="Yellow Pages Call",
+                )
+            names = decode_broker_result(recorded.header(H_SERVICE)).response
+            return Scripted(200, (), f"{len(names)} names".encode())
+
+        sp.default = answer
+        front = ProxyServer(ProxyConfig(listen_port=0, ps_dir=tmp_path, broker_autolaunch=True))
+        front.start()
+        results: list[tuple[int, bytes]] = []
+
+        def browse(times: int) -> None:
+            for _ in range(times):
+                status, _, body = via(front, "GET", sp.url("/discover"))
+                results.append((status, body))
+
+        try:
+            browse(2)  # leaves a pooled connection to the first broker
+            first.shutdown()
+            clients = [threading.Thread(target=browse, args=(3,)) for _ in range(4)]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(60)
+            assert not any(client.is_alive() for client in clients)
+        finally:
+            front.shutdown()
+        assert results == [(200, b"1 names")] * 14
+        assert (tmp_path / "launches").read_text() == "launch\n"
+
+
+SRC_DIR = Path(psvc.proxy.__file__).resolve().parents[1]
+
+# A broker.psd launch: note the launch, then run the real broker.
+LAUNCHED_BROKER = """\
+import sys
+sys.path.insert(0, {src!r})
+with open("launches", "a") as fh:
+    fh.write("launch\\n")
+from psvc.cli import main
+sys.exit(main(["broker", "run", "--ps-dir", "."]))
+"""
