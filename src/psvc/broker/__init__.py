@@ -1,34 +1,7 @@
 """Per-user broker: names services, mints handles, launches on demand."""
 
-from .core import (
-    Broker,
-    BrokerOptions,
-    BrokerReply,
-    ENDPOINT_FILE,
-    EndpointFileError,
-    read_endpoint_file,
-    write_endpoint_file,
-)
-from .handles import HandleCodec, HandleError, HandlePlaintext
-from .policy import AccessPolicy, load_policy
-from .runtime import ServiceLauncher, SpawnFailure, allocate_port
+from .core import BrokerOptions
+from .handles import HandleCodec
 from .server import BrokerServer
 
-__all__ = [
-    "AccessPolicy",
-    "Broker",
-    "BrokerOptions",
-    "BrokerReply",
-    "BrokerServer",
-    "ENDPOINT_FILE",
-    "EndpointFileError",
-    "HandleCodec",
-    "HandleError",
-    "HandlePlaintext",
-    "ServiceLauncher",
-    "SpawnFailure",
-    "allocate_port",
-    "load_policy",
-    "read_endpoint_file",
-    "write_endpoint_file",
-]
+__all__ = ["BrokerOptions", "BrokerServer", "HandleCodec"]

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..kit import write_port_file
+# The endpoint reader lives in kit, so a proxy reads it without loading
+# the broker; it is imported here for callers that look for it here.
+from ..kit import ENDPOINT_FILE, EndpointFileError, read_endpoint_file, write_port_file
 from ..protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -36,32 +38,9 @@ from .runtime import ServiceLauncher, SpawnFailure
 
 log = logging.getLogger(__name__)
 
-ENDPOINT_FILE = "broker.ept"
-ENDPOINT_HOST = "127.0.0.1"
-
-
-class EndpointFileError(ValueError):
-    """broker.ept missing or not a decimal port."""
-
-
 def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
     """Atomically publish the broker port for proxies to find."""
     return write_port_file(Path(ps_dir) / ENDPOINT_FILE, port)
-
-
-def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
-    """Read the published broker endpoint: (host, port)."""
-    path = Path(ps_dir) / ENDPOINT_FILE
-    try:
-        text = path.read_text("ascii").strip()
-    except OSError as exc:
-        raise EndpointFileError(f"cannot read {path}: {exc}") from None
-    if not text.isdigit():
-        raise EndpointFileError(f"{path} does not hold a decimal port")
-    port = int(text)
-    if not 0 < port < 65536:
-        raise EndpointFileError(f"{path} holds an out-of-range port {port}")
-    return ENDPOINT_HOST, port
 
 
 @dataclass(frozen=True)

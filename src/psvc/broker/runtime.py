@@ -19,12 +19,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from ..kit import stop_process
 from ..registry import ServiceDescriptor
 
 log = logging.getLogger(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
-STOP_TIMEOUT_S = 5.0
 _POLL_INTERVAL_S = 0.02
 
 LOOPBACK = "127.0.0.1"
@@ -57,18 +57,6 @@ def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Pop
             if time.monotonic() >= deadline:
                 raise SpawnFailure(f"service not listening on {host}:{port}") from None
             time.sleep(_POLL_INTERVAL_S)
-
-
-def stop_process(proc: subprocess.Popen) -> None:
-    """Terminate a child politely, kill it if it lingers, and reap it."""
-    if proc.poll() is not None:
-        return
-    proc.terminate()
-    try:
-        proc.wait(timeout=STOP_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
 
 
 @dataclass

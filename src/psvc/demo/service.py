@@ -14,15 +14,15 @@ proxy carried everything faithfully.
 
 from __future__ import annotations
 
-import hashlib
+import base64
 import json
 import os
-import secrets
 import threading
 import time
 from pathlib import Path
 
 from ..kit import (
+    H_ERROR,
     BootstrapError,
     KitRequest,
     KitResponse,
@@ -32,7 +32,6 @@ from ..kit import (
     header_value,
     sp_return_page,
 )
-from ..protocol import H_ERROR
 from ..transcript import SERVE, Transcript
 
 USER = "demo-user"
@@ -56,6 +55,11 @@ _CHALLENGE = """<!DOCTYPE html>
 """
 
 
+def _new_sid() -> str:
+    """Eight random URL-safe characters, as secrets.token_urlsafe(6) makes."""
+    return base64.urlsafe_b64encode(os.urandom(6)).decode("ascii")
+
+
 class MockAuthService:
     def __init__(self, port: int) -> None:
         self.port = port
@@ -67,6 +71,8 @@ class MockAuthService:
         dump_dir = os.environ.get(DUMP_ENV)
         if not dump_dir:
             return
+        import hashlib  # only dumps need it; a service starts without it
+
         record = {
             "method": request.method,
             "path": request.path,
@@ -100,7 +106,7 @@ class MockAuthService:
         if not detect_psvc_invocation(dict(request.headers)):
             return KitResponse.text("only proxy-built invocations are served here\n", 403)
         self._dump_invocation(request)
-        sid = request.query.get("sid", secrets.token_urlsafe(6))
+        sid = request.query["sid"] if "sid" in request.query else _new_sid()
         with self._lock:
             self._dialogs[sid] = {
                 "nonce": request.query.get("nonce", ""),

@@ -7,6 +7,11 @@ proxy-built invocation requests, and renders the page that hands
 results back to the SP via an auto-submitting POST form.  Its
 one-handler-function server is also what broker, proxy and demo SP
 serve on.
+
+A spawned service imports this module and little else, so it holds the
+wire constants a service needs (``psvc.protocol`` re-exports them).  It
+also holds the broker endpoint-file reader and ``stop_process``, which
+the proxy uses without loading the broker package.
 """
 
 from __future__ import annotations
@@ -16,36 +21,62 @@ import logging
 import os
 import socket
 import sys
-import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from socketserver import TCPServer
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs, urlsplit
 
-from .protocol import H_INVOCATION, REASON_PHRASES
+if TYPE_CHECKING:
+    import subprocess
 
 log = logging.getLogger(__name__)
+
+YELLOW_PAGES = 310
+WHITE_PAGES = 311
+SERVICE_CALL = 312
+BROKER_RESULT = 313
+
+REASON_PHRASES = {
+    YELLOW_PAGES: "Yellow Pages Call",
+    WHITE_PAGES: "White Pages Call",
+    SERVICE_CALL: "Personal Service Call",
+    BROKER_RESULT: "Broker Result",
+}
+
+H_ERROR = "PSvc-Error"
+# Marker added to the request a proxy builds when invoking a service.
+H_INVOCATION = "PSvc-Invocation"
+
+# The broker publishes its port in this file of the per-user directory.
+ENDPOINT_FILE = "broker.ept"
+ENDPOINT_HOST = "127.0.0.1"
+
+STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
 
 
 class BootstrapError(ValueError):
     """The launch convention was not honored; the service must not start."""
 
 
-@dataclass(frozen=True)
-class ServiceContext:
-    """Where this service instance must listen."""
-
+class _Context(NamedTuple):
     port: int
     bind_address: str = "127.0.0.1"
 
-    def __post_init__(self) -> None:
-        if not self.bind_address.startswith("127."):
+
+class ServiceContext(_Context):
+    """Where this service instance must listen."""
+
+    __slots__ = ()
+
+    def __new__(cls, port: int, bind_address: str = "127.0.0.1") -> "ServiceContext":
+        if not bind_address.startswith("127."):
             raise BootstrapError("personal services bind loopback addresses only")
-        if not 0 < self.port < 65536:
-            raise BootstrapError(f"port {self.port} out of range")
+        if not 0 < port < 65536:
+            raise BootstrapError(f"port {port} out of range")
+        return super().__new__(cls, port, bind_address)
 
 
 def bootstrap(argv: Sequence[str]) -> ServiceContext:
@@ -62,6 +93,8 @@ def bootstrap(argv: Sequence[str]) -> ServiceContext:
 
 def write_port_file(path: Path | str, port: int) -> Path:
     """Publish a listening port; write-then-rename, so a reader never sees half."""
+    import tempfile  # the broker, proxy and SP publish ports; services do not
+
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
@@ -70,6 +103,39 @@ def write_port_file(path: Path | str, port: int) -> Path:
         os.close(fd)
     os.replace(tmp, path)
     return path
+
+
+class EndpointFileError(ValueError):
+    """broker.ept missing or not a decimal port."""
+
+
+def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
+    """Read the published broker endpoint: (host, port)."""
+    path = Path(ps_dir) / ENDPOINT_FILE
+    try:
+        text = path.read_text("ascii").strip()
+    except OSError as exc:
+        raise EndpointFileError(f"cannot read {path}: {exc}") from None
+    if not text.isdigit():
+        raise EndpointFileError(f"{path} does not hold a decimal port")
+    port = int(text)
+    if not 0 < port < 65536:
+        raise EndpointFileError(f"{path} holds an out-of-range port {port}")
+    return ENDPOINT_HOST, port
+
+
+def stop_process(proc: subprocess.Popen) -> None:
+    """Terminate a child politely, kill it if it lingers, and reap it."""
+    import subprocess  # only parties that start children get here
+
+    if proc.poll() is not None:
+        return
+    proc.terminate()
+    try:
+        proc.wait(timeout=STOP_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
 
 
 def detect_psvc_invocation(headers: Mapping[str, str]) -> bool:
@@ -135,8 +201,7 @@ def header_value(headers: Iterable[tuple[str, str]], name: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class KitRequest:
+class KitRequest(NamedTuple):
     method: str
     target: str  # the request line's target, as sent
     path: str
@@ -150,8 +215,7 @@ class KitRequest:
         return {k: v[0] for k, v in parsed.items()}
 
 
-@dataclass(frozen=True)
-class KitResponse:
+class KitResponse(NamedTuple):
     status: int = 200
     headers: tuple[tuple[str, str], ...] = ()
     body: bytes = b""
@@ -189,6 +253,12 @@ class _Listener(ThreadingHTTPServer):
         self.open_lock = threading.Lock()
         super().__init__(address, handler_class)
 
+    def server_bind(self) -> None:
+        # HTTPServer's own resolves the host's FQDN, which costs an idna
+        # import and a reverse lookup; only CGI handlers read server_name.
+        TCPServer.server_bind(self)
+        self.server_name, self.server_port = self.server_address[:2]
+
     def process_request(self, request, client_address) -> None:
         with self.open_lock:
             self.open.add(request)
@@ -225,6 +295,8 @@ class ServiceServer:
     published) before serving starts.  Every request method reaches the
     handler, and each response goes out with Content-Length once the
     handler returns, so an event the handler logs precedes the bytes.
+    Status line, headers and body are buffered and sent in one write
+    (two for a response over the 8 KiB buffer).
 
     Connections stay open for further requests unless the client asks
     for ``close``.  An idle connection is closed after
@@ -244,12 +316,20 @@ class ServiceServer:
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             timeout = KEEPALIVE_IDLE_S
-            # Headers and body go out in two writes; with Nagle on, a kept
-            # connection stalls the body until the peer's delayed ACK.
+            # Buffered: a response leaves in one write when the request is
+            # done (handle_one_request flushes), headers and body together.
+            wbufsize = -1
+            # A response over the buffer takes two writes; with Nagle on, a
+            # kept connection stalls the second until the peer's delayed ACK.
             disable_nagle_algorithm = True
 
             def log_message(self, fmt: str, *args) -> None:
                 log.debug("%s %s", self.address_string(), fmt % args)
+
+            def handle_expect_100(self) -> bool:
+                super().handle_expect_100()
+                self.wfile.flush()  # the client waits for it before its body
+                return True
 
             def _send(self, response: KitResponse) -> None:
                 status = response.status
@@ -266,6 +346,7 @@ class ServiceServer:
             def _refuse(self, message: str, status: int) -> None:
                 self.close_connection = True  # the body is left unread
                 self._send(KitResponse.text(message, status))
+                self.wfile.flush()
                 # Closing on unread bytes resets the connection, and a client
                 # still sending its body would lose the reply: send EOF, then
                 # read and drop what arrives for a moment.

@@ -41,28 +41,24 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-YELLOW_PAGES = 310
-WHITE_PAGES = 311
-SERVICE_CALL = 312
-BROKER_RESULT = 313
+# A spawned service needs these, and loads psvc.kit without this module.
+from .kit import (
+    BROKER_RESULT,
+    H_ERROR,
+    H_INVOCATION,
+    REASON_PHRASES,
+    SERVICE_CALL,
+    WHITE_PAGES,
+    YELLOW_PAGES,
+)
 
 PSVC_STATUSES = frozenset({YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL, BROKER_RESULT})
-
-REASON_PHRASES = {
-    YELLOW_PAGES: "Yellow Pages Call",
-    WHITE_PAGES: "White Pages Call",
-    SERVICE_CALL: "Personal Service Call",
-    BROKER_RESULT: "Broker Result",
-}
 
 H_SERVICE = "PSvc-Service"
 H_METHOD = "PSvc-Method"
 H_PARAMETERS = "PSvc-Parameters"
 H_CALLBACK = "PSvc-Callback"
 H_VERSION = "PSvc-Version"
-H_ERROR = "PSvc-Error"
-# Marker added to the request a proxy builds when invoking a service.
-H_INVOCATION = "PSvc-Invocation"
 
 PROTOCOL_VERSION = "1"
 

@@ -38,9 +38,16 @@ from pathlib import Path
 from secrets import token_urlsafe
 from urllib.parse import urlsplit
 
-from .broker.core import EndpointFileError, read_endpoint_file
-from .broker.runtime import stop_process
-from .kit import KEEPALIVE_IDLE_S, KitRequest, KitResponse, ServiceServer, header_value
+from .kit import (
+    KEEPALIVE_IDLE_S,
+    EndpointFileError,
+    KitRequest,
+    KitResponse,
+    ServiceServer,
+    header_value,
+    read_endpoint_file,
+    stop_process,
+)
 from .protocol import (
     BROKER_RESULT,
     BrokerResult,

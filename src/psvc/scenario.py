@@ -34,9 +34,15 @@ from urllib.parse import quote, urljoin
 
 import requests
 
-from .broker.core import ENDPOINT_FILE, read_endpoint_file
-from .broker.runtime import allocate_port, stop_process
-from .kit import KitRequest, KitResponse, ServiceServer
+from .broker.runtime import allocate_port
+from .kit import (
+    ENDPOINT_FILE,
+    KitRequest,
+    KitResponse,
+    ServiceServer,
+    read_endpoint_file,
+    stop_process,
+)
 from .transcript import ENV_VAR as TRANSCRIPT_ENV
 from .transcript import Event, SPAWN, read_events
 

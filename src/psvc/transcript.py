@@ -23,9 +23,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 ENV_VAR = "PSVC_TRANSCRIPT"
 
@@ -35,15 +35,14 @@ SERVE = "="
 SPAWN = "+"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     ts: int
     actor: str
     direction: str
     method: str
     path: str
     status: int | None = None
-    detail: dict[str, Any] = field(default_factory=dict)
+    detail: Mapping[str, Any] = MappingProxyType({})  # shared, so read-only
 
     def render(self) -> str:
         """One readable line, stable given stable inputs."""

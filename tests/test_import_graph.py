@@ -1,0 +1,57 @@
+"""A spawned service and the proxy import only what they run.
+
+Every launch on demand starts a fresh interpreter for the service, so
+each module on its import path is paid for once per launch.  Each check
+imports in a fresh interpreter and compares against that interpreter's
+own starting sys.modules, so modules the site hook loads do not count.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def added_modules(*names: str) -> set[str]:
+    """The modules that importing `names` adds to a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {', '.join(names)}\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+def within(modules: set[str], *packages: str) -> set[str]:
+    return {m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)}
+
+
+def test_a_kit_service_loads_nothing_the_other_parties_need():
+    added = added_modules("psvc.cli", "psvc.demo.service")
+    assert {"psvc.kit", "psvc.transcript", "http.server"} <= added
+    unwanted = within(
+        added,
+        "psvc.protocol", "psvc.registry", "psvc.broker",
+        "dataclasses", "secrets", "hmac", "hashlib", "tempfile",
+    )
+    assert unwanted == set()
+
+
+def test_the_proxy_loads_no_broker():
+    added = added_modules("psvc.proxy")
+    assert {"psvc.proxy", "psvc.kit", "psvc.protocol"} <= added
+    assert within(added, "psvc.broker", "cryptography") == set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import socket
 import time
 from html.parser import HTMLParser
@@ -52,6 +53,12 @@ class TestBootstrap:
         with pytest.raises(BootstrapError, match="loopback"):
             ServiceContext(port=8000, bind_address="0.0.0.0")
         assert ServiceContext(port=8000, bind_address="127.0.0.2").port == 8000
+
+    def test_context_compares_by_value(self):
+        assert ServiceContext(8000) == ServiceContext(port=8000, bind_address="127.0.0.1")
+        assert ServiceContext(8000) != ServiceContext(8001)
+        with pytest.raises(BootstrapError, match="out of range"):
+            ServiceContext(0)
 
 
 class TestDetectInvocation:
@@ -162,6 +169,14 @@ class TestKitRequest:
 
 
 class TestKitResponse:
+    def test_built_by_position_or_keyword_and_compared_by_value(self):
+        response = KitResponse(404, (("X-A", "1"),), b"gone")
+        assert response == KitResponse(status=404, headers=(("X-A", "1"),), body=b"gone")
+        assert response != KitResponse(404, (("X-A", "1"),), b"gone", "Gone")
+        assert KitResponse() == KitResponse(200, (), b"", None)
+        with pytest.raises(AttributeError):
+            response.status = 200
+
     def test_html_accepts_text_or_bytes(self):
         a = KitResponse.html("<p>hi</p>")
         b = KitResponse.html(b"<p>hi</p>", status=404)
@@ -233,6 +248,14 @@ class TestServiceServer:
         status, _, body = http_exchange(self.netloc(server), "GET", "/boom")
         assert (status, body) == (500, b"no")
 
+    def test_binding_looks_up_no_host_name(self, served, monkeypatch):
+        def lookup(*args):
+            raise AssertionError("server_bind resolved a host name")
+
+        monkeypatch.setattr(socket, "getfqdn", lookup)
+        server, _, _ = served()
+        assert http_exchange(f"127.0.0.1:{server.port}", "GET", "/up")[0] == 200
+
     def test_head_gets_headers_only(self, service):
         server, _ = service
         status, headers, body = http_exchange(self.netloc(server), "HEAD", "/auth")
@@ -249,35 +272,59 @@ def read_to_eof(sock, timeout: float = 5.0) -> bytes:
     return data
 
 
+def read_head(sock, timeout: float = 5.0) -> tuple[bytes, bytes]:
+    """Read through the blank line that ends a response head: (head, what followed)."""
+    sock.settimeout(timeout)
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head: {data!r}"
+        data += chunk
+    head, _, rest = data.partition(b"\r\n\r\n")
+    return head, rest
+
+
+def read_response(sock, timeout: float = 5.0) -> bytes:
+    """One response, read by its Content-Length, without waiting for EOF."""
+    head, body = read_head(sock, timeout)
+    length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-body: {head + body!r}"
+        body += chunk
+    return head + b"\r\n\r\n" + body
+
+
+@pytest.fixture()
+def served(monkeypatch):
+    """Factory for started servers echoing method and path: (server, requests seen, accepts).
+
+    Keyword arguments set kit constants (for example KEEPALIVE_IDLE_S=0.3)
+    before the server is built.
+    """
+    made: list[ServiceServer] = []
+
+    def make(**limits):
+        for name, value in limits.items():
+            monkeypatch.setattr(kit, name, value)
+        seen: list[KitRequest] = []
+
+        def handler(request: KitRequest) -> KitResponse:
+            seen.append(request)
+            return KitResponse.text(f"{request.method} {request.path}")
+
+        server = ServiceServer(("127.0.0.1", 0), handler)
+        accepts = count_accepts(server)
+        server.start()
+        made.append(server)
+        return server, seen, accepts
+
+    yield make
+    for server in made:
+        server.shutdown()
+
+
 class TestKeepAlive:
-    @pytest.fixture()
-    def served(self, monkeypatch):
-        """Factory for started servers echoing method and path: (server, requests seen, accepts).
-
-        Keyword arguments set kit constants (for example KEEPALIVE_IDLE_S=0.3)
-        before the server is built.
-        """
-        made: list[ServiceServer] = []
-
-        def make(**limits):
-            for name, value in limits.items():
-                monkeypatch.setattr(kit, name, value)
-            seen: list[KitRequest] = []
-
-            def handler(request: KitRequest) -> KitResponse:
-                seen.append(request)
-                return KitResponse.text(f"{request.method} {request.path}")
-
-            server = ServiceServer(("127.0.0.1", 0), handler)
-            accepts = count_accepts(server)
-            server.start()
-            made.append(server)
-            return server, seen, accepts
-
-        yield make
-        for server in made:
-            server.shutdown()
-
     def test_two_requests_share_one_accepted_connection(self, served):
         server, seen, accepts = served()
         conn = HTTPConnection("127.0.0.1", server.port, timeout=5)
@@ -382,3 +429,81 @@ class TestKeepAlive:
             assert read_to_eof(conn.sock) == b""
         finally:
             conn.close()
+
+
+class TestOneWritePerResponse:
+    def test_each_response_reaches_the_socket_in_one_write(self, served, monkeypatch):
+        writes: list[int] = []
+        write = socket.SocketIO.write
+
+        def counted(self, data):
+            writes.append(len(data))
+            return write(self, data)
+
+        monkeypatch.setattr(socket.SocketIO, "write", counted)
+        server, _, _ = served()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            replies = []
+            for request in (
+                b"GET /one HTTP/1.1\r\nHost: x\r\n\r\n",
+                b"POST /two HTTP/1.1\r\nHost: x\r\nContent-Length: 3\r\n\r\nabc",
+                b"HEAD /three HTTP/1.1\r\nHost: x\r\n\r\n",
+            ):
+                sock.sendall(request)
+                if request.startswith(b"HEAD"):
+                    replies.append(read_head(sock)[0] + b"\r\n\r\n")
+                else:
+                    replies.append(read_response(sock))
+        assert [r.split(b"\r\n", 1)[0] for r in replies] == [b"HTTP/1.1 200 OK"] * 3
+        assert replies[1].endswith(b"\r\n\r\nPOST /two")
+        assert writes == [len(r) for r in replies]
+
+    def test_100_continue_is_sent_before_the_body_arrives(self, served):
+        server, seen, _ = served()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(
+                b"POST /wait HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+                b"Expect: 100-continue\r\n\r\n"
+            )
+            started = time.monotonic()
+            interim, rest = read_head(sock)
+            waited = time.monotonic() - started
+            assert interim.startswith(b"HTTP/1.1 100")
+            assert rest == b""
+            sock.sendall(b"hello")
+            reply = read_response(sock)
+        assert waited < 0.5
+        assert reply.startswith(b"HTTP/1.1 200")
+        assert reply.endswith(b"POST /wait")
+        assert [r.body for r in seen] == [b"hello"]
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"Content-Length: 5x\r\n", b"400"),
+            (b"Transfer-Encoding: chunked\r\n", b"411"),
+            (b"Content-Length: 40\r\n", b"413"),
+        ],
+        ids=["malformed-400", "chunked-411", "oversized-413"],
+    )
+    def test_refusal_arrives_before_the_drain_ends(self, served, head, status):
+        # The drain lasts 5 s here; the reply must not wait for it.
+        server, seen, _ = served(LINGER_S=5.0, MAX_BODY_BYTES=16)
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(b"POST /refused HTTP/1.1\r\nHost: x\r\n" + head + b"\r\n")
+            started = time.monotonic()
+            reply = read_response(sock)
+            waited = time.monotonic() - started
+        assert reply.startswith(b"HTTP/1.1 " + status)
+        assert b"\r\nConnection: close" in reply
+        assert waited < 2.0
+        assert seen == []
+
+    def test_malformed_request_line_gets_400(self, served):
+        server, seen, _ = served()
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(b"GET /a b HTTP/1.1\r\n\r\n")
+            reply = read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"\r\nConnection: close" in reply
+        assert seen == []

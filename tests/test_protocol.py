@@ -1,9 +1,13 @@
 """Wire-level constants, matching semantics, and directive parsing."""
 
+import base64
 import json
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psvc.protocol import (
     BROKER_RESULT,
@@ -41,6 +45,30 @@ from psvc.protocol import (
 )
 
 from conftest import random_json_value, random_presentation
+
+# JSON as json.loads returns it; NaN is left out because it never equals itself.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+JSON_OBJECTS = st.dictionaries(st.text(), JSON_VALUES, max_size=4)
+BROKER_RESULTS = st.builds(
+    BrokerResult, st.just(OP_YELLOW), JSON_OBJECTS, st.lists(JSON_OBJECTS, max_size=4)
+) | st.builds(
+    BrokerResult,
+    st.just(OP_WHITE),
+    JSON_OBJECTS,
+    st.none()
+    | st.builds(
+        lambda extra, service, handle: {**extra, "service": service, "handle": handle},
+        JSON_OBJECTS,
+        JSON_OBJECTS,
+        st.text(),
+    ),
+)
+
+B64URL = string.ascii_uppercase + string.ascii_lowercase + string.digits + "-_"
 
 
 class TestConstants:
@@ -250,6 +278,17 @@ class TestBrokerResultEnvelope:
         result = BrokerResult(OP_WHITE, {"Purpose": "x"}, None)
         assert decode_broker_result(encode_broker_result(result)) == result
 
+    @settings(max_examples=300, deadline=None)
+    @given(BROKER_RESULTS)
+    def test_every_result_round_trips_on_one_ascii_line(self, result):
+        text = encode_broker_result(result)
+        assert text.isascii() and "\n" not in text and "\r" not in text
+        again = decode_broker_result(text)
+        assert again == result
+        # == takes True for 1; the JSON types must survive as well.
+        assert json_equal(again.request, result.request)
+        assert json_equal(again.response, result.response)
+
     def test_rejects_unknown_operation(self):
         with pytest.raises(MalformedDirective):
             decode_broker_result('{"operation": "Green Pages", "request": {}, "response": []}')
@@ -279,6 +318,45 @@ class TestHandleText:
     def test_rejects_non_alphabet(self):
         with pytest.raises(ValueError):
             handle_from_text("not/safe+text")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_canonical_text_round_trips(self, blob):
+        assert handle_from_text(handle_to_text(blob)) == blob
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=B64URL + "=+/ .\n\t", max_size=24) | st.text(max_size=12))
+    def test_only_canonical_text_is_accepted(self, text):
+        try:
+            blob = handle_from_text(text)
+        except ValueError:
+            return
+        assert handle_to_text(blob) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(min_size=1, max_size=48), st.data())
+    def test_respelled_and_padded_variants_are_rejected(self, blob, data):
+        text = handle_to_text(blob)
+        variants = {
+            text.rstrip("="),
+            text + "=",
+            text + "==",
+            " " + text,
+            text + "\n",
+            text.replace("-", "+").replace("_", "/"),
+        }
+        padding = len(text) - len(text.rstrip("="))
+        if padding:
+            # The last data character carries 4 (==) or 2 (=) bits that
+            # decoders ignore; flipping them spells the same bytes anew.
+            last = len(text) - padding - 1
+            flip = data.draw(st.integers(1, 0b1111 if padding == 2 else 0b11))
+            respelled = text[:last] + B64URL[B64URL.index(text[last]) ^ flip] + text[last + 1:]
+            assert base64.urlsafe_b64decode(respelled) == blob
+            variants.add(respelled)
+        for variant in variants - {text}:
+            with pytest.raises(ValueError):
+                handle_from_text(variant)
 
 
 class TestParseDirective:
