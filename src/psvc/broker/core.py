@@ -17,11 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-# The endpoint reader lives in kit, so a proxy reads it without loading
-# the broker; it is imported here for callers that look for it here.
-from ..kit import ENDPOINT_FILE, EndpointFileError, read_endpoint_file, write_port_file
+from ..kit import ENDPOINT_FILE, write_port_file
 from ..protocol import (
-    BROKER_RESULT,
     BrokerResult,
     ERR_AMBIGUOUS,
     ERR_HANDLE,
@@ -44,44 +41,33 @@ def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
 
 
 @dataclass(frozen=True)
-class BrokerOptions:
-    """Knobs for handle checking.
-
-    bind_handles_to_sp: a handle minted for one SP fails when presented
-    on behalf of another.  handle_max_age_s: handles expire after this
-    many seconds (None = never within the broker's lifetime).
-    """
-
-    bind_handles_to_sp: bool = True
-    handle_max_age_s: float | None = None
-
-
-@dataclass(frozen=True)
 class BrokerReply:
     """One 313 reply: where to go next and what to carry there."""
 
     location: str
     service: str | None = None
     error: str | None = None
-    status: int = BROKER_RESULT
     names: int = 0  # how many service names a yellow listing carries
 
 
 class Broker:
-    """Catalog lookups, handle minting/opening, and service activation."""
+    """Catalog lookups, handle minting/opening, and service activation.
+
+    A handle opens only for the SP it was minted for, and, with
+    handle_max_age_s set, only for that many seconds.
+    """
 
     def __init__(
         self,
         ps_dir: Path | str,
         *,
-        options: BrokerOptions | None = None,
+        handle_max_age_s: float | None = None,
         launcher: ServiceLauncher | None = None,
     ):
         self.ps_dir = Path(ps_dir)
-        self.options = options or BrokerOptions()
         self.policy = load_policy(self.ps_dir)
         self.launcher = launcher or ServiceLauncher()
-        self.codec = HandleCodec(max_age_s=self.options.handle_max_age_s)
+        self.codec = HandleCodec(max_age_s=handle_max_age_s)
         self.catalog: Catalog = load_catalog(self.ps_dir)
 
     def reload_catalog(self) -> Catalog:
@@ -130,7 +116,7 @@ class Broker:
         except HandleError as exc:
             log.info("rejected handle from %s: %s", sp_host, exc)
             return BrokerReply(location=location, error=ERR_HANDLE)
-        if self.options.bind_handles_to_sp and opened.requester_host != sp_host:
+        if opened.requester_host != sp_host:
             log.info(
                 "handle minted for %s presented for %s", opened.requester_host, sp_host
             )

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from ..kit import stop_process
+from ..kit import allocate_port, stop_process
 from ..registry import ServiceDescriptor
 
 log = logging.getLogger(__name__)
@@ -32,17 +32,6 @@ LOOPBACK = "127.0.0.1"
 
 class SpawnFailure(RuntimeError):
     """The service could not be started."""
-
-
-def allocate_port(host: str = LOOPBACK) -> int:
-    """Reserve a currently-free loopback port and release it.
-
-    Best effort: the child must bind it before anything else does.
-    """
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((host, 0))
-        return sock.getsockname()[1]
 
 
 def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Popen | None = None) -> None:
@@ -76,13 +65,7 @@ class ServiceLauncher:
     successful launch.
     """
 
-    def __init__(
-        self,
-        *,
-        launch_timeout_s: float = LAUNCH_TIMEOUT_S,
-        on_spawn: Callable[[str, int, int, int], None] | None = None,
-    ):
-        self.launch_timeout_s = launch_timeout_s
+    def __init__(self, *, on_spawn: Callable[[str, int, int, int], None] | None = None):
         self.on_spawn = on_spawn
         self._records: dict[str, RuntimeRecord] = {}
         self._locks: dict[str, threading.Lock] = {}
@@ -131,7 +114,7 @@ class ServiceLauncher:
         except OSError as exc:
             raise SpawnFailure(f"cannot launch {desc.descriptor_id}: {exc}") from None
         try:
-            wait_connectable(LOOPBACK, port, time.monotonic() + self.launch_timeout_s, proc)
+            wait_connectable(LOOPBACK, port, time.monotonic() + LAUNCH_TIMEOUT_S, proc)
         except SpawnFailure:
             if proc.poll() is None:
                 proc.kill()

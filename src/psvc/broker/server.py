@@ -1,6 +1,6 @@
 """HTTP surface of the broker.
 
-Callers use HEAD requests; queries, handles, and results travel in
+Callers send HEAD; queries, handles, and results travel in
 headers, never bodies:
 
     HEAD /yellow            PSvc-Service: {"Purpose": "authentication"}
@@ -22,6 +22,7 @@ from pathlib import Path
 
 from ..kit import KitRequest, KitResponse, ServiceServer, header_value
 from ..protocol import (
+    BROKER_RESULT,
     ERR_PARAMETERS,
     H_CALLBACK,
     H_ERROR,
@@ -31,7 +32,7 @@ from ..protocol import (
     decode_yellow_query,
 )
 from ..transcript import SERVE, SPAWN, Transcript
-from .core import Broker, BrokerOptions, BrokerReply, write_endpoint_file
+from .core import Broker, BrokerReply, write_endpoint_file
 from .runtime import ServiceLauncher
 
 
@@ -43,12 +44,12 @@ class BrokerServer(ServiceServer):
         ps_dir: Path | str,
         *,
         port: int = 0,
-        options: BrokerOptions | None = None,
+        handle_max_age_s: float | None = None,
     ):
         self.ps_dir = Path(ps_dir)
         self.transcript = Transcript.from_env("Broker")
         launcher = ServiceLauncher(on_spawn=self._on_spawn)
-        self.broker = Broker(self.ps_dir, options=options, launcher=launcher)
+        self.broker = Broker(self.ps_dir, handle_max_age_s=handle_max_age_s, launcher=launcher)
         # Bound and listening by now, so a reader of broker.ept can connect.
         super().__init__(("127.0.0.1", port), self._handle)
         write_endpoint_file(self.ps_dir, self.port)
@@ -67,7 +68,7 @@ class BrokerServer(ServiceServer):
             SERVE,
             "HEAD",
             path,
-            reply.status,
+            BROKER_RESULT,
             loc=reply.location,
             svc=svc_tag if reply.error is None else None,
             err=reply.error,
@@ -77,7 +78,7 @@ class BrokerServer(ServiceServer):
             headers.append((H_SERVICE, reply.service))
         if reply.error is not None:
             headers.append((H_ERROR, reply.error))
-        return KitResponse(reply.status, tuple(headers))
+        return KitResponse(BROKER_RESULT, tuple(headers))
 
     def _handle(self, request: KitRequest) -> KitResponse:
         if request.method == "POST":

@@ -58,31 +58,21 @@ def _parse_listen(text: str) -> tuple[str, int]:
 
 
 def _cmd_broker_run(args: argparse.Namespace) -> int:
-    from .broker import BrokerOptions, BrokerServer
+    from .broker import BrokerServer
 
     ps_dir = Path(args.ps_dir)
     ps_dir.mkdir(parents=True, exist_ok=True)
-    options = BrokerOptions(
-        bind_handles_to_sp=not args.no_sp_binding,
-        handle_max_age_s=args.handle_max_age,
-    )
-    server = BrokerServer(ps_dir, port=args.port, options=options)
+    server = BrokerServer(ps_dir, port=args.port, handle_max_age_s=args.handle_max_age)
     print(f"broker at {server.endpoint} serving {ps_dir}", flush=True)
     return _serve_until_signal(server, args.port_file)
 
 
 def _cmd_proxy_run(args: argparse.Namespace) -> int:
-    from .proxy import ProxyConfig, ProxyServer
+    from .proxy import PersonalServiceProxy
 
-    host, port = args.listen
-    config = ProxyConfig(
-        listen_host=host,
-        listen_port=port,
-        ps_dir=Path(args.ps_dir),
-        max_chain=args.max_chain,
-        broker_autolaunch=not args.no_broker_autolaunch,
+    server = PersonalServiceProxy(
+        args.ps_dir, args.listen, autolaunch=not args.no_broker_autolaunch
     )
-    server = ProxyServer(config)
     print(f"proxy at {server.address} (per-user dir {args.ps_dir})", flush=True)
     return _serve_until_signal(server, args.port_file)
 
@@ -192,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     broker_run.add_argument("--port", type=int, default=0, help="listening port (0 = any)")
     broker_run.add_argument("--port-file", help="write the chosen port here once listening")
     broker_run.add_argument(
-        "--no-sp-binding",
-        action="store_true",
-        help="let any site use a handle minted for another",
-    )
-    broker_run.add_argument(
         "--handle-max-age", type=float, default=None, help="handle lifetime in seconds"
     )
     broker_run.set_defaults(func=_cmd_broker_run)
@@ -212,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="HOST:PORT to listen on (default: 127.0.0.1:3128)",
     )
     proxy_run.add_argument("--port-file", help="write the chosen port here once listening")
-    proxy_run.add_argument("--max-chain", type=int, default=8, help="redirection budget")
     proxy_run.add_argument(
         "--no-broker-autolaunch",
         action="store_true",

@@ -3,15 +3,16 @@
 A personal service is an ordinary loopback HTTP server whose listening
 port arrives as the final command-line argument (the broker allocates
 it at launch).  The kit turns that convention into a context, spots
-proxy-built invocation requests, and renders the page that hands
+proxy-built invocations, and renders the page that hands
 results back to the SP via an auto-submitting POST form.  Its
 one-handler-function server is also what broker, proxy and demo SP
 serve on.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
-also holds the broker endpoint-file reader and ``stop_process``, which
-the proxy uses without loading the broker package.
+also holds the broker endpoint-file reader, ``allocate_port`` and
+``stop_process``, which the proxy and the scenarios use without loading
+the broker package.
 """
 
 from __future__ import annotations
@@ -124,6 +125,17 @@ def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
     return ENDPOINT_HOST, port
 
 
+def allocate_port() -> int:
+    """Reserve a currently-free loopback port and release it.
+
+    Best effort: the child must bind it before anything else does.
+    """
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
 def stop_process(proc: subprocess.Popen) -> None:
     """Terminate a child politely, kill it if it lingers, and reap it."""
     import subprocess  # only parties that start children get here
@@ -141,7 +153,7 @@ def stop_process(proc: subprocess.Popen) -> None:
 def detect_psvc_invocation(headers: Mapping[str, str]) -> bool:
     """True when a request was built by a redirection-aware proxy.
 
-    Such requests carry both a Referer naming the SP and the
+    Such a request carries both a Referer naming the SP and the
     proxy-added invocation marker.
     """
     lowered = {k.lower(): v for k, v in headers.items()}
@@ -298,7 +310,7 @@ class ServiceServer:
     Status line, headers and body are buffered and sent in one write
     (two for a response over the 8 KiB buffer).
 
-    Connections stay open for further requests unless the client asks
+    Connections stay open for another request unless the client asks
     for ``close``.  An idle connection is closed after
     ``KEEPALIVE_IDLE_S``, and past ``KEEPALIVE_MAX`` open connections a
     reply carries ``Connection: close``.  ``shutdown()`` ends the kept

@@ -52,8 +52,6 @@ from .kit import (
     YELLOW_PAGES,
 )
 
-PSVC_STATUSES = frozenset({YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL, BROKER_RESULT})
-
 H_SERVICE = "PSvc-Service"
 H_METHOD = "PSvc-Method"
 H_PARAMETERS = "PSvc-Parameters"
@@ -182,10 +180,6 @@ def white_match(query: dict[str, Any], name: dict[str, Any]) -> bool:
     return all(attr in name and json_equal(value, name[attr]) for attr, value in query.items())
 
 
-def encode_yellow_query(query: YellowQuery) -> str:
-    return json.dumps(query.as_object())
-
-
 def decode_yellow_query(text: str) -> YellowQuery:
     """Parse a yellow query: a JSON object with exactly one attribute."""
     obj = _load_json_object(text, "yellow query")
@@ -193,10 +187,6 @@ def decode_yellow_query(text: str) -> YellowQuery:
         raise MalformedDirective("yellow query must hold exactly one attribute")
     attribute, value = next(iter(obj.items()))
     return YellowQuery(attribute, value)
-
-
-def encode_white_query(query: dict[str, Any]) -> str:
-    return json.dumps(query)
 
 
 def decode_white_query(text: str) -> dict[str, Any]:

@@ -76,7 +76,7 @@ from .transcript import RECV, SEND, SERVE, Transcript
 log = logging.getLogger(__name__)
 
 DEFAULT_LISTEN = ("127.0.0.1", 3128)
-DEFAULT_MAX_CHAIN = 8
+MAX_CHAIN = 8  # redirections one browser request may run through
 
 UPSTREAM_TIMEOUT_S = 15.0
 BROKER_CALL_TIMEOUT_S = 5.0
@@ -389,38 +389,69 @@ class BrokerLink:
             stop_process(self._proc)
 
 
-@dataclass
-class ProxyConfig:
-    listen_host: str = DEFAULT_LISTEN[0]
-    listen_port: int = DEFAULT_LISTEN[1]
-    ps_dir: Path = Path(".")
-    max_chain: int = DEFAULT_MAX_CHAIN
-    broker_autolaunch: bool = True
+class PersonalServiceProxy(ServiceServer):
+    """The proxy: relays each browser request and runs its redirection chain."""
 
-
-class PersonalServiceProxy:
-    """The proxy engine, independent of any particular HTTP frontend."""
-
-    def __init__(self, config: ProxyConfig):
-        self.config = config
-        self.broker = BrokerLink(config.ps_dir, autolaunch=config.broker_autolaunch)
+    def __init__(
+        self,
+        ps_dir: Path | str,
+        address: tuple[str, int] = DEFAULT_LISTEN,
+        *,
+        autolaunch: bool = True,
+    ):
+        self.broker = BrokerLink(ps_dir, autolaunch=autolaunch)
         self.transcript = Transcript.from_env("Proxy")
+        super().__init__(address, self._handle)
+
+    @property
+    def address(self) -> str:
+        return f"{self._httpd.server_address[0]}:{self.port}"
+
+    def _handle(self, request: KitRequest) -> KitResponse:
+        url = request.target
+        if request.method == "CONNECT":
+            return KitResponse.text("CONNECT tunneling is not provided\n", 501)
+        if url.startswith("https://"):
+            return KitResponse.text(
+                "https is relayed by tunneling only, which this proxy does not do\n", 501
+            )
+        if not url.startswith("http://"):
+            return KitResponse.text("expected an absolute http:// request target\n", 400)
+        try:
+            final = self.handle_transaction(request.method, url, list(request.headers), request.body)
+        except Diagnostic as diag:
+            self.transcript.emit(SERVE, request.method, url, diag.status, diag=diag.reason)
+            return KitResponse.text(diag.reason + "\n", diag.status)
+        headers = [
+            (k, v)
+            for k, v in strip_hop_by_hop(list(final.headers))
+            if k.lower() != "content-length"
+        ]
+        self.transcript.emit(SERVE, request.method, url, final.status)
+        return KitResponse(final.status, tuple(headers), final.body, final.reason)
 
     def handle_transaction(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
     ) -> UpstreamResponse:
         """Run one browser request to completion, chaining redirections."""
         response = self._forward(method, url, headers, body)
-        for _ in range(self.config.max_chain):
-            if response.status in (YELLOW_PAGES, WHITE_PAGES):
-                response = self._do_listing(response)
-            elif response.status == SERVICE_CALL:
-                response = self._do_invoke(response)
-            elif response.status == BROKER_RESULT:
+        for _ in range(MAX_CHAIN):
+            if response.status == BROKER_RESULT:
                 response = self._follow_broker_result(response)
-            else:
+                continue
+            if response.status not in (YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL):
                 return response
-        raise Diagnostic(502, f"redirection chain exceeded {self.config.max_chain} steps")
+            try:
+                directive = parse_directive(response.status, list(response.headers), response.body)
+            except MalformedDirective as exc:
+                callback = header_value(response.headers, H_CALLBACK)
+                response = self._report_error(callback, ERR_PARAMETERS, str(exc))
+                continue
+            if directive.kind == SERVICE_CALL:
+                response = self._do_invoke(directive, response.origin)
+            else:
+                response = self._do_listing(directive, response.origin)
+        raise Diagnostic(502, f"redirection chain exceeded {MAX_CHAIN} steps")
 
     def _forward(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
@@ -456,16 +487,8 @@ class PersonalServiceProxy:
         log.warning("reporting %r to %s: %s", code, callback, reason)
         return self._post_to_sp(callback, service=None, error=code)
 
-    def _do_listing(self, response: UpstreamResponse) -> UpstreamResponse:
+    def _do_listing(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
         """Serve a 310/311 by asking the broker and POSTing its envelope back."""
-        sp_host = response.origin
-        try:
-            directive = parse_directive(response.status, list(response.headers), response.body)
-        except MalformedDirective as exc:
-            return self._report_error(
-                header_value(response.headers, H_CALLBACK), ERR_PARAMETERS, str(exc)
-            )
-
         if directive.kind == YELLOW_PAGES:
             path, query_text = "/yellow", json.dumps(directive.yellow.as_object())
         else:
@@ -505,16 +528,8 @@ class PersonalServiceProxy:
             error=error,
         )
 
-    def _do_invoke(self, response: UpstreamResponse) -> UpstreamResponse:
+    def _do_invoke(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
         """Serve a 312: resolve the handle, then call the service itself."""
-        sp_host = response.origin
-        try:
-            directive = parse_directive(response.status, list(response.headers), response.body)
-        except MalformedDirective as exc:
-            return self._report_error(
-                header_value(response.headers, H_CALLBACK), ERR_PARAMETERS, str(exc)
-            )
-
         # The resolution arrives within this request, so the ref only has
         # to be checked against the one just sent.
         ref = token_urlsafe(16)
@@ -593,45 +608,5 @@ class PersonalServiceProxy:
         )
 
     def shutdown(self) -> None:
-        self.broker.shutdown()
-
-
-class ProxyServer(ServiceServer):
-    """Binds the engine to a listening socket."""
-
-    def __init__(self, config: ProxyConfig):
-        self.engine = PersonalServiceProxy(config)
-        super().__init__((config.listen_host, config.listen_port), self._handle)
-
-    @property
-    def address(self) -> str:
-        return f"{self._httpd.server_address[0]}:{self.port}"
-
-    def _handle(self, request: KitRequest) -> KitResponse:
-        url = request.target
-        if request.method == "CONNECT":
-            return KitResponse.text("CONNECT tunneling is not provided\n", 501)
-        if url.startswith("https://"):
-            return KitResponse.text(
-                "https is relayed by tunneling only, which this proxy does not do\n", 501
-            )
-        if not url.startswith("http://"):
-            return KitResponse.text("expected an absolute http:// request target\n", 400)
-        try:
-            final = self.engine.handle_transaction(
-                request.method, url, list(request.headers), request.body
-            )
-        except Diagnostic as diag:
-            self.engine.transcript.emit(SERVE, request.method, url, diag.status, diag=diag.reason)
-            return KitResponse.text(diag.reason + "\n", diag.status)
-        headers = [
-            (k, v)
-            for k, v in strip_hop_by_hop(list(final.headers))
-            if k.lower() != "content-length"
-        ]
-        self.engine.transcript.emit(SERVE, request.method, url, final.status)
-        return KitResponse(final.status, tuple(headers), final.body, final.reason)
-
-    def shutdown(self) -> None:
         super().shutdown()
-        self.engine.shutdown()
+        self.broker.shutdown()

@@ -28,18 +28,17 @@ from base64 import b64encode
 from dataclasses import dataclass
 from difflib import unified_diff
 from html.parser import HTMLParser
+from http.client import HTTPConnection
 from pathlib import Path
 from typing import Any, Callable
-from urllib.parse import quote, urljoin
+from urllib.parse import quote, urlencode, urljoin, urlsplit
 
-import requests
-
-from .broker.runtime import allocate_port
 from .kit import (
     ENDPOINT_FILE,
     KitRequest,
     KitResponse,
     ServiceServer,
+    allocate_port,
     read_endpoint_file,
     stop_process,
 )
@@ -196,26 +195,70 @@ class _FormScraper(HTMLParser):
             self._current = None
 
 
+@dataclass(frozen=True)
+class Page:
+    """The response a browser request ended at, after any redirects."""
+
+    status_code: int
+    url: str
+    text: str
+
+
 class Browser:
-    """requests wrapper that behaves like a user with scripting enabled."""
+    """A user with scripting enabled, browsing through the proxy.
+
+    Each request goes to the proxy on a fresh connection, with the URL
+    as an absolute-form target and Host naming the origin.  Redirects
+    are followed: 301/302/303 as a GET without a body, 307/308 as sent.
+    Cookies are kept per host, ignoring ports, as browsers do.
+    """
 
     MAX_AUTO_SUBMITS = 6
+    MAX_REDIRECTS = 10
 
     def __init__(self, proxy_netloc: str):
-        self.session = requests.Session()
-        self.session.trust_env = False  # ambient proxy settings must not leak in
-        self.proxies = {"http": f"http://{proxy_netloc}"}
+        host, _, port = proxy_netloc.rpartition(":")
+        self.proxy = (host, int(port))
+        self.cookies: dict[str, dict[str, str]] = {}  # host -> name -> value
 
-    def request(self, method: str, url: str, **kwargs) -> requests.Response:
-        return self.session.request(
-            method,
-            url,
-            proxies=self.proxies,
-            timeout=REQUEST_TIMEOUT_S,
-            **kwargs,
-        )
+    def request(self, method: str, url: str, data: dict[str, str] | None = None) -> Page:
+        """Send one request, form-encoding `data` as its body, and follow redirects."""
+        headers: dict[str, str] = {}
+        body = None
+        if data is not None:
+            headers["Content-Type"] = "application/x-www-form-urlencoded"
+            body = urlencode(data).encode("ascii")
+        for _ in range(self.MAX_REDIRECTS + 1):
+            page, location = self._exchange(method, url, headers, body)
+            if page.status_code not in (301, 302, 303, 307, 308) or location is None:
+                return page
+            url = urljoin(url, location)
+            if page.status_code in (301, 302, 303):
+                method, headers, body = "GET", {}, None
+        raise ScenarioFailure(f"more than {self.MAX_REDIRECTS} redirects, the last to {url}")
 
-    def run_flow(self, url: str) -> requests.Response:
+    def _exchange(
+        self, method: str, url: str, headers: dict[str, str], body: bytes | None
+    ) -> tuple[Page, str | None]:
+        parts = urlsplit(url)
+        jar = self.cookies.setdefault(parts.hostname or "", {})
+        sent = {"Host": parts.netloc, **headers}
+        if jar:
+            sent["Cookie"] = "; ".join(f"{name}={value}" for name, value in jar.items())
+        conn = HTTPConnection(*self.proxy, timeout=REQUEST_TIMEOUT_S)
+        try:
+            conn.request(method, url, body=body, headers=sent)
+            resp = conn.getresponse()
+            data = resp.read()
+        finally:
+            conn.close()
+        for cookie in resp.headers.get_all("Set-Cookie") or ():
+            name, _, rest = cookie.partition("=")
+            jar[name.strip()] = rest.split(";", 1)[0]
+        text = data.decode(resp.headers.get_content_charset() or "utf-8", "replace")
+        return Page(resp.status, url, text), resp.getheader("Location")
+
+    def run_flow(self, url: str) -> Page:
         """GET a page, then auto-submit forms the way a browser's JS would."""
         response = self.request("GET", url)
         for _ in range(self.MAX_AUTO_SUBMITS):
@@ -474,7 +517,7 @@ def _assert_313_only_from_broker(ctx: ScenarioContext) -> None:
             )
 
 
-def _run_auth_flow(ctx: ScenarioContext, browser: Browser) -> requests.Response:
+def _run_auth_flow(ctx: ScenarioContext, browser: Browser) -> Page:
     response = browser.run_flow(ctx.sp_url("/"))
     check(response.status_code == 200, f"flow ended with {response.status_code}")
     check(

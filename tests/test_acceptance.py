@@ -16,7 +16,8 @@ from conftest import (
     random_scalar,
     write_descriptor,
 )
-from psvc.broker.core import Broker, read_endpoint_file, write_endpoint_file
+from psvc.broker.core import Broker, write_endpoint_file
+from psvc.kit import read_endpoint_file
 from psvc.protocol import YellowQuery, decode_broker_result
 from psvc.registry import Catalog, ServiceDescriptor, load_catalog
 from psvc.scenario import run_scenario

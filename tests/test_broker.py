@@ -11,16 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from psvc.broker.core import (
-    Broker,
-    BrokerOptions,
-    EndpointFileError,
-    read_endpoint_file,
-    write_endpoint_file,
-)
+import psvc.broker.runtime
+from psvc.broker.core import Broker, write_endpoint_file
 from psvc.broker.policy import PolicyError, load_policy
-from psvc.broker.runtime import ServiceLauncher, SpawnFailure, allocate_port
+from psvc.broker.runtime import ServiceLauncher, SpawnFailure
 from psvc.broker.server import BrokerServer
+from psvc.kit import EndpointFileError, allocate_port, read_endpoint_file
 from psvc.protocol import (
     BROKER_RESULT,
     ERR_AMBIGUOUS,
@@ -34,8 +30,6 @@ from psvc.protocol import (
     OP_YELLOW,
     YellowQuery,
     decode_broker_result,
-    encode_white_query,
-    encode_yellow_query,
 )
 from psvc.registry import ServiceDescriptor
 
@@ -123,7 +117,6 @@ class TestYellowService:
     def test_matches_listed_in_id_order(self, ps_dir):
         broker = make_broker(ps_dir)
         reply = broker.serve_yellow(YellowQuery("purpose", "authentication"), SP, CALLBACK)
-        assert reply.status == BROKER_RESULT
         assert reply.location == CALLBACK
         assert reply.error is None
         result = decode_broker_result(reply.service)
@@ -213,11 +206,6 @@ class TestResolveHandle:
         assert broker.resolve_handle(handle, "shop.test:80", "r1").error == ERR_HANDLE
         assert broker.resolve_handle(handle, "bank.test:443", "r1").error is None
 
-    def test_binding_can_be_disabled(self, ps_dir):
-        broker = make_broker(ps_dir, options=BrokerOptions(bind_handles_to_sp=False))
-        handle = self.mint(broker, sp="bank.test:443")
-        assert broker.resolve_handle(handle, "shop.test:80", "r1").error is None
-
     def test_handle_for_removed_service(self, ps_dir):
         broker = make_broker(ps_dir)
         handle = self.mint(broker)
@@ -230,7 +218,7 @@ class TestResolveHandle:
         assert broker.resolve_handle(self.mint(broker), SP, "r1").error == ERR_SERVICE
 
     def test_expired_handle(self, ps_dir):
-        broker = make_broker(ps_dir, options=BrokerOptions(handle_max_age_s=0.05))
+        broker = make_broker(ps_dir, handle_max_age_s=0.05)
         handle = self.mint(broker)
         time.sleep(0.15)
         assert broker.resolve_handle(handle, SP, "r1").error == ERR_HANDLE
@@ -340,15 +328,14 @@ class TestPolicyFiltering:
         assert result.response["service"]["Device"] == "Other eID"
 
     def test_resolve_respects_policy(self, ps_dir):
-        # binding disabled so the policy check is what rejects
-        self.restrict_cc_to_bank(ps_dir)
-        broker = make_broker(ps_dir, options=BrokerOptions(bind_handles_to_sp=False))
-        reply = broker.serve_white(
-            {"Device": "Portuguese eID"}, "bank.test:443", CALLBACK
-        )
+        # minted while shop may see cc, so the binding holds and only the policy rejects
+        broker = make_broker(ps_dir)
+        reply = broker.serve_white({"Device": "Portuguese eID"}, "shop.test:80", CALLBACK)
         handle = decode_broker_result(reply.service).response["handle"]
+        assert broker.resolve_handle(handle, "shop.test:80", "r1").error is None
+        self.restrict_cc_to_bank(ps_dir)
+        broker.policy = load_policy(ps_dir)
         assert broker.resolve_handle(handle, "shop.test:80", "r1").error == ERR_HANDLE
-        assert broker.resolve_handle(handle, "bank.test:443", "r1").error is None
 
 
 class TestServiceLauncher:
@@ -452,10 +439,11 @@ class TestServiceLauncher:
         with pytest.raises(SpawnFailure, match="working directory"):
             launcher.ensure_live(desc)
 
-    def test_never_listening_service_times_out(self, tmp_path):
+    def test_never_listening_service_times_out(self, tmp_path, monkeypatch):
         import sys
 
-        launcher = ServiceLauncher(launch_timeout_s=0.5)
+        monkeypatch.setattr(psvc.broker.runtime, "LAUNCH_TIMEOUT_S", 0.5)
+        launcher = ServiceLauncher()
         desc = ServiceDescriptor(
             "mute", {}, (sys.executable, "-c", "import time; time.sleep(30)"), None, tmp_path
         )
@@ -529,7 +517,7 @@ class TestBrokerHTTP:
                 "HEAD",
                 "/yellow",
                 headers={
-                    H_SERVICE: encode_yellow_query(YellowQuery("Purpose", "mailbox")),
+                    H_SERVICE: json.dumps({"Purpose": "mailbox"}),
                     H_CALLBACK: CALLBACK,
                     "Referer": SP,
                 },
@@ -544,7 +532,7 @@ class TestBrokerHTTP:
         status, headers, _ = broker_head(
             live_broker,
             "/yellow",
-            service=encode_yellow_query(YellowQuery("purpose", "authentication")),
+            service=json.dumps({"purpose": "authentication"}),
             callback=CALLBACK,
         )
         assert status == BROKER_RESULT
@@ -558,7 +546,7 @@ class TestBrokerHTTP:
         status, headers, _ = broker_head(
             live_broker,
             "/white",
-            service=encode_white_query(
+            service=json.dumps(
                 {"Purpose": "authentication", "Device": "Portuguese eID"}
             ),
             callback=CALLBACK,
@@ -582,7 +570,7 @@ class TestBrokerHTTP:
             _, headers, _ = broker_head(
                 live_broker,
                 "/white",
-                service=encode_white_query({"Purpose": "mailbox"}),
+                service=json.dumps({"Purpose": "mailbox"}),
                 callback=CALLBACK,
             )
             handle = decode_broker_result(
@@ -598,7 +586,7 @@ class TestBrokerHTTP:
         _, headers, _ = broker_head(
             live_broker,
             "/white",
-            service=encode_white_query({"Purpose": "mailbox"}),
+            service=json.dumps({"Purpose": "mailbox"}),
             callback=CALLBACK,
         )
         handle = decode_broker_result(header_value(headers, H_SERVICE)).response["handle"]
@@ -612,7 +600,7 @@ class TestBrokerHTTP:
         _, headers, _ = broker_head(
             live_broker,
             "/white",
-            service=encode_white_query({"Purpose": "mailbox"}),
+            service=json.dumps({"Purpose": "mailbox"}),
             callback=CALLBACK,
             referer="bank.test:443",
         )
@@ -625,7 +613,7 @@ class TestBrokerHTTP:
     @pytest.mark.parametrize("path", ["/yellow", "/white"])
     def test_missing_callback_is_parameters_error(self, live_broker, path):
         status, headers, _ = broker_head(
-            live_broker, path, service=encode_white_query({"Purpose": "mailbox"})
+            live_broker, path, service=json.dumps({"Purpose": "mailbox"})
         )
         assert status == BROKER_RESULT
         assert header_value(headers, H_ERROR) == ERR_PARAMETERS
@@ -670,7 +658,7 @@ class TestBrokerHTTP:
         assert http_exchange(live_broker.endpoint, "POST", "/nope")[0] == 404
 
     def test_reload_picks_up_new_descriptor(self, live_broker, tmp_path):
-        query = encode_yellow_query(YellowQuery("Purpose", "backup"))
+        query = json.dumps({"Purpose": "backup"})
         _, headers, _ = broker_head(
             live_broker, "/yellow", service=query, callback=CALLBACK
         )

@@ -1,4 +1,4 @@
-"""A spawned service and the proxy import only what they run.
+"""A spawned service, the proxy and the scenarios import only what they run.
 
 Every launch on demand starts a fresh interpreter for the service, so
 each module on its import path is paid for once per launch.  Each check
@@ -16,11 +16,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def added_modules(*names: str) -> set[str]:
-    """The modules that importing `names` adds to a fresh interpreter."""
+def added_modules(*names: str, blocked: tuple[str, ...] = ()) -> set[str]:
+    """The modules that importing `names` adds to a fresh interpreter.
+
+    Each module in `blocked` is made unimportable first, as if absent.
+    """
     script = (
         "import sys\n"
-        "before = set(sys.modules)\n"
+        + "".join(f"sys.modules[{name!r}] = None\n" for name in blocked)
+        + "before = set(sys.modules)\n"
         f"import {', '.join(names)}\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
@@ -55,3 +59,9 @@ def test_the_proxy_loads_no_broker():
     added = added_modules("psvc.proxy")
     assert {"psvc.proxy", "psvc.kit", "psvc.protocol"} <= added
     assert within(added, "psvc.broker", "cryptography") == set()
+
+
+def test_the_scenarios_load_no_broker_and_no_third_party_client():
+    added = added_modules("psvc.scenario", blocked=("requests",))
+    assert "psvc.scenario" in added
+    assert within(added, "requests", "urllib3", "psvc.broker", "cryptography") == set()

@@ -11,13 +11,13 @@ from http.client import HTTPConnection
 import pytest
 
 from psvc import kit
-from psvc.broker.runtime import allocate_port
 from psvc.kit import (
     BootstrapError,
     KitRequest,
     KitResponse,
     ServiceContext,
     ServiceServer,
+    allocate_port,
     bootstrap,
     detect_psvc_invocation,
     sp_return_page,

@@ -18,10 +18,9 @@ import psvc.kit
 import psvc.proxy
 from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
-from psvc.broker.runtime import allocate_port
 from psvc.demo.service import MockAuthService
 from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP, SPConfig
-from psvc.kit import ServiceServer
+from psvc.kit import ServiceServer, allocate_port
 from psvc.protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -43,9 +42,7 @@ from psvc.protocol import (
 from psvc.proxy import (
     BrokerLink,
     BrokerUnreachable,
-    DEFAULT_MAX_CHAIN,
-    ProxyConfig,
-    ProxyServer,
+    PersonalServiceProxy,
     strip_hop_by_hop,
 )
 from psvc.scenario import Browser
@@ -63,22 +60,12 @@ from conftest import (
 @pytest.fixture()
 def proxy(tmp_path):
     """Factory for proxies rooted at tmp_path, torn down afterwards."""
-    servers: list[ProxyServer] = []
+    servers: list[PersonalServiceProxy] = []
 
-    def make(
-        *, broker_port: int | None = None, max_chain: int = DEFAULT_MAX_CHAIN
-    ) -> ProxyServer:
+    def make(*, broker_port: int | None = None) -> PersonalServiceProxy:
         if broker_port is not None:
             write_endpoint_file(tmp_path, broker_port)
-        server = ProxyServer(
-            ProxyConfig(
-                listen_host="127.0.0.1",
-                listen_port=0,
-                ps_dir=tmp_path,
-                max_chain=max_chain,
-                broker_autolaunch=False,
-            )
-        )
+        server = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0), autolaunch=False)
         server.start()
         servers.append(server)
         return server
@@ -88,7 +75,7 @@ def proxy(tmp_path):
         server.shutdown()
 
 
-def via(server: ProxyServer, method: str, url: str, headers=None, body=b""):
+def via(server: PersonalServiceProxy, method: str, url: str, headers=None, body=b""):
     return http_exchange(server.address, method, url, headers, body)
 
 
@@ -729,14 +716,15 @@ class TestBrokerResultGate:
 
 
 class TestChaining:
-    def test_chain_limit_enforced(self, proxy, stub):
+    def test_chain_limit_enforced(self, proxy, stub, monkeypatch):
+        monkeypatch.setattr(psvc.proxy, "MAX_CHAIN", 2)
         sp = stub()
         broker = broker_stub(stub)
         sp.default = Scripted(
             310,
             ((H_SERVICE, '{"Purpose": "loop"}'), (H_CALLBACK, sp.url("/cb"))),
         )
-        server = proxy(broker_port=broker.port, max_chain=2)
+        server = proxy(broker_port=broker.port)
         status, _, body = via(server, "GET", sp.url("/start"))
         assert status == 502
         assert b"exceeded" in body
@@ -985,7 +973,7 @@ class TestConnectionPool:
         )
         broker = BrokerServer(tmp_path)
         sp = DemoSP(SPConfig(port=0))
-        front = ProxyServer(ProxyConfig(listen_port=0, ps_dir=tmp_path, broker_autolaunch=False))
+        front = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0), autolaunch=False)
         parties = {"service": service, "broker": broker, "sp": sp}
         accepts = {name: count_accepts(server) for name, server in parties.items()}
         for server in [*parties.values(), front]:
@@ -1026,7 +1014,7 @@ class TestConnectionPool:
             return Scripted(200, (), f"{len(names)} names".encode())
 
         sp.default = answer
-        front = ProxyServer(ProxyConfig(listen_port=0, ps_dir=tmp_path, broker_autolaunch=True))
+        front = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0))
         front.start()
         results: list[tuple[int, bytes]] = []
 

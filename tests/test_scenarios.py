@@ -12,6 +12,7 @@ import pytest
 import psvc
 from psvc.scenario import (
     SCENARIOS,
+    Browser,
     Party,
     ScenarioContext,
     ScenarioFailure,
@@ -19,6 +20,8 @@ from psvc.scenario import (
     wait_for_file,
 )
 from psvc.transcript import SPAWN
+
+from conftest import Scripted
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -96,3 +99,58 @@ def test_concurrent_sign_ins_all_succeed_with_one_spawn(tmp_path):
         ctx.teardown()
     assert failures == []
     assert len(spawns) == 1
+
+
+class TestBrowser:
+    """The scenario browser, with a stub standing in for the proxy.
+
+    Origins are names nothing resolves: every request must go to the
+    proxy, whatever host its URL names.
+    """
+
+    def test_target_is_absolute_and_host_names_the_origin(self, stub):
+        proxy = stub()
+        page = Browser(proxy.netloc).request("GET", "http://origin.test:8080/a?b=1")
+        assert (page.status_code, page.url, page.text) == (200, "http://origin.test:8080/a?b=1", "ok\n")
+        sent = proxy.requests[0]
+        assert (sent.method, sent.path) == ("GET", "http://origin.test:8080/a?b=1")
+        assert sent.header_values("Host") == ["origin.test:8080"]
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_post_redirect_is_followed_as_a_get_without_body(self, stub, status):
+        proxy = stub()
+        proxy.enqueue(Scripted(status, (("Location", "/done"),)), Scripted(200, (), b"landed"))
+        page = Browser(proxy.netloc).request("POST", "http://origin.test/form", data={"a": "1 2"})
+        assert (page.url, page.text) == ("http://origin.test/done", "landed")
+        posted, followed = proxy.requests
+        assert (posted.method, posted.body) == ("POST", b"a=1+2")
+        assert posted.header("Content-Type") == "application/x-www-form-urlencoded"
+        assert (followed.method, followed.path, followed.body) == ("GET", "http://origin.test/done", b"")
+        assert followed.header("Content-Type") is None
+        assert followed.header("Content-Length") is None
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_307_and_308_resend_the_request_unchanged(self, stub, status):
+        proxy = stub()
+        proxy.enqueue(Scripted(status, (("Location", "http://other.test/again"),)))
+        Browser(proxy.netloc).request("POST", "http://origin.test/form", data={"a": "1"})
+        resent = proxy.requests[1]
+        assert (resent.method, resent.path, resent.body) == ("POST", "http://other.test/again", b"a=1")
+        assert resent.header("Host") == "other.test"
+
+    def test_set_cookie_is_sent_back_to_its_host_only(self, stub):
+        proxy = stub()
+        proxy.enqueue(Scripted(200, (("Set-Cookie", "sid=abc; Path=/"), ("Set-Cookie", "lang=pt"))))
+        browser = Browser(proxy.netloc)
+        browser.request("GET", "http://origin.test:8080/")
+        browser.request("GET", "http://origin.test:9090/next")  # ports do not matter
+        browser.request("GET", "http://elsewhere.test/")
+        assert proxy.requests[0].header("Cookie") is None
+        assert proxy.requests[1].header("Cookie") == "sid=abc; lang=pt"
+        assert proxy.requests[2].header("Cookie") is None
+
+    def test_redirect_loop_fails(self, stub):
+        proxy = stub()
+        proxy.default = Scripted(302, (("Location", "/loop"),))
+        with pytest.raises(ScenarioFailure, match="redirects"):
+            Browser(proxy.netloc).request("GET", "http://origin.test/loop")
