@@ -70,9 +70,7 @@ def _cmd_broker_run(args: argparse.Namespace) -> int:
 def _cmd_proxy_run(args: argparse.Namespace) -> int:
     from .proxy import PersonalServiceProxy
 
-    server = PersonalServiceProxy(
-        args.ps_dir, args.listen, autolaunch=not args.no_broker_autolaunch
-    )
+    server = PersonalServiceProxy(args.ps_dir, args.listen)
     print(f"proxy at {server.address} (per-user dir {args.ps_dir})", flush=True)
     return _serve_until_signal(server, args.port_file)
 
@@ -197,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="HOST:PORT to listen on (default: 127.0.0.1:3128)",
     )
     proxy_run.add_argument("--port-file", help="write the chosen port here once listening")
-    proxy_run.add_argument(
-        "--no-broker-autolaunch",
-        action="store_true",
-        help="never start a broker; report unreachable instead",
-    )
     proxy_run.set_defaults(func=_cmd_proxy_run)
 
     lint = commands.add_parser("lint", help="validate a .psd service descriptor")

@@ -6,7 +6,8 @@ answers 311 asking for an authentication service; the resolved handle
 comes back on /wp-callback, which answers 312 to invoke the service.
 The service runs its dialog with the user and finally auto-POSTs the
 result to /result, where a nonce echo is checked, the session cookie is
-set, and the browser is sent back to the original page.
+set, and the browser is sent back to the original page.  A sid+nonce
+pair is accepted once: a replayed result gets 403.
 
 Fault switches let scenarios exercise the error paths: a 311 with no
 query, a tampered handle, or a forged broker-result redirection.
@@ -72,7 +73,6 @@ class _Session:
     sid: str
     nonce: str
     next_url: str
-    error: str | None = None
 
 
 def _tamper(handle: str) -> str:
@@ -132,6 +132,14 @@ class DemoSP(ServiceServer):
     def session(self, sid: str | None) -> _Session | None:
         with self.lock:
             return self.sessions.get(sid or "")
+
+    def take_session(self, sid: str | None, nonce: str | None) -> _Session | None:
+        """End the sign-in attempt `sid` names, but only when `nonce` is its nonce."""
+        with self.lock:
+            session = self.sessions.get(sid or "")
+            if session is None or session.nonce != nonce:
+                return None
+            return self.sessions.pop(session.sid)
 
     def issue_cookie(self, user: str) -> str:
         token = secrets.token_urlsafe(16)
@@ -246,7 +254,6 @@ class DemoSP(ServiceServer):
             return self._html(request, 403, "Unknown session", "<p>no such sign-in attempt</p>")
         error = header_value(request.headers, H_ERROR)
         if error:
-            session.error = error
             return self._html(
                 request,
                 200,
@@ -261,7 +268,6 @@ class DemoSP(ServiceServer):
             except ValueError as exc:
                 log.warning("unusable broker result: %s", exc)
         if envelope is None or not isinstance(envelope.response, dict):
-            session.error = "empty"
             return self._html(
                 request,
                 200,
@@ -311,10 +317,7 @@ class DemoSP(ServiceServer):
         )
 
     def _invoke_error(self, request: KitRequest) -> KitResponse:
-        session = self.session(request.query.get("sid"))
         error = header_value(request.headers, H_ERROR) or "unknown"
-        if session is not None:
-            session.error = error
         return self._html(
             request,
             200,
@@ -324,8 +327,8 @@ class DemoSP(ServiceServer):
 
     def _result(self, request: KitRequest) -> KitResponse:
         form = request.form()
-        session = self.session(form.get("sid"))
-        if session is None or form.get("nonce") != session.nonce:
+        session = self.take_session(form.get("sid"), form.get("nonce"))
+        if session is None:
             return self._html(
                 request, 403, "Rejected", "<p>result does not match any sign-in attempt</p>"
             )

@@ -51,6 +51,7 @@ from .kit import (
     WHITE_PAGES,
     YELLOW_PAGES,
 )
+from .registry import YellowQuery
 
 H_SERVICE = "PSvc-Service"
 H_METHOD = "PSvc-Method"
@@ -79,17 +80,6 @@ _DIRECTIVE_HEADERS = frozenset(
 
 class MalformedDirective(ValueError):
     """A 310/311/312 response whose PSvc headers cannot be used."""
-
-
-@dataclass(frozen=True)
-class YellowQuery:
-    """Single presentation attribute queried case-insensitively."""
-
-    attribute: str
-    value: Any
-
-    def as_object(self) -> dict[str, Any]:
-        return {self.attribute: self.value}
 
 
 @dataclass(frozen=True)
@@ -136,48 +126,6 @@ def _load_json_object(text: str, what: str) -> dict[str, Any]:
     if not isinstance(parsed, dict):
         raise MalformedDirective(f"{what}: expected a JSON object")
     return parsed
-
-
-def json_equal(a: Any, b: Any) -> bool:
-    """Structural equality with JSON typing (bool never equals a number)."""
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool) and a == b
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(json_equal(a[k], b[k]) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return a == b
-    return type(a) is type(b) and a == b
-
-
-def yellow_match(query: YellowQuery, name: dict[str, Any]) -> bool:
-    """True when the name has the queried attribute with the queried value.
-
-    The attribute name always compares case-insensitively; so does the
-    value when both sides are strings.  Any other value type must be
-    structurally equal.
-    """
-    wanted = query.attribute.casefold()
-    for attr, value in name.items():
-        if attr.casefold() != wanted:
-            continue
-        if isinstance(query.value, str) and isinstance(value, str):
-            if query.value.casefold() == value.casefold():
-                return True
-        elif json_equal(query.value, value):
-            return True
-    return False
-
-
-def white_match(query: dict[str, Any], name: dict[str, Any]) -> bool:
-    """True when every query attribute appears in the name with an equal value.
-
-    Comparison is case-sensitive; the query must not be empty.
-    """
-    if not query:
-        raise ValueError("white query must not be empty")
-    return all(attr in name and json_equal(value, name[attr]) for attr, value in query.items())
 
 
 def decode_yellow_query(text: str) -> YellowQuery:

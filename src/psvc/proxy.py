@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import select
 import socket
 import subprocess
@@ -35,7 +36,6 @@ import time
 from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPResponse
 from pathlib import Path
-from secrets import token_urlsafe
 from urllib.parse import urlsplit
 
 from .kit import (
@@ -274,21 +274,25 @@ def send_request(
     )
 
 
+def _read_313(reply: UpstreamResponse) -> tuple[str | None, str | None, str | None]:
+    """What a broker's 313 carries: its Location, PSvc-Service and PSvc-Error."""
+    return tuple(header_value(reply.headers, name) for name in ("Location", H_SERVICE, H_ERROR))
+
+
 class BrokerLink:
     """Calls the user's broker where broker.ept says it is.
 
     Nothing is probed up front: each call reads broker.ept and sends its
     HEAD.  Only a refused connection (or no endpoint file) starts
     recovery, under one lock: re-read broker.ept and retry at a port it
-    newly names, else launch a broker from broker.psd once and retry
-    once.  A timeout or a reset means a broker may be there, so it never
-    launches a second one, whose fresh key would void every handle the
-    first one minted.
+    newly names, else launch a broker from broker.psd once, when that
+    file exists, and retry once.  A timeout or a reset means a broker
+    may be there, so it never launches a second one, whose fresh key
+    would void every handle the first one minted.
     """
 
-    def __init__(self, ps_dir: Path | str, *, autolaunch: bool = True):
+    def __init__(self, ps_dir: Path | str):
         self.ps_dir = Path(ps_dir)
-        self.autolaunch = autolaunch
         self._lock = threading.Lock()
         self._proc: subprocess.Popen | None = None
 
@@ -317,8 +321,6 @@ class BrokerLink:
             published = self.endpoint_or_none()
             if published is not None and published != refused:
                 return published  # another thread or process got there first
-            if not self.autolaunch:
-                raise BrokerUnreachable("no live broker endpoint published")
             self._launch()
             deadline = time.monotonic() + BROKER_LAUNCH_TIMEOUT_S
             while time.monotonic() < deadline:
@@ -392,14 +394,8 @@ class BrokerLink:
 class PersonalServiceProxy(ServiceServer):
     """The proxy: relays each browser request and runs its redirection chain."""
 
-    def __init__(
-        self,
-        ps_dir: Path | str,
-        address: tuple[str, int] = DEFAULT_LISTEN,
-        *,
-        autolaunch: bool = True,
-    ):
-        self.broker = BrokerLink(ps_dir, autolaunch=autolaunch)
+    def __init__(self, ps_dir: Path | str, address: tuple[str, int] = DEFAULT_LISTEN):
+        self.broker = BrokerLink(ps_dir)
         self.transcript = Transcript.from_env("Proxy")
         super().__init__(address, self._handle)
 
@@ -487,70 +483,60 @@ class PersonalServiceProxy(ServiceServer):
         log.warning("reporting %r to %s: %s", code, callback, reason)
         return self._post_to_sp(callback, service=None, error=code)
 
-    def _do_listing(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
-        """Serve a 310/311 by asking the broker and POSTing its envelope back."""
-        if directive.kind == YELLOW_PAGES:
-            path, query_text = "/yellow", json.dumps(directive.yellow.as_object())
-        else:
-            path, query_text = "/white", json.dumps(directive.white)
-        try:
-            self.transcript.emit(SEND, "HEAD", path, svc="query")
-            reply = self.broker.call(
-                path,
-                [
-                    (H_SERVICE, query_text),
-                    (H_CALLBACK, directive.callback),
-                    ("Referer", sp_host),
-                ],
-            )
-        except BrokerUnreachable as exc:
-            # The SP still gets an answer: an empty result envelope.
-            log.warning("broker unreachable for listing: %s", exc)
-            if directive.kind == YELLOW_PAGES:
-                empty = BrokerResult(OP_YELLOW, directive.yellow.as_object(), [])
-            else:
-                empty = BrokerResult(OP_WHITE, dict(directive.white), None)
-            self.transcript.emit(RECV, "HEAD", path, None, err="unreachable")
-            return self._post_to_sp(
-                directive.callback, service=encode_broker_result(empty), error=None
-            )
+    def _ask_broker(
+        self, path: str, headers: list[tuple[str, str]], tag: str
+    ) -> tuple[str | None, str | None, str | None]:
+        """HEAD the broker and read its 313: (Location, PSvc-Service, PSvc-Error).
 
-        location = header_value(reply.headers, "Location")
-        error = header_value(reply.headers, H_ERROR)
+        BrokerUnreachable passes through; any other status is a 502.
+        """
+        self.transcript.emit(SEND, "HEAD", path, svc=tag)
+        reply = self.broker.call(path, headers)
+        location, service, error = _read_313(reply)
         self.transcript.emit(
-            RECV, "HEAD", path, reply.status, origin=reply.origin, loc=location, err=error
+            RECV, "HEAD", path.partition("?")[0], reply.status,
+            origin=reply.origin, loc=location, err=error,
         )
         if reply.status != BROKER_RESULT:
             raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
-        return self._post_to_sp(
-            location or directive.callback,
-            service=header_value(reply.headers, H_SERVICE),
-            error=error,
-        )
+        return location, service, error
+
+    def _do_listing(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
+        """Serve a 310/311 by asking the broker and POSTing its envelope back."""
+        if directive.kind == YELLOW_PAGES:
+            path, query, operation, empty = "/yellow", directive.yellow.as_object(), OP_YELLOW, []
+        else:
+            path, query, operation, empty = "/white", dict(directive.white), OP_WHITE, None
+        headers = [
+            (H_SERVICE, json.dumps(query)),
+            (H_CALLBACK, directive.callback),
+            ("Referer", sp_host),
+        ]
+        try:
+            location, service, error = self._ask_broker(path, headers, "query")
+        except BrokerUnreachable as exc:
+            # The SP still gets an answer: an empty result envelope.
+            log.warning("broker unreachable for listing: %s", exc)
+            self.transcript.emit(RECV, "HEAD", path, None, err="unreachable")
+            location, error = None, None
+            service = encode_broker_result(BrokerResult(operation, query, empty))
+        return self._post_to_sp(location or directive.callback, service=service, error=error)
 
     def _do_invoke(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
         """Serve a 312: resolve the handle, then call the service itself."""
         # The resolution arrives within this request, so the ref only has
         # to be checked against the one just sent.
-        ref = token_urlsafe(16)
+        ref = os.urandom(12).hex()
         try:
-            self.transcript.emit(SEND, "HEAD", f"/resolve?ref={ref}", svc="handle")
-            reply = self.broker.call(
+            location, endpoint, error = self._ask_broker(
                 f"/resolve?ref={ref}",
                 [(H_SERVICE, directive.handle), ("Referer", sp_host)],
+                "handle",
             )
         except BrokerUnreachable as exc:
             return self._report_error(
                 directive.callback, ERR_SERVICE, f"broker unreachable: {exc}"
             )
-
-        location = header_value(reply.headers, "Location")
-        error = header_value(reply.headers, H_ERROR)
-        self.transcript.emit(
-            RECV, "HEAD", "/resolve", reply.status, origin=reply.origin, loc=location, err=error
-        )
-        if reply.status != BROKER_RESULT:
-            raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
         if error is not None:
             code = error if error in ERROR_CODES else ERR_SERVICE
             return self._report_error(
@@ -558,7 +544,6 @@ class PersonalServiceProxy(ServiceServer):
             )
         if location != f":{ref}":
             raise Diagnostic(502, "broker resolution did not name this call's reference")
-        endpoint = header_value(reply.headers, H_SERVICE)
         if not endpoint:
             raise Diagnostic(502, "broker resolution lacked a service endpoint")
         try:
@@ -598,14 +583,10 @@ class PersonalServiceProxy(ServiceServer):
             )
             log.warning("refusing 313 from %s (broker is %s)", response.origin, broker_netloc)
             raise Diagnostic(502, "refused a broker-result redirection from a non-broker source")
-        location = header_value(response.headers, "Location") or ""
-        if location.startswith(":"):
+        location, service, error = _read_313(response)
+        if (location or "").startswith(":"):
             raise Diagnostic(502, "broker result referenced a call this proxy never made")
-        return self._post_to_sp(
-            location,
-            service=header_value(response.headers, H_SERVICE),
-            error=header_value(response.headers, H_ERROR),
-        )
+        return self._post_to_sp(location or "", service=service, error=error)
 
     def shutdown(self) -> None:
         super().shutdown()

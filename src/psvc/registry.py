@@ -19,8 +19,8 @@ broker itself, so it never enters the catalog.
 A catalog indexes its entries by string attribute value when it is
 built, so a lookup with a string value reads one bucket instead of
 testing every descriptor.  The index only narrows the candidates:
-``protocol.yellow_match`` and ``protocol.white_match`` stay the match
-rules, and every listing comes out in descriptor id order.
+``yellow_match`` and ``white_match`` stay the match rules, and every
+listing comes out in descriptor id order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-from .protocol import YellowQuery, white_match, yellow_match
 
 log = logging.getLogger(__name__)
 
@@ -111,6 +109,59 @@ class Catalog:
     def bucket(self, attribute: str, value: str) -> tuple[ServiceDescriptor, ...]:
         """Descriptors with this string value under this attribute, both without case."""
         return self.by_value.get((attribute.casefold(), value.casefold()), ())
+
+
+@dataclass(frozen=True)
+class YellowQuery:
+    """Single presentation attribute queried case-insensitively."""
+
+    attribute: str
+    value: Any
+
+    def as_object(self) -> dict[str, Any]:
+        return {self.attribute: self.value}
+
+
+def json_equal(a: Any, b: Any) -> bool:
+    """Structural equality with JSON typing (bool never equals a number)."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool) and a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(json_equal(a[k], b[k]) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(json_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    return type(a) is type(b) and a == b
+
+
+def yellow_match(query: YellowQuery, name: dict[str, Any]) -> bool:
+    """True when the name has the queried attribute with the queried value.
+
+    The attribute name always compares case-insensitively; so does the
+    value when both sides are strings.  Any other value type must be
+    structurally equal.
+    """
+    wanted = query.attribute.casefold()
+    for attr, value in name.items():
+        if attr.casefold() != wanted:
+            continue
+        if isinstance(query.value, str) and isinstance(value, str):
+            if query.value.casefold() == value.casefold():
+                return True
+        elif json_equal(query.value, value):
+            return True
+    return False
+
+
+def white_match(query: dict[str, Any], name: dict[str, Any]) -> bool:
+    """True when every query attribute appears in the name with an equal value.
+
+    Comparison is case-sensitive; the query must not be empty.
+    """
+    if not query:
+        raise ValueError("white query must not be empty")
+    return all(attr in name and json_equal(value, name[attr]) for attr, value in query.items())
 
 
 def validate_descriptor(

@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import re
+import select
 import shutil
 import signal
 import subprocess
@@ -48,6 +49,7 @@ from .transcript import Event, SPAWN, read_events
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 # The directory holding the running psvc package; children import it from here.
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent
+PSVC = [sys.executable, "-m", "psvc"]  # the command line every party runs
 
 REQUEST_TIMEOUT_S = 15.0
 BOOT_TIMEOUT_S = 10.0
@@ -118,8 +120,6 @@ class Party:
         stop_process(self.proc)
 
     def output(self) -> str:
-        if self.proc.stdout is None:
-            return ""
         try:
             return self.proc.stdout.read().decode("utf-8", "replace")
         except Exception:
@@ -148,6 +148,24 @@ def wait_for_file(path: Path, party: Party, timeout: float = BOOT_TIMEOUT_S) -> 
                 return text
         time.sleep(0.02)
     raise ScenarioFailure(f"{path} never appeared")
+
+
+def kill_and_wait(pid: int) -> None:
+    """SIGKILL a process, our child or not, and wait until it has exited.
+
+    A probe with signal 0 sees an exited child that its parent has not
+    reaped yet as alive; a pidfd turns readable as soon as it exits.
+    """
+    try:
+        pidfd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        return
+    try:
+        signal.pidfd_send_signal(pidfd, signal.SIGKILL)
+        if not select.select([pidfd], [], [], BOOT_TIMEOUT_S)[0]:
+            raise ScenarioFailure(f"process {pid} still running after SIGKILL")
+    finally:
+        os.close(pidfd)
 
 
 class Victim(ServiceServer):
@@ -282,7 +300,6 @@ class ScenarioResult:
     failures: list[str]
     duration_s: float
     lines: list[str]
-    events: list[Event]
     notes: dict[str, Any]
     workdir: Path
 
@@ -294,6 +311,7 @@ class ScenarioContext:
         self.ps_dir = workdir / "ps"
         self.ps_dir.mkdir(parents=True)
         self.transcript_path = workdir / "transcript.jsonl"
+        self.broker_argv = [*PSVC, "broker", "run", "--ps-dir", str(self.ps_dir)]
         self.parties: list[Party] = []
         self.victim: Victim | None = None
         self.tokens: dict[str, str] = {}  # netloc -> token
@@ -322,14 +340,6 @@ class ScenarioContext:
 
     # -- per-user directory ------------------------------------------------
 
-    def write_descriptor(self, stem: str, configuration: dict, presentation: dict) -> Path:
-        path = self.ps_dir / f"{stem}.psd"
-        path.write_text(
-            json.dumps({"configuration": configuration, "presentation": presentation}),
-            "utf-8",
-        )
-        return path
-
     def write_demo_descriptors(
         self,
         *,
@@ -338,63 +348,42 @@ class ScenarioContext:
         broken: bool = False,
         broker: bool = True,
     ) -> None:
-        if cc:
-            self.write_descriptor(
-                "cc-personal-service",
-                {"dir": str(self.ps_dir), "cmd": [sys.executable, "-m", "psvc", "demo", "service"]},
-                CC_PRESENTATION,
-            )
-        if twin:
-            self.write_descriptor(
-                "twin-auth-service",
-                {"dir": str(self.ps_dir), "cmd": [sys.executable, "-m", "psvc", "demo", "service"]},
-                TWIN_PRESENTATION,
-            )
-        if broken:
-            self.write_descriptor(
-                "broken-service",
-                {"dir": str(self.ps_dir), "cmd": [sys.executable, "-c", "raise SystemExit(3)"]},
-                BROKEN_PRESENTATION,
-            )
-        if broker:
-            self.write_descriptor(
-                "broker",
-                {
-                    "dir": str(self.ps_dir),
-                    "cmd": [sys.executable, "-m", "psvc", "broker", "run", "--ps-dir", str(self.ps_dir)],
-                },
-                {"Purpose": "service brokering"},
-            )
+        service = [*PSVC, "demo", "service"]
+        dead = [sys.executable, "-c", "raise SystemExit(3)"]
+        table = [
+            (cc, "cc-personal-service", service, CC_PRESENTATION),
+            (twin, "twin-auth-service", service, TWIN_PRESENTATION),
+            (broken, "broken-service", dead, BROKEN_PRESENTATION),
+            (broker, "broker", self.broker_argv, {"Purpose": "service brokering"}),
+        ]
+        for wanted, stem, cmd, presentation in table:
+            if wanted:
+                configuration = {"dir": str(self.ps_dir), "cmd": cmd}
+                document = {"configuration": configuration, "presentation": presentation}
+                (self.ps_dir / f"{stem}.psd").write_text(json.dumps(document), "utf-8")
 
     # -- booting parties ----------------------------------------------------
 
-    def boot_broker(self, *, env: dict[str, str] | None = None) -> str:
-        party = Party(
-            "broker",
-            [sys.executable, "-m", "psvc", "broker", "run", "--ps-dir", str(self.ps_dir)],
-            self.child_env(**(env or {})),
-            self.workdir,
-        )
+    def _boot(self, name: str, argv: list[str], port_file: Path, env: dict | None) -> str:
+        """Start a party, wait for the port it publishes, and name its netloc."""
+        party = Party(name, argv, self.child_env(**(env or {})), self.workdir)
         self.parties.append(party)
-        wait_for_file(self.ps_dir / ENDPOINT_FILE, party)
-        host, port = read_endpoint_file(self.ps_dir)
-        netloc = f"{host}:{port}"
-        self.tokens[netloc] = "broker"
+        netloc = f"127.0.0.1:{int(wait_for_file(port_file, party))}"
+        self.tokens[netloc] = name
         return netloc
+
+    def boot_broker(self, *, env: dict[str, str] | None = None) -> str:
+        return self._boot("broker", self.broker_argv, self.ps_dir / ENDPOINT_FILE, env)
 
     def boot_proxy(self) -> str:
         port_file = self.workdir / "proxy.port"
         argv = [
-            sys.executable, "-m", "psvc", "proxy", "run",
+            *PSVC, "proxy", "run",
             "--listen", "127.0.0.1:0",
             "--ps-dir", str(self.ps_dir),
             "--port-file", str(port_file),
         ]
-        party = Party("proxy", argv, self.child_env(), self.workdir)
-        self.parties.append(party)
-        port = int(wait_for_file(port_file, party))
-        self.proxy_netloc = f"127.0.0.1:{port}"
-        self.tokens[self.proxy_netloc] = "proxy"
+        self.proxy_netloc = self._boot("proxy", argv, port_file, None)
         return self.proxy_netloc
 
     def boot_sp(
@@ -407,7 +396,7 @@ class ScenarioContext:
     ) -> str:
         port_file = self.workdir / "sp.port"
         argv = [
-            sys.executable, "-m", "psvc", "demo", "sp",
+            *PSVC, "demo", "sp",
             "--listen", "127.0.0.1:0",
             "--port-file", str(port_file),
         ]
@@ -417,12 +406,14 @@ class ScenarioContext:
             argv += ["--fault", fault]
         if extras_file is not None:
             argv += ["--invoke-extras", str(extras_file)]
-        party = Party("sp", argv, self.child_env(**(env or {})), self.workdir)
-        self.parties.append(party)
-        port = int(wait_for_file(port_file, party))
-        self.sp_netloc = f"127.0.0.1:{port}"
-        self.tokens[self.sp_netloc] = "sp"
+        self.sp_netloc = self._boot("sp", argv, port_file, env)
         return self.sp_netloc
+
+    def boot_all(self, **sp_options) -> None:
+        """Boot broker, proxy and SP, in that order; `sp_options` go to boot_sp."""
+        self.boot_broker()
+        self.boot_proxy()
+        self.boot_sp(**sp_options)
 
     def start_victim(self) -> Victim:
         self.victim = Victim()
@@ -441,20 +432,15 @@ class ScenarioContext:
         return read_events(self.transcript_path)
 
     def lines(self) -> list[str]:
-        events = self.events()
+        rendered = [e.render() for e in self.events()]
         mapping = dict(self.tokens)
-        for event in events:
-            if event.direction == SPAWN and "port" in event.detail:
-                netloc = f"127.0.0.1:{event.detail['port']}"
-                mapping.setdefault(netloc, "service")
-        return normalize_lines([e.render() for e in events], mapping)
+        for spawn in self.spawns():  # read after the events, so it holds every launch they show
+            mapping.setdefault(f"127.0.0.1:{spawn.detail['port']}", "service")
+        return normalize_lines(rendered, mapping)
 
-    def service_pids(self) -> list[int]:
-        return [
-            int(e.detail["pid"])
-            for e in self.events()
-            if e.direction == SPAWN and "pid" in e.detail
-        ]
+    def spawns(self) -> list[Event]:
+        """The broker's service launches, in order."""
+        return [e for e in self.events() if e.direction == SPAWN]
 
     # -- teardown ---------------------------------------------------------
 
@@ -462,9 +448,9 @@ class ScenarioContext:
         for party in reversed(self.parties):
             party.stop()
         # Services are the broker's children; reap any that outlived it.
-        for pid in self.service_pids():
+        for spawn in self.spawns():
             try:
-                os.kill(pid, signal.SIGKILL)
+                os.kill(spawn.detail["pid"], signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
         if self.victim is not None:
@@ -530,9 +516,7 @@ def _run_auth_flow(ctx: ScenarioContext, browser: Browser) -> Page:
 def scenario_eid_auth_happy(ctx: ScenarioContext) -> None:
     """Cookie-less visit authenticates through the personal service."""
     ctx.write_demo_descriptors()
-    ctx.boot_broker()
-    ctx.boot_proxy()
-    ctx.boot_sp()
+    ctx.boot_all()
     _run_auth_flow(ctx, ctx.browser())
     lines = ctx.lines()
     assert_order(lines, HAPPY_PHASES)
@@ -546,9 +530,7 @@ def scenario_eid_auth_happy(ctx: ScenarioContext) -> None:
 def scenario_yellow_pages(ctx: ScenarioContext) -> None:
     """A directory page lists matching services by attribute."""
     ctx.write_demo_descriptors()
-    ctx.boot_broker()
-    ctx.boot_proxy()
-    ctx.boot_sp()
+    ctx.boot_all()
     response = ctx.browser().run_flow(ctx.sp_url("/discover"))
     check(response.status_code == 200, f"discovery ended with {response.status_code}")
     check("1 service(s) available" in response.text, "expected one listed service")
@@ -575,32 +557,18 @@ def scenario_yellow_pages(ctx: ScenarioContext) -> None:
 def scenario_launch_on_demand(ctx: ScenarioContext) -> None:
     """One process serves consecutive flows; a killed one is relaunched."""
     ctx.write_demo_descriptors()
-    ctx.boot_broker()
-    ctx.boot_proxy()
-    ctx.boot_sp()
+    ctx.boot_all()
 
     _run_auth_flow(ctx, ctx.browser())
-    spawns = [e for e in ctx.events() if e.direction == SPAWN]
+    spawns = ctx.spawns()
     check(len(spawns) == 1, f"first flow should spawn once, saw {len(spawns)}")
-    first_port = spawns[0].detail["port"]
 
     _run_auth_flow(ctx, ctx.browser())  # fresh browser: no cookie, full flow again
-    spawns = [e for e in ctx.events() if e.direction == SPAWN]
-    check(len(spawns) == 1, "second flow must reuse the live process")
-    ctx.notes["reused_port"] = first_port
+    check(len(ctx.spawns()) == 1, "second flow must reuse the live process")
 
-    pid = spawns[0].detail["pid"]
-    os.kill(pid, signal.SIGKILL)
-    deadline = time.monotonic() + 5
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-            time.sleep(0.02)
-        except ProcessLookupError:
-            break
-
+    kill_and_wait(spawns[0].detail["pid"])
     _run_auth_flow(ctx, ctx.browser())
-    spawns = [e for e in ctx.events() if e.direction == SPAWN]
+    spawns = ctx.spawns()
     check(len(spawns) == 2, "killed service must be relaunched")
     check(spawns[1].detail["n"] == 2, "relaunch must increment the launch count")
     ctx.notes["ports"] = [s.detail["port"] for s in spawns]
@@ -632,10 +600,8 @@ def scenario_broker_down(ctx: ScenarioContext) -> None:
     check(not any(l.startswith("Broker") for l in lines), "no broker should have spoken")
 
 
-def _error_scenario(ctx: ScenarioContext, expected_code: str, **sp_kwargs) -> None:
-    ctx.boot_broker()
-    ctx.boot_proxy()
-    ctx.boot_sp(**sp_kwargs)
+def _error_scenario(ctx: ScenarioContext, expected_code: str, **sp_options) -> None:
+    ctx.boot_all(**sp_options)
     response = ctx.browser().run_flow(ctx.sp_url("/"))
     check(response.status_code == 200, f"flow ended with {response.status_code}")
     check(
@@ -685,9 +651,7 @@ def scenario_error_service(ctx: ScenarioContext) -> None:
 def scenario_reject_313(ctx: ScenarioContext) -> None:
     """A 313 forged by an SP is refused; its target is never contacted."""
     ctx.write_demo_descriptors()
-    ctx.boot_broker()
-    ctx.boot_proxy()
-    ctx.boot_sp()
+    ctx.boot_all()
     victim = ctx.start_victim()
     browser = ctx.browser()
     response = browser.request(
@@ -808,18 +772,12 @@ def run_scenario(name: str, *, write_golden: bool = False, keep: bool = False) -
             )
             failures.append(f"transcript deviates from golden:\n{diff}")
 
-    events = []
-    try:
-        events = ctx.events()
-    except Exception:
-        pass
     result = ScenarioResult(
         name=name,
         passed=not failures,
         failures=failures,
         duration_s=duration,
         lines=lines,
-        events=events,
         notes=ctx.notes,
         workdir=workdir,
     )

@@ -1,4 +1,4 @@
-"""A spawned service, the proxy and the scenarios import only what they run.
+"""A spawned service, the proxy, the catalog and the scenarios import only what they run.
 
 Every launch on demand starts a fresh interpreter for the service, so
 each module on its import path is paid for once per launch.  Each check
@@ -58,7 +58,14 @@ def test_a_kit_service_loads_nothing_the_other_parties_need():
 def test_the_proxy_loads_no_broker():
     added = added_modules("psvc.proxy")
     assert {"psvc.proxy", "psvc.kit", "psvc.protocol"} <= added
-    assert within(added, "psvc.broker", "cryptography") == set()
+    unwanted = within(added, "psvc.broker", "cryptography", "secrets", "hmac", "hashlib")
+    assert unwanted == set()
+
+
+def test_the_catalog_loads_no_http_server_and_no_wire_protocol():
+    added = added_modules("psvc.registry")
+    assert "psvc.registry" in added
+    assert within(added, "http.server", "psvc.kit", "psvc.protocol") == set()
 
 
 def test_the_scenarios_load_no_broker_and_no_third_party_client():

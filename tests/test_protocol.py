@@ -27,7 +27,6 @@ from psvc.protocol import (
     SERVICE_CALL,
     WHITE_PAGES,
     YELLOW_PAGES,
-    YellowQuery,
     decode_broker_result,
     decode_handle_payload,
     decode_white_query,
@@ -35,12 +34,10 @@ from psvc.protocol import (
     encode_broker_result,
     handle_from_text,
     handle_to_text,
-    json_equal,
     parse_directive,
     speaks_version,
-    white_match,
-    yellow_match,
 )
+from psvc.registry import YellowQuery, json_equal, white_match, yellow_match
 
 from conftest import random_json_value, random_presentation
 

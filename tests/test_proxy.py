@@ -65,7 +65,7 @@ def proxy(tmp_path):
     def make(*, broker_port: int | None = None) -> PersonalServiceProxy:
         if broker_port is not None:
             write_endpoint_file(tmp_path, broker_port)
-        server = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0), autolaunch=False)
+        server = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0))
         server.start()
         servers.append(server)
         return server
@@ -473,17 +473,24 @@ class TestListingFlows:
         assert status == 502
         assert len(sp.requests) == 1
 
-    def test_broker_answering_oddly_is_a_502(self, proxy, stub):
+    @pytest.mark.parametrize("call", ["listing", "resolution"])
+    def test_broker_answering_oddly_is_a_502(self, proxy, stub, call):
         sp = stub()
         broker = stub()
-        sp.enqueue(
-            Scripted(310, ((H_SERVICE, '{"a": 1}'), (H_CALLBACK, sp.url("/cb"))))
-        )
+        if call == "listing":
+            directive = Scripted(310, ((H_SERVICE, '{"a": 1}'), (H_CALLBACK, sp.url("/cb"))))
+        else:
+            directive = Scripted(312, ((H_SERVICE, '"h-abc"'), (H_CALLBACK, sp.url("/cb"))))
+        sp.enqueue(directive)
         broker.enqueue(Scripted(500, (), b"boom"))
         server = proxy(broker_port=broker.port)
         status, _, body = via(server, "GET", sp.url("/d"))
         assert status == 502
         assert b"broker answered 500" in body
+        assert [r.path for r in sp.requests] == ["/d"]
+        assert [urlsplit(r.path).path for r in broker.requests] == [
+            "/yellow" if call == "listing" else "/resolve"
+        ]
 
 
 class TestServiceInvocation:
@@ -776,21 +783,13 @@ def write_marker_broker(ps_dir: Path) -> None:
 
 
 class TestBrokerLink:
-    def test_no_endpoint_and_no_autolaunch(self, tmp_path):
-        link = BrokerLink(tmp_path, autolaunch=False)
-        assert link.endpoint_or_none() is None
-        with pytest.raises(BrokerUnreachable):
-            link.endpoint()
-
-    def test_stale_endpoint_without_autolaunch_launches_nothing(self, tmp_path):
+    def test_stale_endpoint_without_a_descriptor_is_unreachable(self, tmp_path):
         port = allocate_port()
         write_endpoint_file(tmp_path, port)
-        write_marker_broker(tmp_path)
-        link = BrokerLink(tmp_path, autolaunch=False)
+        link = BrokerLink(tmp_path)
         assert link.endpoint_or_none() == ("127.0.0.1", port)  # read, not probed
-        with pytest.raises(BrokerUnreachable):
+        with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.call("/white", [])
-        assert not (tmp_path / "launched").exists()
 
     def test_slow_broker_is_not_launched_twice(self, tmp_path, monkeypatch):
         # A live broker whose accept queue is full: connecting times out.
@@ -801,7 +800,7 @@ class TestBrokerLink:
         write_endpoint_file(tmp_path, listener.getsockname()[1])
         write_marker_broker(tmp_path)
         monkeypatch.setattr(psvc.proxy, "BROKER_CALL_TIMEOUT_S", 0.5)
-        link = BrokerLink(tmp_path, autolaunch=True)
+        link = BrokerLink(tmp_path)
         try:
             with pytest.raises(BrokerUnreachable):
                 link.call("/white", [])
@@ -821,7 +820,7 @@ class TestBrokerLink:
             cmd=[sys.executable, "-c", MINI_BROKER],
             workdir=str(tmp_path),
         )
-        link = BrokerLink(tmp_path, autolaunch=True)
+        link = BrokerLink(tmp_path)
         try:
             reply = link.call("/white", [])
             # BaseHTTPRequestHandler has no do_HEAD: any answer means the call arrived.
@@ -832,7 +831,8 @@ class TestBrokerLink:
             link.shutdown()
 
     def test_autolaunch_needs_a_descriptor(self, tmp_path):
-        link = BrokerLink(tmp_path, autolaunch=True)
+        link = BrokerLink(tmp_path)
+        assert link.endpoint_or_none() is None
         with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.endpoint()
 
@@ -844,7 +844,7 @@ class TestBrokerLink:
             cmd=[sys.executable, "-c", MINI_BROKER],
             workdir=str(tmp_path),
         )
-        link = BrokerLink(tmp_path, autolaunch=True)
+        link = BrokerLink(tmp_path)
         try:
             host, port = link.endpoint()
             assert host == "127.0.0.1"
@@ -973,7 +973,7 @@ class TestConnectionPool:
         )
         broker = BrokerServer(tmp_path)
         sp = DemoSP(SPConfig(port=0))
-        front = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0), autolaunch=False)
+        front = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0))
         parties = {"service": service, "broker": broker, "sp": sp}
         accepts = {name: count_accepts(server) for name, server in parties.items()}
         for server in [*parties.values(), front]:

@@ -10,17 +10,20 @@ from hypothesis import strategies as st
 
 import psvc.registry
 from psvc import cli
-from psvc.protocol import YellowQuery, json_equal, white_match, yellow_match
 from psvc.registry import (
     BROKER_DESCRIPTOR,
     Catalog,
     CatalogDirError,
     DescriptorError,
     ServiceDescriptor,
+    YellowQuery,
+    json_equal,
     list_matching,
     list_matching_white,
     load_catalog,
     validate_descriptor,
+    white_match,
+    yellow_match,
 )
 
 from conftest import random_presentation, write_descriptor

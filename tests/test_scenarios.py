@@ -5,23 +5,26 @@ from __future__ import annotations
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
+from urllib.parse import urlencode
 
 import pytest
 
 import psvc
+from psvc.demo.sp import DemoSP, SPConfig
 from psvc.scenario import (
     SCENARIOS,
     Browser,
     Party,
     ScenarioContext,
     ScenarioFailure,
+    kill_and_wait,
     run_scenario,
     wait_for_file,
 )
-from psvc.transcript import SPAWN
 
-from conftest import Scripted
+from conftest import Scripted, http_exchange
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -85,20 +88,61 @@ def test_concurrent_sign_ins_all_succeed_with_one_spawn(tmp_path):
 
     try:
         ctx.write_demo_descriptors()
-        ctx.boot_broker()
-        ctx.boot_proxy()
-        ctx.boot_sp()
+        ctx.boot_all()
         clients = [threading.Thread(target=sign_in, args=(5,)) for _ in range(8)]
         for client in clients:
             client.start()
         for client in clients:
             client.join(120)
         assert not any(client.is_alive() for client in clients)
-        spawns = [e for e in ctx.events() if e.direction == SPAWN]
+        spawns = ctx.spawns()
     finally:
         ctx.teardown()
     assert failures == []
     assert len(spawns) == 1
+
+
+# A parent that starts a child and never reaps it, so the child, once
+# killed, stays a zombie until this parent exits.
+NEGLECTFUL_PARENT = """\
+import subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+print(child.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def test_kill_and_wait_sees_an_unreaped_grandchild_exit():
+    parent = subprocess.Popen(
+        [sys.executable, "-c", NEGLECTFUL_PARENT], stdout=subprocess.PIPE, text=True
+    )
+    try:
+        grandchild = int(parent.stdout.readline())
+        started = time.monotonic()
+        kill_and_wait(grandchild)
+        assert time.monotonic() - started < 1.0
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+
+
+def test_demo_sp_accepts_a_result_once():
+    sp = DemoSP(SPConfig(port=0))
+    sp.start()
+    try:
+        session = sp.new_session("/")
+        form = urlencode({"sid": session.sid, "nonce": session.nonce, "user": "demo-user"})
+        headers = [("Content-Type", "application/x-www-form-urlencoded")]
+
+        def post_result() -> int:
+            return http_exchange(sp.netloc, "POST", "/result", headers, form.encode())[0]
+
+        assert post_result() == 302
+        assert sp.sessions == {}
+        assert post_result() == 403
+    finally:
+        sp.shutdown()
 
 
 class TestBrowser:
