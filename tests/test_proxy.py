@@ -783,6 +783,14 @@ def write_marker_broker(ps_dir: Path) -> None:
 
 
 class TestBrokerLink:
+    def test_no_endpoint_and_no_autolaunch(self, tmp_path):
+        # No broker.ept and no broker.psd: nothing to read and nothing to launch.
+        link = BrokerLink(tmp_path)
+        assert link.endpoint_or_none() is None
+        with pytest.raises(BrokerUnreachable):
+            link.endpoint()
+        assert not (tmp_path / "broker.ept").exists()
+
     def test_stale_endpoint_without_a_descriptor_is_unreachable(self, tmp_path):
         port = allocate_port()
         write_endpoint_file(tmp_path, port)
@@ -832,7 +840,6 @@ class TestBrokerLink:
 
     def test_autolaunch_needs_a_descriptor(self, tmp_path):
         link = BrokerLink(tmp_path)
-        assert link.endpoint_or_none() is None
         with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.endpoint()
 
