@@ -1,34 +1,28 @@
-"""Opaque, authenticated service handles.
+"""Opaque service handles, held by reference.
 
-A handle encrypts {requester host, descriptor id, mint time} under a
-key known only to this broker run.  SPs and browsers can neither read
-nor forge one; any bit flip, truncation, or alien input fails
-authentication.  Keys live in memory only, so handles die with the
-broker process.
+A handle is 128 random bits as hex text, naming an entry in this broker
+run's own table: {requester host, descriptor id, mint time}.  The text
+carries nothing, so SPs and browsers can neither read one nor forge
+one: any other text is simply not in the table.  The table lives in
+memory only, so handles die with the broker process.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import threading
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
+from typing import NamedTuple
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
-from ..protocol import handle_from_text, handle_to_text
-
-_KEY_BYTES = 32
-_NONCE_BYTES = 12
+MAX_LIVE_HANDLES = 4096  # past this many, minting forgets the oldest handle
 
 
 class HandleError(ValueError):
     """Handle text that this broker run will not honor."""
 
 
-@dataclass(frozen=True)
-class HandlePlaintext:
+class HandlePlaintext(NamedTuple):
     """What a handle means once opened."""
 
     requester_host: str
@@ -39,45 +33,32 @@ class HandlePlaintext:
 class HandleCodec:
     """Mints and opens handles for one broker run.
 
-    max_age_s, when set, expires handles that old or older; by default
-    they stay valid for the broker's lifetime.
+    At most MAX_LIVE_HANDLES stay open, oldest evicted first.  max_age_s,
+    when set, expires handles that old or older; by default they stay
+    valid until evicted or the broker exits.
     """
 
-    def __init__(self, *, key: bytes | None = None, max_age_s: float | None = None):
-        if key is None:
-            key = os.urandom(_KEY_BYTES)
-        if len(key) != _KEY_BYTES:
-            raise ValueError(f"key must be {_KEY_BYTES} bytes")
-        self._aead = AESGCM(key)
+    def __init__(self, *, max_age_s: float | None = None):
         self.max_age_s = max_age_s
+        self._live: OrderedDict[str, HandlePlaintext] = OrderedDict()
+        self._lock = threading.Lock()
 
     def mint(self, requester_host: str, descriptor_id: str) -> str:
         """Issue handle text binding a descriptor to the requesting SP."""
-        plaintext = json.dumps(
-            {"sp": requester_host, "id": descriptor_id, "t": time.time()}
-        ).encode("utf-8")
-        nonce = os.urandom(_NONCE_BYTES)
-        sealed = nonce + self._aead.encrypt(nonce, plaintext, None)
-        return handle_to_text(sealed)
+        text = os.urandom(16).hex()
+        entry = HandlePlaintext(requester_host, descriptor_id, time.time())
+        with self._lock:
+            self._live[text] = entry
+            if len(self._live) > MAX_LIVE_HANDLES:
+                self._live.popitem(last=False)
+        return text
 
     def open(self, handle_text: str) -> HandlePlaintext:
-        """Authenticate and decode handle text; HandleError if not ours."""
-        try:
-            sealed = handle_from_text(handle_text)
-        except ValueError as exc:
-            raise HandleError(str(exc)) from None
-        if len(sealed) <= _NONCE_BYTES:
-            raise HandleError("handle too short")
-        nonce, ciphertext = sealed[:_NONCE_BYTES], sealed[_NONCE_BYTES:]
-        try:
-            plaintext = self._aead.decrypt(nonce, ciphertext, None)
-        except InvalidTag:
-            raise HandleError("handle failed authentication") from None
-        try:
-            fields = json.loads(plaintext)
-            opened = HandlePlaintext(fields["sp"], fields["id"], float(fields["t"]))
-        except (ValueError, KeyError, TypeError):
-            raise HandleError("handle payload unusable") from None
+        """Look handle text up; HandleError if this run holds no such handle."""
+        with self._lock:
+            opened = self._live.get(handle_text)
+        if opened is None:
+            raise HandleError("no such handle")
         if self.max_age_s is not None and time.time() - opened.mint_time > self.max_age_s:
             raise HandleError("handle expired")
         return opened

@@ -148,6 +148,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         result = run_scenario(name, write_golden=args.write_golden, keep=args.keep)
         state = "PASS" if result.passed else "FAIL"
         print(f"{state} {name} ({result.duration_s:.1f}s)")
+        if result.workdir.exists():
+            print(f"  kept {result.workdir}")
         for failure in result.failures:
             print(f"  {failure}")
         if args.show_transcript or not result.passed:
@@ -235,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="freeze this run's normalized transcript as the golden copy",
     )
-    scenario.add_argument("--keep", action="store_true", help="keep the working directory")
+    scenario.add_argument(
+        "--keep", action="store_true", help="keep the working directory and print where it is"
+    )
     scenario.add_argument(
         "--show-transcript", action="store_true", help="print the normalized transcript"
     )

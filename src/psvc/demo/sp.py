@@ -7,7 +7,9 @@ comes back on /wp-callback, which answers 312 to invoke the service.
 The service runs its dialog with the user and finally auto-POSTs the
 result to /result, where a nonce echo is checked, the session cookie is
 set, and the browser is sent back to the original page.  A sid+nonce
-pair is accepted once: a replayed result gets 403.
+pair is accepted once: a replayed result gets 403.  Open sign-in
+attempts and issued cookies are each capped at MAX_TABLE_ENTRIES,
+oldest dropped first.
 
 Fault switches let scenarios exercise the error paths: a 311 with no
 query, a tampered handle, or a forged broker-result redirection.
@@ -19,6 +21,7 @@ import json
 import logging
 import secrets
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import quote
@@ -55,6 +58,9 @@ FAULT_MALFORMED_311 = "malformed-311"
 FAULT_TAMPER_HANDLE = "tamper-handle"
 FAULTS = (FAULT_MALFORMED_311, FAULT_TAMPER_HANDLE)
 
+# Sign-in attempts and cookies each; past this many the oldest is dropped.
+MAX_TABLE_ENTRIES = 4096
+
 
 @dataclass
 class SPConfig:
@@ -82,6 +88,13 @@ def _tamper(handle: str) -> str:
     return handle[:mid] + swapped + handle[mid + 1 :]
 
 
+def _put_bounded(table: OrderedDict, key: str, value) -> None:
+    """Insert, then evict the oldest entry past MAX_TABLE_ENTRIES."""
+    table[key] = value
+    if len(table) > MAX_TABLE_ENTRIES:
+        table.popitem(last=False)
+
+
 def _page(title: str, body: str) -> bytes:
     return (
         f"<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
@@ -95,8 +108,8 @@ class DemoSP(ServiceServer):
     def __init__(self, config: SPConfig):
         self.config = config
         self.transcript = Transcript.from_env("SP")
-        self.sessions: dict[str, _Session] = {}
-        self.cookies: dict[str, str] = {}  # token -> user
+        self.sessions: OrderedDict[str, _Session] = OrderedDict()
+        self.cookies: OrderedDict[str, str] = OrderedDict()  # token -> user
         self.lock = threading.Lock()
         self._routes = {
             ("GET", "/"): self._front,
@@ -126,7 +139,7 @@ class DemoSP(ServiceServer):
             next_url=next_url,
         )
         with self.lock:
-            self.sessions[session.sid] = session
+            _put_bounded(self.sessions, session.sid, session)
         return session
 
     def session(self, sid: str | None) -> _Session | None:
@@ -144,7 +157,7 @@ class DemoSP(ServiceServer):
     def issue_cookie(self, user: str) -> str:
         token = secrets.token_urlsafe(16)
         with self.lock:
-            self.cookies[token] = user
+            _put_bounded(self.cookies, token, user)
         return token
 
     def user_for_cookie(self, header: str | None) -> str | None:

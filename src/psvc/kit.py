@@ -250,7 +250,7 @@ class KitResponse(NamedTuple):
 # Bounds on kept-alive connections; each open connection holds a thread.
 KEEPALIVE_IDLE_S = 5.0  # an idle connection is closed after this long
 KEEPALIVE_MAX = 32  # past this many open connections, replies carry Connection: close
-MAX_BODY_BYTES = 8 << 20  # a longer request body gets a 413
+MAX_BODY_BYTES = 8 << 20  # over it: a request body gets a 413, an upstream reply a 502
 LINGER_S = 1.0  # how long a refused request's unread body is drained
 
 

@@ -26,7 +26,7 @@ Broker results are single-line JSON envelopes in a PSvc-Service header:
 
     {"operation": "White Pages",
      "request": {"Purpose": "authentication", "Device": "Portuguese eID"},
-     "response": {"service": {...name...}, "handle": "b64text"}}
+     "response": {"service": {...name...}, "handle": "<32 hex digits>"}}
 
 A service name is one JSON object of presentation attributes.  Yellow
 queries carry exactly one attribute and match it case-insensitively;
@@ -36,7 +36,6 @@ subset of the name.
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -189,24 +188,6 @@ def decode_broker_result(text: str) -> BrokerResult:
             if not isinstance(response, dict) or not isinstance(response.get("handle"), str):
                 raise MalformedDirective("broker result: white response needs a handle")
     return BrokerResult(operation, request, response)
-
-
-def handle_to_text(opaque: bytes) -> str:
-    """Encode opaque handle bytes as URL-safe text for a header."""
-    return base64.urlsafe_b64encode(opaque).decode("ascii")
-
-
-def handle_from_text(text: str) -> bytes:
-    """Decode handle text back to opaque bytes; ValueError when not ours."""
-    try:
-        raw = base64.urlsafe_b64decode(text.encode("ascii"))
-    except Exception:
-        raise ValueError("handle text is not URL-safe base64") from None
-    # Base64 decoders ignore trailing don't-care bits, so two spellings
-    # can alias one byte string.  Only the canonical spelling is ours.
-    if base64.urlsafe_b64encode(raw).decode("ascii") != text:
-        raise ValueError("handle text is not canonical base64")
-    return raw
 
 
 def _method_token_ok(method: str) -> bool:

@@ -34,12 +34,13 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from http.client import HTTPConnection, HTTPException, HTTPResponse
+from http.client import HTTPConnection, HTTPException, HTTPResponse, IncompleteRead
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from .kit import (
     KEEPALIVE_IDLE_S,
+    MAX_BODY_BYTES,
     EndpointFileError,
     KitRequest,
     KitResponse,
@@ -225,7 +226,8 @@ def send_request(
     It runs on an idle pooled connection to the origin when there is
     one.  A HEAD or GET whose pooled connection breaks before the reply
     (the server closed it meanwhile) is sent once more on a fresh
-    connection; any other method is never sent twice.
+    connection; any other method is never sent twice.  A reply body
+    over MAX_BODY_BYTES is a 502, and its connection is closed.
     """
     parts = urlsplit(url)
     if parts.scheme != "http" or not parts.hostname:
@@ -254,7 +256,12 @@ def send_request(
             conn.close()
             conn = fresh()
             resp = _exchange(conn, method, target, origin, headers, body)
-        payload = resp.read()  # b"" for a HEAD; leaves the connection reusable
+        # b"" for a HEAD; reading to the end leaves the connection reusable
+        payload = resp.read(MAX_BODY_BYTES + 1)
+        if len(payload) > MAX_BODY_BYTES:
+            raise Diagnostic(502, f"upstream {origin} sent a reply body over {MAX_BODY_BYTES} bytes")
+        if resp.length:  # a read with a limit leaves a short body unreported
+            raise IncompleteRead(payload, resp.length)
         reusable = not resp.will_close
     except OSError as exc:
         raise Unreachable(origin, exc) from None
@@ -287,8 +294,8 @@ class BrokerLink:
     recovery, under one lock: re-read broker.ept and retry at a port it
     newly names, else launch a broker from broker.psd once, when that
     file exists, and retry once.  A timeout or a reset means a broker
-    may be there, so it never launches a second one, whose fresh key
-    would void every handle the first one minted.
+    may be there, so it never launches a second one, whose empty handle
+    table would void every handle the first one minted.
     """
 
     def __init__(self, ps_dir: Path | str):

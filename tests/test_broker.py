@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import psvc.broker.handles
 import psvc.broker.runtime
 from psvc.broker.core import Broker, write_endpoint_file
 from psvc.broker.policy import PolicyError, load_policy
@@ -222,6 +223,14 @@ class TestResolveHandle:
         handle = self.mint(broker)
         time.sleep(0.15)
         assert broker.resolve_handle(handle, SP, "r1").error == ERR_HANDLE
+
+    def test_evicted_handle(self, ps_dir, monkeypatch):
+        monkeypatch.setattr(psvc.broker.handles, "MAX_LIVE_HANDLES", 2)
+        broker = make_broker(ps_dir)
+        oldest, *newest = (self.mint(broker) for _ in range(3))
+        assert broker.resolve_handle(oldest, SP, "r1").error == ERR_HANDLE
+        for handle in newest:
+            assert broker.resolve_handle(handle, SP, "r2").error is None
 
     def test_binding_outcomes_random_hosts(self, ps_dir):
         rng = random.Random(0xB20CE)

@@ -1,4 +1,5 @@
-"""A spawned service, the proxy, the catalog and the scenarios import only what they run.
+"""A spawned service, the proxy, the catalog and the scenarios import only what they run,
+and no party needs a package from outside the standard library.
 
 Every launch on demand starts a fresh interpreter for the service, so
 each module on its import path is paid for once per launch.  Each check
@@ -72,3 +73,12 @@ def test_the_scenarios_load_no_broker_and_no_third_party_client():
     added = added_modules("psvc.scenario", blocked=("requests",))
     assert "psvc.scenario" in added
     assert within(added, "requests", "urllib3", "psvc.broker", "cryptography") == set()
+
+
+def test_no_party_loads_a_third_party_package():
+    added = added_modules(
+        "psvc.cli", "psvc.broker.server", "psvc.proxy", "psvc.demo.sp", "psvc.scenario"
+    )
+    assert {"psvc.broker.handles", "psvc.proxy", "psvc.demo.sp", "psvc.scenario"} <= added
+    outside = {m.partition(".")[0] for m in added} - set(sys.stdlib_module_names) - {"psvc"}
+    assert outside == set()

@@ -1,9 +1,7 @@
 """Wire-level constants, matching semantics, and directive parsing."""
 
-import base64
 import json
 import random
-import string
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +30,6 @@ from psvc.protocol import (
     decode_white_query,
     decode_yellow_query,
     encode_broker_result,
-    handle_from_text,
-    handle_to_text,
     parse_directive,
     speaks_version,
 )
@@ -63,7 +59,13 @@ BROKER_RESULTS = st.builds(
     ),
 )
 
-B64URL = string.ascii_uppercase + string.ascii_lowercase + string.digits + "-_"
+# The four headers parse_directive consumes; every other header is carried.
+DIRECTIVE_NAMES = (H_SERVICE, H_METHOD, H_PARAMETERS, H_CALLBACK)
+DIRECTIVE_LOWER = {name.lower() for name in DIRECTIVE_NAMES}
+
+
+def any_case(name: str):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in name)).map("".join)
 
 
 class TestConstants:
@@ -300,59 +302,6 @@ class TestBrokerResultEnvelope:
                 decode_broker_result(text)
 
 
-class TestHandleText:
-    def test_round_trip(self):
-        rng = random.Random(808)
-        for _ in range(100):
-            blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 64)))
-            text = handle_to_text(blob)
-            assert text.isascii()
-            assert handle_from_text(text) == blob
-
-    def test_rejects_non_alphabet(self):
-        with pytest.raises(ValueError):
-            handle_from_text("not/safe+text")
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=64))
-    def test_canonical_text_round_trips(self, blob):
-        assert handle_from_text(handle_to_text(blob)) == blob
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.text(alphabet=B64URL + "=+/ .\n\t", max_size=24) | st.text(max_size=12))
-    def test_only_canonical_text_is_accepted(self, text):
-        try:
-            blob = handle_from_text(text)
-        except ValueError:
-            return
-        assert handle_to_text(blob) == text
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.binary(min_size=1, max_size=48), st.data())
-    def test_respelled_and_padded_variants_are_rejected(self, blob, data):
-        text = handle_to_text(blob)
-        variants = {
-            text.rstrip("="),
-            text + "=",
-            text + "==",
-            " " + text,
-            text + "\n",
-            text.replace("-", "+").replace("_", "/"),
-        }
-        padding = len(text) - len(text.rstrip("="))
-        if padding:
-            # The last data character carries 4 (==) or 2 (=) bits that
-            # decoders ignore; flipping them spells the same bytes anew.
-            last = len(text) - padding - 1
-            flip = data.draw(st.integers(1, 0b1111 if padding == 2 else 0b11))
-            respelled = text[:last] + B64URL[B64URL.index(text[last]) ^ flip] + text[last + 1:]
-            assert base64.urlsafe_b64decode(respelled) == blob
-            variants.add(respelled)
-        for variant in variants - {text}:
-            with pytest.raises(ValueError):
-                handle_from_text(variant)
-
-
 class TestParseDirective:
     def test_yellow_requires_callback(self):
         with pytest.raises(MalformedDirective):
@@ -413,6 +362,34 @@ class TestParseDirective:
     def test_non_directive_status_is_a_programming_error(self):
         with pytest.raises(ValueError):
             parse_directive(200, [], b"")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL]), st.binary(), st.data())
+    def test_only_the_directive_headers_are_consumed(self, status, body, data):
+        # Each directive value is usable, so the directive parses whichever
+        # copy of a name comes first; its headers may be in any case.
+        service = '{"handle": "h"}' if status == SERVICE_CALL else '{"Purpose": "x"}'
+        required = {H_SERVICE: service, H_CALLBACK: "http://sp/cb"}
+        values = {
+            H_METHOD: st.sampled_from(["GET", "POST", "put"]),
+            H_PARAMETERS: st.text(),
+            **{name: st.just(value) for name, value in required.items()},
+        }
+        directive = st.sampled_from(DIRECTIVE_NAMES).flatmap(
+            lambda name: st.tuples(any_case(name), values[name])
+        )
+        other = st.tuples(
+            st.text(min_size=1).filter(lambda name: name.lower() not in DIRECTIVE_LOWER),
+            st.text(),
+        )
+        headers = data.draw(st.lists(directive | other, max_size=12))
+        for name, value in required.items():
+            at = data.draw(st.integers(0, len(headers)))
+            headers.insert(at, (data.draw(any_case(name)), value))
+        wanted = tuple((k, v) for k, v in headers if k.lower() not in DIRECTIVE_LOWER)
+        d = parse_directive(status, list(headers), body)
+        assert d.carried_headers == wanted
+        assert d.carried_body == body
 
     def test_yellow_and_white_queries_decoded(self):
         y = parse_directive(

@@ -1045,6 +1045,53 @@ class TestConnectionPool:
         assert (tmp_path / "launches").read_text() == "launch\n"
 
 
+def one_reply_origin(head: bytes, body: bytes) -> str:
+    """A bare-socket origin that answers one request with `head`, a blank line and `body`."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve() -> None:
+        with listener, listener.accept()[0] as sock:
+            sock.recv(65536)  # the request head, sent in one write
+            try:
+                sock.sendall(head + b"\r\n" + body)
+            except OSError:  # the proxy stopped reading at the cap
+                pass
+
+    threading.Thread(target=serve, daemon=True).start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}/"
+
+
+class TestReplyBodyCap:
+    """The one body bound, kit.MAX_BODY_BYTES, also caps upstream replies."""
+
+    FRAMINGS = {
+        "content-length": lambda size: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n" % size,
+        "close-delimited": lambda size: b"HTTP/1.1 200 OK\r\nConnection: close\r\n",
+    }
+
+    @pytest.mark.parametrize("framing", sorted(FRAMINGS))
+    def test_reply_one_byte_over_the_cap_is_a_502(self, proxy, framing):
+        size = psvc.kit.MAX_BODY_BYTES + 1
+        url = one_reply_origin(self.FRAMINGS[framing](size), b"x" * size)
+        status, _, body = via(proxy(), "GET", url)
+        assert status == 502
+        assert f"over {psvc.kit.MAX_BODY_BYTES} bytes".encode() in body
+        assert psvc.proxy._POOL.take(urlsplit(url).netloc) is None
+
+    @pytest.mark.parametrize("framing", sorted(FRAMINGS))
+    def test_reply_at_the_cap_is_relayed(self, proxy, framing):
+        size = psvc.kit.MAX_BODY_BYTES
+        url = one_reply_origin(self.FRAMINGS[framing](size), b"x" * size)
+        status, _, body = via(proxy(), "GET", url)
+        assert (status, len(body)) == (200, size)
+
+    def test_reply_shorter_than_its_content_length_is_a_502(self, proxy):
+        url = one_reply_origin(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n", b"short")
+        status, _, body = via(proxy(), "GET", url)
+        assert status == 502
+        assert b"unreadable" in body
+
+
 SRC_DIR = Path(psvc.proxy.__file__).resolve().parents[1]
 
 # A broker.psd launch: note the launch, then run the real broker.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 import threading
@@ -12,6 +13,8 @@ from urllib.parse import urlencode
 import pytest
 
 import psvc
+import psvc.demo.sp
+from psvc.cli import main
 from psvc.demo.sp import DemoSP, SPConfig
 from psvc.scenario import (
     SCENARIOS,
@@ -24,7 +27,7 @@ from psvc.scenario import (
     wait_for_file,
 )
 
-from conftest import Scripted, http_exchange
+from conftest import Scripted, header_value, http_exchange
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -34,6 +37,18 @@ def test_scenario(name):
         report = "\n".join(result.failures)
         transcript = "\n".join(result.lines)
         pytest.fail(f"{name}:\n{report}\n\ntranscript:\n{transcript}")
+
+
+def test_keep_prints_the_kept_directory(capsys):
+    assert main(["scenario", "yellow-pages", "--keep"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    kept = [line.removeprefix("  kept ") for line in lines if line.startswith("  kept ")]
+    assert len(kept) == 1
+    workdir = Path(kept[0])
+    try:
+        assert (workdir / "transcript.jsonl").is_file()
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def test_child_env_imports_the_running_package_from_any_cwd(tmp_path, monkeypatch):
@@ -141,6 +156,35 @@ def test_demo_sp_accepts_a_result_once():
         assert post_result() == 302
         assert sp.sessions == {}
         assert post_result() == 403
+    finally:
+        sp.shutdown()
+
+
+def test_demo_sp_tables_stay_bounded(monkeypatch):
+    monkeypatch.setattr(psvc.demo.sp, "MAX_TABLE_ENTRIES", 4)
+    sp = DemoSP(SPConfig(port=0))
+    sp.start()
+    try:
+        form_headers = [("Content-Type", "application/x-www-form-urlencoded")]
+        cookies = []
+        for n in range(10):
+            session = sp.new_session("/")
+            form = urlencode({"sid": session.sid, "nonce": session.nonce, "user": f"user-{n}"})
+            status, headers, _ = http_exchange(
+                sp.netloc, "POST", "/result", form_headers, form.encode()
+            )
+            assert status == 302
+            cookies.append(header_value(headers, "Set-Cookie").split(";")[0])
+            sp.new_session("/")  # an attempt that ends in an error, never at /result
+        assert len(sp.sessions) == len(sp.cookies) == 4
+
+        def front_page(cookie: str) -> tuple[int, bytes]:
+            status, _, body = http_exchange(sp.netloc, "GET", "/", [("Cookie", cookie)])
+            return status, body
+
+        status, body = front_page(cookies[-1])
+        assert status == 200 and b"authenticated as user-9" in body
+        assert front_page(cookies[0])[0] == 302
     finally:
         sp.shutdown()
 
