@@ -13,9 +13,8 @@ descriptor directory; the IP is implicitly 127.0.0.1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..kit import ENDPOINT_FILE, write_port_file
 from ..protocol import (
@@ -40,8 +39,7 @@ def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
     return write_port_file(Path(ps_dir) / ENDPOINT_FILE, port)
 
 
-@dataclass(frozen=True)
-class BrokerReply:
+class BrokerReply(NamedTuple):
     """One 313 reply: where to go next and what to carry there."""
 
     location: str

@@ -19,8 +19,9 @@ from __future__ import annotations
 import fnmatch
 import json
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +45,7 @@ def _host_matches(sp_host: str, patterns: tuple[str, ...]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     mode: str
     hosts: tuple[str, ...] = ()
 
@@ -56,12 +56,11 @@ class _Rule:
         return hit if self.mode == MODE_WHITELIST else not hit
 
 
-@dataclass(frozen=True)
-class AccessPolicy:
+class AccessPolicy(NamedTuple):
     """Per-SP visibility rules with per-service overrides."""
 
-    default: _Rule = field(default_factory=lambda: _Rule(MODE_ALLOW_ALL))
-    overrides: dict[str, _Rule] = field(default_factory=dict)
+    default: _Rule = _Rule(MODE_ALLOW_ALL)
+    overrides: Mapping[str, _Rule] = MappingProxyType({})  # shared, so read-only
 
     def allows(self, sp_host: str, descriptor_id: str) -> bool:
         """May this SP see and use this service?"""
@@ -86,7 +85,7 @@ def load_policy(ps_dir: Path | str) -> AccessPolicy:
         return AccessPolicy()
     try:
         doc = json.loads(path.read_text("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise PolicyError(f"cannot read {path.name}: {exc}") from None
     if not isinstance(doc, dict):
         raise PolicyError(f"{path.name}: top level must be an object")

@@ -16,7 +16,6 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from ..kit import allocate_port, stop_process
@@ -48,14 +47,14 @@ def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Pop
             time.sleep(_POLL_INTERVAL_S)
 
 
-@dataclass
 class RuntimeRecord:
     """Live state the broker keeps for one descriptor."""
 
-    descriptor_id: str
-    proc: subprocess.Popen | None = None
-    port: int | None = None
-    launch_count: int = 0
+    def __init__(self, descriptor_id: str) -> None:
+        self.descriptor_id = descriptor_id
+        self.proc: subprocess.Popen | None = None
+        self.port: int | None = None
+        self.launch_count = 0
 
 
 class ServiceLauncher:

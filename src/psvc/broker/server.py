@@ -31,7 +31,7 @@ from ..protocol import (
     decode_white_query,
     decode_yellow_query,
 )
-from ..transcript import SERVE, SPAWN, Transcript
+from ..transcript import SPAWN
 from .core import Broker, BrokerReply, write_endpoint_file
 from .runtime import ServiceLauncher
 
@@ -47,11 +47,10 @@ class BrokerServer(ServiceServer):
         handle_max_age_s: float | None = None,
     ):
         self.ps_dir = Path(ps_dir)
-        self.transcript = Transcript.from_env("Broker")
         launcher = ServiceLauncher(on_spawn=self._on_spawn)
         self.broker = Broker(self.ps_dir, handle_max_age_s=handle_max_age_s, launcher=launcher)
         # Bound and listening by now, so a reader of broker.ept can connect.
-        super().__init__(("127.0.0.1", port), self._handle)
+        super().__init__(("127.0.0.1", port), self._handle, "Broker")
         write_endpoint_file(self.ps_dir, self.port)
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
@@ -61,31 +60,22 @@ class BrokerServer(ServiceServer):
     def endpoint(self) -> str:
         return f"127.0.0.1:{self.port}"
 
-    def _reply(self, reply: BrokerReply, path: str, svc_tag: str | None) -> KitResponse:
-        # Log before the bytes leave: the caller reacts the moment it has
-        # them, and transcript order must reflect causality.
-        self.transcript.emit(
-            SERVE,
-            "HEAD",
-            path,
-            BROKER_RESULT,
-            loc=reply.location,
-            svc=svc_tag if reply.error is None else None,
-            err=reply.error,
-        )
+    @staticmethod
+    def _reply(reply: BrokerReply, svc_tag: str | None) -> KitResponse:
         headers = [("Location", reply.location)]
         if reply.service is not None:
             headers.append((H_SERVICE, reply.service))
         if reply.error is not None:
             headers.append((H_ERROR, reply.error))
-        return KitResponse(BROKER_RESULT, tuple(headers))
+        svc = svc_tag if reply.error is None else None
+        note = {"loc": reply.location, "svc": svc, "err": reply.error}
+        return KitResponse(BROKER_RESULT, tuple(headers), note=note)
 
     def _handle(self, request: KitRequest) -> KitResponse:
         if request.method == "POST":
             if request.path != "/reload":
                 return KitResponse.text("unknown path\n", 404)
             catalog = self.broker.reload_catalog()
-            self.transcript.emit(SERVE, "POST", "/reload", 200)
             return KitResponse.text(f"catalog reloaded: {len(catalog)} services\n")
         if request.method != "HEAD":
             return KitResponse.text("use HEAD for broker calls\n", 405)
@@ -95,26 +85,28 @@ class BrokerServer(ServiceServer):
         sp_host = header_value(request.headers, "Referer")
         if request.path == "/resolve":
             ref = request.query.get("ref", "")
+            if not (ref.isascii() and ref.isprintable()):
+                ref = ""  # Location echoes it, and a header line cannot carry it
             if not service or not sp_host or not ref:
                 reply = BrokerReply(location=f":{ref}", error=ERR_PARAMETERS)
-                return self._reply(reply, request.target, None)
+                return self._reply(reply, None)
             reply = self.broker.resolve_handle(service, sp_host, ref)
-            return self._reply(reply, request.target, "endpoint")
+            return self._reply(reply, "endpoint")
 
         if request.path not in ("/yellow", "/white"):
             return KitResponse.text("unknown path\n", 404)
         if not service or not callback or not sp_host:
             reply = BrokerReply(location=callback or ":", error=ERR_PARAMETERS)
-            return self._reply(reply, request.path, None)
+            return self._reply(reply, None)
         try:
             if request.path == "/yellow":
                 reply = self.broker.serve_yellow(decode_yellow_query(service), sp_host, callback)
-                return self._reply(reply, request.path, f"names[{reply.names}]")
+                return self._reply(reply, f"names[{reply.names}]")
             reply = self.broker.serve_white(decode_white_query(service), sp_host, callback)
-            return self._reply(reply, request.path, "handle")
+            return self._reply(reply, "handle")
         except MalformedDirective:
             reply = BrokerReply(location=callback, error=ERR_PARAMETERS)
-            return self._reply(reply, request.path, None)
+            return self._reply(reply, None)
 
     def shutdown(self) -> None:
         super().shutdown()

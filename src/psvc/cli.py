@@ -107,17 +107,19 @@ def _cmd_demo_sp(args: argparse.Namespace) -> int:
     if args.fault and args.fault not in FAULTS:
         print(f"unknown fault {args.fault!r}; known: {', '.join(FAULTS)}", file=sys.stderr)
         return 2
+    queries = {
+        name: json.loads(text)
+        for name, text in (("wp_query", args.wp_query), ("yp_query", args.yp_query))
+        if text
+    }
     config = SPConfig(
         host=host,
         port=port,
         fault=args.fault,
         invoke_extra_headers=extra_headers,
         invoke_extra_body=extra_body,
+        **queries,
     )
-    if args.wp_query:
-        config.wp_query = json.loads(args.wp_query)
-    if args.yp_query:
-        config.yp_query = json.loads(args.yp_query)
     sp = DemoSP(config)
     print(f"demo SP at {sp.netloc}", flush=True)
     return _serve_until_signal(sp, args.port_file)

@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 
 from ..kit import (
-    H_ERROR,
     BootstrapError,
     KitRequest,
     KitResponse,
@@ -32,7 +31,6 @@ from ..kit import (
     header_value,
     sp_return_page,
 )
-from ..transcript import SERVE, Transcript
 
 USER = "demo-user"
 DEVICE = "Portuguese eID"
@@ -63,7 +61,6 @@ def _new_sid() -> str:
 class MockAuthService:
     def __init__(self, port: int) -> None:
         self.port = port
-        self.transcript = Transcript.from_env("Service")
         self._dialogs: dict[str, dict[str, str]] = {}
         self._lock = threading.Lock()
 
@@ -88,19 +85,10 @@ class MockAuthService:
 
     def handle(self, request: KitRequest) -> KitResponse:
         if request.method == "GET" and request.path == "/auth":
-            response = self._auth(request)
-        elif request.method == "POST" and request.path == "/confirm":
-            response = self._confirm(request)
-        else:
-            response = KitResponse.text("no such page\n", status=404)
-        self.transcript.emit(
-            SERVE,
-            request.method,
-            request.target,
-            response.status,
-            in_err=header_value(request.headers, H_ERROR),
-        )
-        return response
+            return self._auth(request)
+        if request.method == "POST" and request.path == "/confirm":
+            return self._confirm(request)
+        return KitResponse.text("no such page\n", status=404)
 
     def _auth(self, request: KitRequest) -> KitResponse:
         if not detect_psvc_invocation(dict(request.headers)):
@@ -140,7 +128,7 @@ def main(argv: list[str]) -> int:
         print(f"cannot start: {exc}", flush=True)
         return 2
     server = ServiceServer(
-        (context.bind_address, context.port), MockAuthService(context.port).handle
+        (context.bind_address, context.port), MockAuthService(context.port).handle, "Service"
     )
     try:
         server.serve_forever()

@@ -22,8 +22,7 @@ import logging
 import secrets
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 from urllib.parse import quote
 
 from ..kit import KitRequest, KitResponse, ServiceServer, header_value
@@ -41,7 +40,6 @@ from ..protocol import (
     decode_broker_result,
     speaks_version,
 )
-from ..transcript import SERVE, Transcript
 
 log = logging.getLogger(__name__)
 
@@ -62,20 +60,18 @@ FAULTS = (FAULT_MALFORMED_311, FAULT_TAMPER_HANDLE)
 MAX_TABLE_ENTRIES = 4096
 
 
-@dataclass
-class SPConfig:
+class SPConfig(NamedTuple):
     host: str = "127.0.0.1"
     port: int = 8080
-    wp_query: dict[str, Any] = field(default_factory=lambda: dict(DEFAULT_WP_QUERY))
-    yp_query: dict[str, Any] = field(default_factory=lambda: dict(DEFAULT_YP_QUERY))
+    wp_query: dict[str, Any] = DEFAULT_WP_QUERY  # shared defaults: never mutated
+    yp_query: dict[str, Any] = DEFAULT_YP_QUERY
     fault: str | None = None
     # Extra headers/body attached to the 312, carried to the service.
     invoke_extra_headers: tuple[tuple[str, str], ...] = ()
     invoke_extra_body: bytes = b""
 
 
-@dataclass
-class _Session:
+class _Session(NamedTuple):
     sid: str
     nonce: str
     next_url: str
@@ -95,11 +91,17 @@ def _put_bounded(table: OrderedDict, key: str, value) -> None:
         table.popitem(last=False)
 
 
-def _page(title: str, body: str) -> bytes:
-    return (
+def _html(status: int, title: str, body: str, **note) -> KitResponse:
+    """A page; `note` goes on the response's SERVE event."""
+    page = (
         f"<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
         f"<title>{title}</title></head>\n<body>{body}</body></html>\n"
-    ).encode("utf-8")
+    )
+    return KitResponse.html(page, status, **note)
+
+
+def _redirect(to: str) -> KitResponse:
+    return KitResponse(302, (("Location", to),), note={"loc": to})
 
 
 class DemoSP(ServiceServer):
@@ -107,7 +109,6 @@ class DemoSP(ServiceServer):
 
     def __init__(self, config: SPConfig):
         self.config = config
-        self.transcript = Transcript.from_env("SP")
         self.sessions: OrderedDict[str, _Session] = OrderedDict()
         self.cookies: OrderedDict[str, str] = OrderedDict()  # token -> user
         self.lock = threading.Lock()
@@ -121,7 +122,7 @@ class DemoSP(ServiceServer):
             ("POST", "/invoke-error"): self._invoke_error,
             ("POST", "/result"): self._result,
         }
-        super().__init__((config.host, config.port), self._handle)
+        super().__init__((config.host, config.port), self._handle, "SP")
 
     @property
     def netloc(self) -> str:
@@ -177,62 +178,23 @@ class DemoSP(ServiceServer):
             return KitResponse.text(f"unsupported method {request.method}\n", 501)
         route = self._routes.get((request.method, request.path))
         if route is None:
-            return self._html(request, 404, "Not found", "<p>no such page</p>")
+            return _html(404, "Not found", "<p>no such page</p>")
         return route(request)
-
-    def _finish(
-        self,
-        request: KitRequest,
-        status: int,
-        headers: list[tuple[str, str]],
-        body: bytes = b"",
-        **detail,
-    ) -> KitResponse:
-        # Log before the bytes leave so transcript order follows causality.
-        self.transcript.emit(
-            SERVE,
-            request.method,
-            request.target,
-            status,
-            in_err=header_value(request.headers, H_ERROR),
-            **detail,
-        )
-        return KitResponse(status, tuple(headers), body)
-
-    def _html(
-        self, request: KitRequest, status: int, title: str, markup: str, **detail
-    ) -> KitResponse:
-        return self._finish(
-            request,
-            status,
-            [("Content-Type", "text/html; charset=utf-8")],
-            _page(title, markup),
-            **detail,
-        )
-
-    def _redirect(self, request: KitRequest, to: str) -> KitResponse:
-        return self._finish(request, 302, [("Location", to)], loc=to)
 
     # -- routes -------------------------------------------------------------
 
     def _front(self, request: KitRequest) -> KitResponse:
         user = self.user_for_cookie(header_value(request.headers, "Cookie"))
         if user is None:
-            return self._redirect(request, self.absolute("/login?next=/"))
-        return self._html(
-            request,
-            200,
-            "Members area",
-            f"<h1>Members area</h1><p>authenticated as {user}</p>",
-        )
+            return _redirect(self.absolute("/login?next=/"))
+        return _html(200, "Members area", f"<h1>Members area</h1><p>authenticated as {user}</p>")
 
     def _login(self, request: KitRequest) -> KitResponse:
         next_url = request.query.get("next", "/")
         if self.user_for_cookie(header_value(request.headers, "Cookie")) is not None:
-            return self._redirect(request, self.absolute(next_url))
+            return _redirect(self.absolute(next_url))
         if not speaks_version(header_value(request.headers, H_VERSION)):
-            return self._html(
-                request,
+            return _html(
                 200,
                 "Sign in",
                 "<p>this site signs users in through a personal service, "
@@ -242,37 +204,29 @@ class DemoSP(ServiceServer):
         headers = [(H_CALLBACK, self.absolute(f"/wp-callback?sid={session.sid}"))]
         if self.config.fault != FAULT_MALFORMED_311:
             headers.insert(0, (H_SERVICE, json.dumps(self.config.wp_query)))
-        return self._finish(request, WHITE_PAGES, headers, svc="query")
+        return KitResponse(WHITE_PAGES, tuple(headers), note={"svc": "query"})
 
     def _discover(self, request: KitRequest) -> KitResponse:
         if not speaks_version(header_value(request.headers, H_VERSION)):
-            return self._html(
-                request, 200, "Discovery", "<p>client announces no redirection support</p>"
-            )
+            return _html(200, "Discovery", "<p>client announces no redirection support</p>")
         headers = [
             (H_SERVICE, json.dumps(self.config.yp_query)),
             (H_CALLBACK, self.absolute("/yp-callback")),
         ]
-        return self._finish(request, YELLOW_PAGES, headers, svc="query")
+        return KitResponse(YELLOW_PAGES, tuple(headers), note={"svc": "query"})
 
     def _evil313(self, request: KitRequest) -> KitResponse:
         target = request.query.get("to") or "http://127.0.0.1:9/"
-        return self._finish(
-            request, BROKER_RESULT, [("Location", target), (H_SERVICE, "forged")], loc=target
-        )
+        headers = (("Location", target), (H_SERVICE, "forged"))
+        return KitResponse(BROKER_RESULT, headers, note={"loc": target})
 
     def _wp_callback(self, request: KitRequest) -> KitResponse:
         session = self.session(request.query.get("sid"))
         if session is None:
-            return self._html(request, 403, "Unknown session", "<p>no such sign-in attempt</p>")
+            return _html(403, "Unknown session", "<p>no such sign-in attempt</p>")
         error = header_value(request.headers, H_ERROR)
         if error:
-            return self._html(
-                request,
-                200,
-                "Sign-in unavailable",
-                f"<p>authentication unavailable: {error}</p>",
-            )
+            return _html(200, "Sign-in unavailable", f"<p>authentication unavailable: {error}</p>")
         raw = header_value(request.headers, H_SERVICE)
         envelope = None
         if raw:
@@ -281,8 +235,7 @@ class DemoSP(ServiceServer):
             except ValueError as exc:
                 log.warning("unusable broker result: %s", exc)
         if envelope is None or not isinstance(envelope.response, dict):
-            return self._html(
-                request,
+            return _html(
                 200,
                 "Sign-in unavailable",
                 "<p>authentication unavailable: no personal service found</p>",
@@ -302,17 +255,15 @@ class DemoSP(ServiceServer):
             (H_CALLBACK, self.absolute(f"/invoke-error?sid={session.sid}")),
         ]
         headers.extend(self.config.invoke_extra_headers)
-        return self._finish(
-            request, SERVICE_CALL, headers, self.config.invoke_extra_body, svc="handle"
+        return KitResponse(
+            SERVICE_CALL, tuple(headers), self.config.invoke_extra_body, note={"svc": "handle"}
         )
 
     def _yp_callback(self, request: KitRequest) -> KitResponse:
         raw = header_value(request.headers, H_SERVICE)
         error = header_value(request.headers, H_ERROR)
         if error or not raw:
-            return self._html(
-                request, 200, "Discovery", f"<p>listing failed: {error or 'no result'}</p>"
-            )
+            return _html(200, "Discovery", f"<p>listing failed: {error or 'no result'}</p>")
         try:
             envelope = decode_broker_result(raw)
             names = envelope.response if isinstance(envelope.response, list) else []
@@ -321,8 +272,7 @@ class DemoSP(ServiceServer):
         items = "".join(
             f"<li>{json.dumps(name, ensure_ascii=False)}</li>" for name in names
         )
-        return self._html(
-            request,
+        return _html(
             200,
             "Discovery",
             f"<p>{len(names)} service(s) available</p><ul>{items}</ul>",
@@ -331,28 +281,14 @@ class DemoSP(ServiceServer):
 
     def _invoke_error(self, request: KitRequest) -> KitResponse:
         error = header_value(request.headers, H_ERROR) or "unknown"
-        return self._html(
-            request,
-            200,
-            "Sign-in failed",
-            f"<p>authentication failed: {error}</p>",
-        )
+        return _html(200, "Sign-in failed", f"<p>authentication failed: {error}</p>")
 
     def _result(self, request: KitRequest) -> KitResponse:
         form = request.form()
         session = self.take_session(form.get("sid"), form.get("nonce"))
         if session is None:
-            return self._html(
-                request, 403, "Rejected", "<p>result does not match any sign-in attempt</p>"
-            )
+            return _html(403, "Rejected", "<p>result does not match any sign-in attempt</p>")
         token = self.issue_cookie(form.get("user", "someone"))
-        return self._finish(
-            request,
-            302,
-            [
-                ("Set-Cookie", f"{COOKIE_NAME}={token}; Path=/"),
-                ("Location", self.absolute(session.next_url)),
-            ],
-            loc=self.absolute(session.next_url),
-            setcookie=1,
-        )
+        to = self.absolute(session.next_url)
+        headers = (("Set-Cookie", f"{COOKIE_NAME}={token}; Path=/"), ("Location", to))
+        return KitResponse(302, headers, note={"loc": to, "setcookie": 1})

@@ -6,7 +6,7 @@ it at launch).  The kit turns that convention into a context, spots
 proxy-built invocations, and renders the page that hands
 results back to the SP via an auto-submitting POST form.  Its
 one-handler-function server is also what broker, proxy and demo SP
-serve on.
+serve on, and it logs every request it serves to the transcript.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
@@ -27,8 +27,11 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from socketserver import TCPServer
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs, urlsplit
+
+from .transcript import SERVE, Transcript
 
 if TYPE_CHECKING:
     import subprocess
@@ -232,18 +235,20 @@ class KitResponse(NamedTuple):
     headers: tuple[tuple[str, str], ...] = ()
     body: bytes = b""
     reason: str | None = None  # None: the PSvc phrase for 31x, else the standard one
+    note: Mapping[str, Any] = MappingProxyType({})  # extra fields of its SERVE event
 
     @classmethod
-    def html(cls, markup: bytes | str, status: int = 200) -> "KitResponse":
+    def html(cls, markup: bytes | str, status: int = 200, **note: Any) -> "KitResponse":
         body = markup.encode("utf-8") if isinstance(markup, str) else markup
-        return cls(status, (("Content-Type", "text/html; charset=utf-8"),), body)
+        return cls(status, (("Content-Type", "text/html; charset=utf-8"),), body, note=note)
 
     @classmethod
-    def text(cls, message: str, status: int = 200) -> "KitResponse":
+    def text(cls, message: str, status: int = 200, **note: Any) -> "KitResponse":
         return cls(
             status,
             (("Content-Type", "text/plain; charset=utf-8"),),
             message.encode("utf-8"),
+            note=note,
         )
 
 
@@ -306,7 +311,10 @@ class ServiceServer:
     It binds in the constructor, so the port is known (and can be
     published) before serving starts.  Every request method reaches the
     handler, and each response goes out with Content-Length once the
-    handler returns, so an event the handler logs precedes the bytes.
+    handler returns.  Every response, the refusals below included, is
+    logged as one SERVE event of ``actor`` before its bytes leave: a
+    peer reacts the moment it has them, and transcript order must follow
+    causality.  The party's own events go to ``self.transcript`` too.
     Status line, headers and body are buffered and sent in one write
     (two for a response over the 8 KiB buffer).
 
@@ -324,7 +332,11 @@ class ServiceServer:
     unread body is never parsed as the next request.
     """
 
-    def __init__(self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse]):
+    def __init__(
+        self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse], actor: str
+    ):
+        self.transcript = transcript = Transcript.from_env(actor)
+
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             timeout = KEEPALIVE_IDLE_S
@@ -345,6 +357,8 @@ class ServiceServer:
 
             def _send(self, response: KitResponse) -> None:
                 status = response.status
+                transcript.emit(SERVE, self.command, self.path, status,
+                                in_err=self.headers.get(H_ERROR), **response.note)
                 self.send_response_only(status, response.reason or REASON_PHRASES.get(status))
                 for key, value in response.headers:
                     self.send_header(key, value)
@@ -383,7 +397,11 @@ class ServiceServer:
                 if length > MAX_BODY_BYTES:
                     self._refuse(f"request body over {MAX_BODY_BYTES} bytes\n", 413)
                     return
-                parts = urlsplit(self.path)
+                try:
+                    parts = urlsplit(self.path)
+                except ValueError:  # an unbalanced IPv6 bracket
+                    self._refuse("malformed request target\n", 400)
+                    return
                 request = KitRequest(
                     method=self.command,
                     target=self.path,

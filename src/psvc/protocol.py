@@ -37,8 +37,7 @@ subset of the name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 # A spawned service needs these, and loads psvc.kit without this module.
 from .kit import (
@@ -70,6 +69,11 @@ ERROR_CODES = frozenset({ERR_PARAMETERS, ERR_AMBIGUOUS, ERR_HANDLE, ERR_SERVICE}
 OP_YELLOW = "Yellow Pages"
 OP_WHITE = "White Pages"
 
+# Lists and objects in a query nest at most this deep.  The envelope
+# that carries a query back nests it deeper still, so one that barely
+# decodes may not encode.
+MAX_QUERY_DEPTH = 32
+
 # Directive headers are consumed by the client machinery; everything else
 # in a 31x response is carried verbatim to the personal service.
 _DIRECTIVE_HEADERS = frozenset(
@@ -81,8 +85,7 @@ class MalformedDirective(ValueError):
     """A 310/311/312 response whose PSvc headers cannot be used."""
 
 
-@dataclass(frozen=True)
-class PsvcDirective:
+class PsvcDirective(NamedTuple):
     """Parsed 310/311/312 response, ready for the proxy to act on."""
 
     kind: int
@@ -96,8 +99,7 @@ class PsvcDirective:
     carried_body: bytes = b""
 
 
-@dataclass(frozen=True)
-class BrokerResult:
+class BrokerResult(NamedTuple):
     """Envelope a broker returns for a yellow- or white-pages call."""
 
     operation: str
@@ -107,8 +109,17 @@ class BrokerResult:
     response: list[dict[str, Any]] | dict[str, Any] | None
 
 
-def _load_json_object(text: str, what: str) -> dict[str, Any]:
-    """Parse a JSON object, rejecting duplicate keys."""
+def _nested_deeper(value: Any, room: int) -> bool:
+    """True when lists and objects in `value` nest more than `room` levels."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return False
+    return room == 0 or any(_nested_deeper(item, room - 1) for item in value)
+
+
+def _load_json_object(text: str, what: str, max_depth: int | None = None) -> dict[str, Any]:
+    """Parse a JSON object, rejecting duplicate keys and, given max_depth, deeper nesting."""
 
     def no_dupes(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         obj: dict[str, Any] = {}
@@ -120,16 +131,20 @@ def _load_json_object(text: str, what: str) -> dict[str, Any]:
 
     try:
         parsed = json.loads(text, object_pairs_hook=no_dupes)
-    except json.JSONDecodeError as exc:
+    except MalformedDirective:
+        raise
+    except (ValueError, RecursionError) as exc:  # a number over 4,300 digits is a ValueError
         raise MalformedDirective(f"{what}: invalid JSON: {exc}") from None
     if not isinstance(parsed, dict):
         raise MalformedDirective(f"{what}: expected a JSON object")
+    if max_depth is not None and _nested_deeper(parsed, max_depth):
+        raise MalformedDirective(f"{what}: nested deeper than {max_depth} levels")
     return parsed
 
 
 def decode_yellow_query(text: str) -> YellowQuery:
     """Parse a yellow query: a JSON object with exactly one attribute."""
-    obj = _load_json_object(text, "yellow query")
+    obj = _load_json_object(text, "yellow query", MAX_QUERY_DEPTH)
     if len(obj) != 1:
         raise MalformedDirective("yellow query must hold exactly one attribute")
     attribute, value = next(iter(obj.items()))
@@ -138,7 +153,7 @@ def decode_yellow_query(text: str) -> YellowQuery:
 
 def decode_white_query(text: str) -> dict[str, Any]:
     """Parse a white query: a non-empty JSON object of attributes."""
-    obj = _load_json_object(text, "white query")
+    obj = _load_json_object(text, "white query", MAX_QUERY_DEPTH)
     if not obj:
         raise MalformedDirective("white query must not be empty")
     return obj
@@ -149,7 +164,7 @@ def decode_handle_payload(text: str) -> str:
     or an object {"handle": ...}."""
     try:
         parsed = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         raise MalformedDirective("service call: handle payload is not JSON") from None
     if isinstance(parsed, dict):
         parsed = parsed.get("handle")

@@ -11,8 +11,8 @@ and runs the broker conversation the browser cannot:
              the directive's method, the endpoint plus PSvc-Parameters,
              every carried header, the body byte for byte, plus
              ``Referer`` naming the SP and ``PSvc-Invocation: 1``
-    313      honored only when the sending connection is the configured
-             broker endpoint; anyone else gets refused
+    313      honored only as the broker's answer to the proxy's own
+             HEAD; one in the response chain is refused, whoever sent it
 
 Responses chain (a callback POST may yield a 312, an invocation may
 yield another redirection) up to a bounded depth.  A broker that cannot
@@ -33,9 +33,9 @@ import socket
 import subprocess
 import threading
 import time
-from dataclasses import dataclass
 from http.client import HTTPConnection, HTTPException, HTTPResponse, IncompleteRead
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .kit import (
@@ -72,7 +72,7 @@ from .protocol import (
     parse_directive,
 )
 from .registry import BROKER_DESCRIPTOR, DESCRIPTOR_SUFFIX, DescriptorError, validate_descriptor
-from .transcript import RECV, SEND, SERVE, Transcript
+from .transcript import RECV, SEND
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,7 @@ class BrokerUnreachable(Exception):
     """No broker answered, and none could be launched."""
 
 
-@dataclass(frozen=True)
-class UpstreamResponse:
+class UpstreamResponse(NamedTuple):
     """A fully-read upstream response plus where it came from."""
 
     status: int
@@ -281,11 +280,6 @@ def send_request(
     )
 
 
-def _read_313(reply: UpstreamResponse) -> tuple[str | None, str | None, str | None]:
-    """What a broker's 313 carries: its Location, PSvc-Service and PSvc-Error."""
-    return tuple(header_value(reply.headers, name) for name in ("Location", H_SERVICE, H_ERROR))
-
-
 class BrokerLink:
     """Calls the user's broker where broker.ept says it is.
 
@@ -403,8 +397,7 @@ class PersonalServiceProxy(ServiceServer):
 
     def __init__(self, ps_dir: Path | str, address: tuple[str, int] = DEFAULT_LISTEN):
         self.broker = BrokerLink(ps_dir)
-        self.transcript = Transcript.from_env("Proxy")
-        super().__init__(address, self._handle)
+        super().__init__(address, self._handle, "Proxy")
 
     @property
     def address(self) -> str:
@@ -423,14 +416,12 @@ class PersonalServiceProxy(ServiceServer):
         try:
             final = self.handle_transaction(request.method, url, list(request.headers), request.body)
         except Diagnostic as diag:
-            self.transcript.emit(SERVE, request.method, url, diag.status, diag=diag.reason)
-            return KitResponse.text(diag.reason + "\n", diag.status)
+            return KitResponse.text(diag.reason + "\n", diag.status, diag=diag.reason)
         headers = [
             (k, v)
             for k, v in strip_hop_by_hop(list(final.headers))
             if k.lower() != "content-length"
         ]
-        self.transcript.emit(SERVE, request.method, url, final.status)
         return KitResponse(final.status, tuple(headers), final.body, final.reason)
 
     def handle_transaction(
@@ -440,8 +431,15 @@ class PersonalServiceProxy(ServiceServer):
         response = self._forward(method, url, headers, body)
         for _ in range(MAX_CHAIN):
             if response.status == BROKER_RESULT:
-                response = self._follow_broker_result(response)
-                continue
+                # The broker answers only the proxy's own HEADs, which
+                # _ask_broker reads; a 313 in the response chain is forged.
+                self.transcript.emit(
+                    RECV, "?", "313", response.status, origin=response.origin, action="rejected"
+                )
+                log.warning("refusing 313 from %s", response.origin)
+                raise Diagnostic(
+                    502, "refused a broker-result redirection from a non-broker source"
+                )
             if response.status not in (YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL):
                 return response
             try:
@@ -499,7 +497,9 @@ class PersonalServiceProxy(ServiceServer):
         """
         self.transcript.emit(SEND, "HEAD", path, svc=tag)
         reply = self.broker.call(path, headers)
-        location, service, error = _read_313(reply)
+        location, service, error = (
+            header_value(reply.headers, name) for name in ("Location", H_SERVICE, H_ERROR)
+        )
         self.transcript.emit(
             RECV, "HEAD", path.partition("?")[0], reply.status,
             origin=reply.origin, loc=location, err=error,
@@ -579,21 +579,6 @@ class PersonalServiceProxy(ServiceServer):
             SEND, directive.method, url, referer=sp_host, svc="invocation"
         )
         return send_request(directive.method, url, headers, directive.carried_body)
-
-    def _follow_broker_result(self, response: UpstreamResponse) -> UpstreamResponse:
-        """313s are only obeyed when the broker itself sent them."""
-        broker_at = self.broker.endpoint_or_none()
-        broker_netloc = f"{broker_at[0]}:{broker_at[1]}" if broker_at else None
-        if broker_netloc is None or response.origin != broker_netloc:
-            self.transcript.emit(
-                RECV, "?", "313", response.status, origin=response.origin, action="rejected"
-            )
-            log.warning("refusing 313 from %s (broker is %s)", response.origin, broker_netloc)
-            raise Diagnostic(502, "refused a broker-result redirection from a non-broker source")
-        location, service, error = _read_313(response)
-        if (location or "").startswith(":"):
-            raise Diagnostic(502, "broker result referenced a call this proxy never made")
-        return self._post_to_sp(location or "", service=service, error=error)
 
     def shutdown(self) -> None:
         super().shutdown()

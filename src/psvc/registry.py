@@ -28,9 +28,8 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +49,7 @@ class CatalogDirError(OSError):
     """The descriptor directory is missing or unreadable."""
 
 
-@dataclass(frozen=True)
-class ServiceDescriptor:
+class ServiceDescriptor(NamedTuple):
     """One catalog entry: identity, how to reach it, and its name."""
 
     descriptor_id: str
@@ -68,9 +66,8 @@ class ServiceDescriptor:
 ValueKey = tuple[str, str]
 
 
-@dataclass(frozen=True)
 class Catalog:
-    """Immutable snapshot of one descriptor directory.
+    """Snapshot of one descriptor directory, never changed once built.
 
     ``entries`` is ordered by descriptor id (load_catalog sorts once), and
     the matchers list hits in that order.  ``by_value`` is derived from
@@ -78,17 +75,18 @@ class Catalog:
     value.casefold())`` to the descriptors whose presentation has that
     string value, in entry order, each descriptor at most once per bucket
     even when two of its attribute names differ only in case.
+    ``diagnostics`` holds (file name, reason) for every file skipped.
     """
 
-    source_dir: Path
-    entries: dict[str, ServiceDescriptor]
-    # (file name, reason) for every file that was skipped
-    diagnostics: tuple[tuple[str, str], ...] = ()
-    by_value: dict[ValueKey, tuple[ServiceDescriptor, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        source_dir: Path,
+        entries: dict[str, ServiceDescriptor],
+        diagnostics: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self.source_dir = source_dir
+        self.entries = entries
+        self.diagnostics = diagnostics
         buckets: dict[ValueKey, list[ServiceDescriptor]] = {}
         for desc in self.entries.values():
             for attr, value in desc.presentation.items():
@@ -100,8 +98,7 @@ class Catalog:
                 # Descriptors arrive in order, so a repeat can only be the last one.
                 if not bucket or bucket[-1] is not desc:
                     bucket.append(desc)
-        index = {key: tuple(bucket) for key, bucket in buckets.items()}
-        object.__setattr__(self, "by_value", index)
+        self.by_value = {key: tuple(bucket) for key, bucket in buckets.items()}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -111,8 +108,7 @@ class Catalog:
         return self.by_value.get((attribute.casefold(), value.casefold()), ())
 
 
-@dataclass(frozen=True)
-class YellowQuery:
+class YellowQuery(NamedTuple):
     """Single presentation attribute queried case-insensitively."""
 
     attribute: str
@@ -178,7 +174,7 @@ def validate_descriptor(
             raise DescriptorError("json", f"not UTF-8: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a number over 4,300 digits is a ValueError
         raise DescriptorError("json", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DescriptorError("shape", "top level must be a JSON object")

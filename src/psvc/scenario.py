@@ -26,12 +26,11 @@ import tempfile
 import time
 import traceback
 from base64 import b64encode
-from dataclasses import dataclass
 from difflib import unified_diff
 from html.parser import HTMLParser
 from http.client import HTTPConnection
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 from urllib.parse import quote, urlencode, urljoin, urlsplit
 
 from .kit import (
@@ -173,7 +172,7 @@ class Victim(ServiceServer):
 
     def __init__(self) -> None:
         self.hits: list[tuple[str, str]] = []
-        super().__init__(("127.0.0.1", 0), self._hit)
+        super().__init__(("127.0.0.1", 0), self._hit, "Victim")
         self.netloc = f"127.0.0.1:{self.port}"
         self.start()
 
@@ -213,8 +212,7 @@ class _FormScraper(HTMLParser):
             self._current = None
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(NamedTuple):
     """The response a browser request ended at, after any redirects."""
 
     status_code: int
@@ -293,8 +291,7 @@ class Browser:
 # -- scenario context --------------------------------------------------------
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     name: str
     passed: bool
     failures: list[str]

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import random
+import string
 import threading
 import time
 from http.client import HTTPConnection
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psvc.broker.handles
 import psvc.broker.runtime
@@ -298,6 +302,12 @@ class TestAccessPolicy:
         ],
     )
     def test_unusable_policy_file(self, tmp_path, doc):
+        (tmp_path / "policy.json").write_text(doc, "utf-8")
+        with pytest.raises(PolicyError):
+            load_policy(tmp_path)
+
+    def test_deeply_nested_policy_file(self, tmp_path):
+        doc = '{"hosts": ' + "[" * 5000 + "]" * 5000 + "}"
         (tmp_path / "policy.json").write_text(doc, "utf-8")
         with pytest.raises(PolicyError):
             load_policy(tmp_path)
@@ -645,6 +655,23 @@ class TestBrokerHTTP:
         assert status == BROKER_RESULT
         assert header_value(headers, H_ERROR) == ERR_PARAMETERS
 
+    @pytest.mark.parametrize("path", ["/yellow", "/white"])
+    def test_deeply_nested_query_is_parameters_error(self, live_broker, path):
+        # About 6 KB: json.loads gives up on it with a RecursionError.
+        nested = '{"Purpose": ' + "[" * 3000 + "]" * 3000 + "}"
+        status, headers, _ = broker_head(live_broker, path, service=nested, callback=CALLBACK)
+        assert status == BROKER_RESULT
+        assert header_value(headers, H_ERROR) == ERR_PARAMETERS
+        assert header_value(headers, "Location") == CALLBACK
+
+    @pytest.mark.parametrize("ref", ["%0D%0AX-Injected:%201", "%E2%82%AC"])
+    def test_ref_a_header_line_cannot_carry_is_not_echoed(self, live_broker, ref):
+        status, headers, _ = broker_head(live_broker, f"/resolve?ref={ref}", service="h")
+        assert status == BROKER_RESULT
+        assert header_value(headers, H_ERROR) == ERR_PARAMETERS
+        assert header_value(headers, "Location") == ":"
+        assert header_value(headers, "X-Injected") is None
+
     def test_malformed_white_query(self, live_broker):
         status, headers, _ = broker_head(
             live_broker, "/white", service="{}", callback=CALLBACK
@@ -683,3 +710,64 @@ class TestBrokerHTTP:
         )
         names = decode_broker_result(header_value(headers, H_SERVICE)).response
         assert [n["Purpose"] for n in names] == ["backup"]
+
+
+# -- fuzzing the HEAD surface --------------------------------------------------
+
+# Header values http.client can send: printable latin-1.
+HEADER_TEXT = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0xFF, blacklist_categories=("Cc",)),
+    max_size=40,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+QUERIES = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.integers(0, 3000).map(lambda depth: '{"Purpose": ' + "[" * depth + "]" * depth + "}"),
+    st.integers(4000, 5000).map(lambda digits: '{"Purpose": ' + "7" * digits + "}"),
+    HEADER_TEXT,
+)
+PATH_CHARS = string.ascii_letters + string.digits + "-._~!$&'()*+,;=:@/?%[]"
+TARGETS = st.one_of(
+    st.sampled_from(["/yellow", "/white", "/resolve"]),
+    st.text(max_size=20).map(lambda ref: "/resolve?ref=" + quote(ref, safe="")),
+    st.text(PATH_CHARS, max_size=20).map(lambda path: "/" + path),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_broker(tmp_path_factory):
+    ps_dir = tmp_path_factory.mktemp("fuzzed")
+    # Remote services only, so no resolution ever starts a process.
+    for stem, presentation in [
+        ("auth", {"Purpose": "authentication", "Device": "Portuguese eID"}),
+        ("mail", {"Purpose": "mailbox", "Tags": ["a", 1]}),
+    ]:
+        write_descriptor(ps_dir, stem, presentation, url="http://127.0.0.1:9/")
+    server = BrokerServer(ps_dir, port=0)
+    server.start()
+    yield server
+    server.shutdown()
+
+
+class TestHeadSurface:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        TARGETS,
+        st.none() | QUERIES,
+        st.none() | HEADER_TEXT,
+        st.none() | HEADER_TEXT,
+    )
+    def test_every_head_gets_a_313_or_a_404(
+        self, fuzzed_broker, target, service, callback, referer
+    ):
+        status, headers, _ = broker_head(
+            fuzzed_broker, target, service=service, callback=callback, referer=referer
+        )
+        assert status in (BROKER_RESULT, 404)
+        if status == BROKER_RESULT:
+            assert header_value(headers, "Location") is not None

@@ -1,5 +1,6 @@
 """A spawned service, the proxy, the catalog and the scenarios import only what they run,
-and no party needs a package from outside the standard library.
+no party needs a package from outside the standard library, and none loads
+``dataclasses``.
 
 Every launch on demand starts a fresh interpreter for the service, so
 each module on its import path is paid for once per launch.  Each check
@@ -82,3 +83,12 @@ def test_no_party_loads_a_third_party_package():
     assert {"psvc.broker.handles", "psvc.proxy", "psvc.demo.sp", "psvc.scenario"} <= added
     outside = {m.partition(".")[0] for m in added} - set(sys.stdlib_module_names) - {"psvc"}
     assert outside == set()
+
+
+def test_no_party_loads_dataclasses():
+    # Records are NamedTuples: dataclasses would bring inspect, ast and dis along.
+    added = added_modules(
+        "psvc.cli", "psvc.broker.server", "psvc.proxy", "psvc.demo.sp", "psvc.scenario"
+    )
+    assert "psvc.broker.server" in added
+    assert within(added, "dataclasses", "inspect", "ast", "dis") == set()

@@ -10,7 +10,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from psvc import kit
+from psvc import kit, transcript
 from psvc.kit import (
     BootstrapError,
     KitRequest,
@@ -22,7 +22,8 @@ from psvc.kit import (
     detect_psvc_invocation,
     sp_return_page,
 )
-from psvc.protocol import H_INVOCATION
+from psvc.protocol import H_ERROR, H_INVOCATION
+from psvc.transcript import SERVE, read_events
 
 from conftest import chunked_post, count_accepts, header_value, http_exchange
 
@@ -202,7 +203,7 @@ class TestServiceServer:
                 return KitResponse.text("no", status=500)
             return KitResponse.html(f"<p>{request.method} {request.path}</p>")
 
-        server = ServiceServer(("127.0.0.1", allocate_port()), handler)
+        server = ServiceServer(("127.0.0.1", allocate_port()), handler, "Test")
         server.start()
         try:
             yield server, seen
@@ -313,7 +314,7 @@ def served(monkeypatch):
             seen.append(request)
             return KitResponse.text(f"{request.method} {request.path}")
 
-        server = ServiceServer(("127.0.0.1", 0), handler)
+        server = ServiceServer(("127.0.0.1", 0), handler, "Test")
         accepts = count_accepts(server)
         server.start()
         made.append(server)
@@ -498,6 +499,45 @@ class TestOneWritePerResponse:
         assert b"\r\nConnection: close" in reply
         assert waited < 2.0
         assert seen == []
+
+    @pytest.mark.parametrize(
+        "target, head, status",
+        [
+            ("/refused", b"Content-Length: 5x\r\n", 400),
+            ("/refused", b"Transfer-Encoding: chunked\r\n", 411),
+            ("/refused", b"Content-Length: 40\r\n", 413),
+            ("http://[x/", b"", 400),
+        ],
+        ids=["malformed-400", "chunked-411", "oversized-413", "unsplittable-target-400"],
+    )
+    def test_each_refusal_leaves_one_serve_event(
+        self, served, monkeypatch, tmp_path, target, head, status
+    ):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        server, seen, _ = served(MAX_BODY_BYTES=16)
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(f"POST {target} HTTP/1.1\r\nHost: x\r\n".encode() + head + b"\r\n")
+            assert read_response(sock).startswith(f"HTTP/1.1 {status}".encode())
+        events = [(e.actor, e.direction, e.method, e.path, e.status) for e in read_events(log)]
+        assert events == [("Test", SERVE, "POST", target, status)]
+        assert seen == []
+
+    def test_served_event_carries_the_request_error_and_the_note(self, monkeypatch, tmp_path):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        server = ServiceServer(
+            ("127.0.0.1", 0), lambda request: KitResponse.text("ok", 201, loc="/x"), "Test"
+        )
+        server.start()
+        try:
+            netloc = f"127.0.0.1:{server.port}"
+            assert http_exchange(netloc, "GET", "/a?b=1", [(H_ERROR, "handle")])[0] == 201
+        finally:
+            server.shutdown()
+        (event,) = read_events(log)
+        assert event[1:6] == ("Test", SERVE, "GET", "/a?b=1", 201)
+        assert event.detail == {"in_err": "handle", "loc": "/x"}
 
     def test_malformed_request_line_gets_400(self, served):
         server, seen, _ = served()

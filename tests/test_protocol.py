@@ -18,6 +18,7 @@ from psvc.protocol import (
     H_PARAMETERS,
     H_SERVICE,
     H_VERSION,
+    MAX_QUERY_DEPTH,
     MalformedDirective,
     OP_WHITE,
     OP_YELLOW,
@@ -239,6 +240,25 @@ class TestQueryCodecs:
     def test_white_round_trip(self):
         query = {"Purpose": "authentication", "Device": "Portuguese eID"}
         assert decode_white_query(json.dumps(query)) == query
+
+    @pytest.mark.parametrize("decode", [decode_yellow_query, decode_white_query])
+    def test_nesting_is_bounded(self, decode):
+        def nested(depth: int) -> str:  # the query object is the first level
+            return '{"a": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+
+        assert decode(nested(MAX_QUERY_DEPTH))
+        for depth in (MAX_QUERY_DEPTH + 1, 985, 5000):
+            with pytest.raises(MalformedDirective):
+                decode(nested(depth))
+
+    def test_json_the_parser_gives_up_on_is_malformed(self):
+        too_long = '{"handle": ' + "7" * 5000 + "}"  # over int's 4,300-digit limit
+        too_deep = '{"handle": ' + "[" * 5000 + "]" * 5000 + "}"
+        for text in (too_long, too_deep):
+            with pytest.raises(MalformedDirective):
+                decode_yellow_query(text)
+            with pytest.raises(MalformedDirective):
+                decode_handle_payload(text)
 
     def test_handle_payload_both_forms(self):
         assert decode_handle_payload('"abc"') == "abc"

@@ -125,6 +125,15 @@ class TestValidateDescriptor:
                 check(doc)
         assert info.value.problem == problem
 
+    @pytest.mark.parametrize(
+        "value", ["[" * 5000 + "]" * 5000, "7" * 5000], ids=["deep", "long-number"]
+    )
+    def test_json_the_parser_gives_up_on_is_a_json_problem(self, value):
+        text = '{"configuration": {"cmd": ["x"]}, "presentation": {"a": ' + value + "}}"
+        with pytest.raises(DescriptorError) as info:
+            validate_descriptor(text, descriptor_id="t", default_dir=Path("."))
+        assert info.value.problem == "json"
+
 
 class TestLoadCatalog:
     def test_loads_only_psd_files_sorted(self, tmp_path):
