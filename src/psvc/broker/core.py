@@ -51,21 +51,15 @@ class BrokerReply(NamedTuple):
 class Broker:
     """Catalog lookups, handle minting/opening, and service activation.
 
-    A handle opens only for the SP it was minted for, and, with
-    handle_max_age_s set, only for that many seconds.
+    A handle opens only for the SP it was minted for, and only for
+    ``handles.HANDLE_MAX_AGE_S`` seconds.
     """
 
-    def __init__(
-        self,
-        ps_dir: Path | str,
-        *,
-        handle_max_age_s: float | None = None,
-        launcher: ServiceLauncher | None = None,
-    ):
+    def __init__(self, ps_dir: Path | str, *, launcher: ServiceLauncher | None = None):
         self.ps_dir = Path(ps_dir)
         self.policy = load_policy(self.ps_dir)
         self.launcher = launcher or ServiceLauncher()
-        self.codec = HandleCodec(max_age_s=handle_max_age_s)
+        self.codec = HandleCodec()
         self.catalog: Catalog = load_catalog(self.ps_dir)
 
     def reload_catalog(self) -> Catalog:

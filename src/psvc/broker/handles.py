@@ -4,7 +4,8 @@ A handle is 128 random bits as hex text, naming an entry in this broker
 run's own table: {requester host, descriptor id, mint time}.  The text
 carries nothing, so SPs and browsers can neither read one nor forge
 one: any other text is simply not in the table.  The table lives in
-memory only, so handles die with the broker process.
+memory only, so handles die with the broker process, and sooner once
+HANDLE_MAX_AGE_S old.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import OrderedDict
 from typing import NamedTuple
 
 MAX_LIVE_HANDLES = 4096  # past this many, minting forgets the oldest handle
+HANDLE_MAX_AGE_S = 300.0  # a handle older than this no longer opens
 
 
 class HandleError(ValueError):
@@ -33,13 +35,11 @@ class HandlePlaintext(NamedTuple):
 class HandleCodec:
     """Mints and opens handles for one broker run.
 
-    At most MAX_LIVE_HANDLES stay open, oldest evicted first.  max_age_s,
-    when set, expires handles that old or older; by default they stay
-    valid until evicted or the broker exits.
+    At most MAX_LIVE_HANDLES stay open, oldest evicted first, and each
+    opens for HANDLE_MAX_AGE_S after it was minted.
     """
 
-    def __init__(self, *, max_age_s: float | None = None):
-        self.max_age_s = max_age_s
+    def __init__(self) -> None:
         self._live: OrderedDict[str, HandlePlaintext] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -59,6 +59,6 @@ class HandleCodec:
             opened = self._live.get(handle_text)
         if opened is None:
             raise HandleError("no such handle")
-        if self.max_age_s is not None and time.time() - opened.mint_time > self.max_age_s:
+        if time.time() - opened.mint_time > HANDLE_MAX_AGE_S:
             raise HandleError("handle expired")
         return opened

@@ -39,26 +39,15 @@ from .runtime import ServiceLauncher
 class BrokerServer(ServiceServer):
     """Runs a Broker behind a loopback HTTP endpoint and publishes it."""
 
-    def __init__(
-        self,
-        ps_dir: Path | str,
-        *,
-        port: int = 0,
-        handle_max_age_s: float | None = None,
-    ):
+    def __init__(self, ps_dir: Path | str):
         self.ps_dir = Path(ps_dir)
-        launcher = ServiceLauncher(on_spawn=self._on_spawn)
-        self.broker = Broker(self.ps_dir, handle_max_age_s=handle_max_age_s, launcher=launcher)
+        self.broker = Broker(self.ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
         # Bound and listening by now, so a reader of broker.ept can connect.
-        super().__init__(("127.0.0.1", port), self._handle, "Broker")
+        super().__init__(("127.0.0.1", 0), self._handle, "Broker")
         write_endpoint_file(self.ps_dir, self.port)
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)
-
-    @property
-    def endpoint(self) -> str:
-        return f"127.0.0.1:{self.port}"
 
     @staticmethod
     def _reply(reply: BrokerReply, svc_tag: str | None) -> KitResponse:

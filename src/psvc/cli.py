@@ -7,8 +7,9 @@
     psvc demo service PORT   run the demo authentication service
     psvc scenario NAME       drive an end-to-end flow and check it
 
-The per-user directory defaults to ~/.PS; the PSVC_HOME environment
-variable moves the home base, and --ps-dir overrides the full path.
+The per-user directory is ~/.PS unless --ps-dir names another.  The
+broker binds a free loopback port and publishes it in broker.ept there;
+--port-file also writes each server's port to a file of its own.
 """
 
 from __future__ import annotations
@@ -16,21 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import signal
 import sys
 import threading
 from base64 import b64decode
 from pathlib import Path
-
-PS_DIR_NAME = ".PS"
-HOME_ENV = "PSVC_HOME"
-
-
-def default_ps_dir() -> Path:
-    base = os.environ.get(HOME_ENV)
-    return (Path(base) if base else Path.home()) / PS_DIR_NAME
-
 
 def _serve_until_signal(server, port_file: str | None) -> int:
     """Publish the bound port if asked, serve until SIGINT/SIGTERM, tear down."""
@@ -62,8 +53,8 @@ def _cmd_broker_run(args: argparse.Namespace) -> int:
 
     ps_dir = Path(args.ps_dir)
     ps_dir.mkdir(parents=True, exist_ok=True)
-    server = BrokerServer(ps_dir, port=args.port, handle_max_age_s=args.handle_max_age)
-    print(f"broker at {server.endpoint} serving {ps_dir}", flush=True)
+    server = BrokerServer(ps_dir)
+    print(f"broker at {server.netloc} serving {ps_dir}", flush=True)
     return _serve_until_signal(server, args.port_file)
 
 
@@ -71,7 +62,7 @@ def _cmd_proxy_run(args: argparse.Namespace) -> int:
     from .proxy import PersonalServiceProxy
 
     server = PersonalServiceProxy(args.ps_dir, args.listen)
-    print(f"proxy at {server.address} (per-user dir {args.ps_dir})", flush=True)
+    print(f"proxy at {server.netloc} (per-user dir {args.ps_dir})", flush=True)
     return _serve_until_signal(server, args.port_file)
 
 
@@ -165,15 +156,22 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes flags only in full, so no flag stands in for another (--port for --port-file)."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="psvc", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="psvc", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     commands = parser.add_subparsers(dest="command", required=True)
 
     def add_ps_dir(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--ps-dir",
-            default=str(default_ps_dir()),
+            default=str(Path.home() / ".PS"),
             help="per-user service directory (default: %(default)s)",
         )
 
@@ -181,11 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     broker_sub = broker.add_subparsers(dest="broker_command", required=True)
     broker_run = broker_sub.add_parser("run", help="serve until SIGTERM")
     add_ps_dir(broker_run)
-    broker_run.add_argument("--port", type=int, default=0, help="listening port (0 = any)")
     broker_run.add_argument("--port-file", help="write the chosen port here once listening")
-    broker_run.add_argument(
-        "--handle-max-age", type=float, default=None, help="handle lifetime in seconds"
-    )
     broker_run.set_defaults(func=_cmd_broker_run)
 
     proxy = commands.add_parser("proxy", help="redirection-aware HTTP proxy")

@@ -123,13 +123,11 @@ class MockAuthService:
 def main(argv: list[str]) -> int:
     """Entry point honoring the port-as-last-argument launch convention."""
     try:
-        context = bootstrap(argv)
+        port = bootstrap(argv)
     except BootstrapError as exc:
         print(f"cannot start: {exc}", flush=True)
         return 2
-    server = ServiceServer(
-        (context.bind_address, context.port), MockAuthService(context.port).handle, "Service"
-    )
+    server = ServiceServer(("127.0.0.1", port), MockAuthService(port).handle, "Service")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -78,9 +78,9 @@ class _Session(NamedTuple):
 
 
 def _tamper(handle: str) -> str:
-    """Flip one character in the middle, staying in the transport alphabet."""
+    """Change the middle hex digit, so the text still looks like a handle."""
     mid = len(handle) // 2
-    swapped = "B" if handle[mid] != "B" else "C"
+    swapped = "a" if handle[mid] != "a" else "b"
     return handle[:mid] + swapped + handle[mid + 1 :]
 
 
@@ -123,10 +123,6 @@ class DemoSP(ServiceServer):
             ("POST", "/result"): self._result,
         }
         super().__init__((config.host, config.port), self._handle, "SP")
-
-    @property
-    def netloc(self) -> str:
-        return f"{self.config.host}:{self.port}"
 
     def absolute(self, path: str) -> str:
         return f"http://{self.netloc}{path}"

@@ -2,11 +2,11 @@
 
 A personal service is an ordinary loopback HTTP server whose listening
 port arrives as the final command-line argument (the broker allocates
-it at launch).  The kit turns that convention into a context, spots
-proxy-built invocations, and renders the page that hands
-results back to the SP via an auto-submitting POST form.  Its
-one-handler-function server is also what broker, proxy and demo SP
-serve on, and it logs every request it serves to the transcript.
+it at launch).  The kit reads that port from argv, spots proxy-built
+invocations, and renders the page that hands results back to the SP
+via an auto-submitting POST form.  Its one-handler-function server is
+also what broker, proxy and demo SP serve on, and it logs every request
+it serves to the transcript.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
@@ -65,25 +65,7 @@ class BootstrapError(ValueError):
     """The launch convention was not honored; the service must not start."""
 
 
-class _Context(NamedTuple):
-    port: int
-    bind_address: str = "127.0.0.1"
-
-
-class ServiceContext(_Context):
-    """Where this service instance must listen."""
-
-    __slots__ = ()
-
-    def __new__(cls, port: int, bind_address: str = "127.0.0.1") -> "ServiceContext":
-        if not bind_address.startswith("127."):
-            raise BootstrapError("personal services bind loopback addresses only")
-        if not 0 < port < 65536:
-            raise BootstrapError(f"port {port} out of range")
-        return super().__new__(cls, port, bind_address)
-
-
-def bootstrap(argv: Sequence[str]) -> ServiceContext:
+def bootstrap(argv: Sequence[str]) -> int:
     """Read the broker-assigned port from the end of argv."""
     if not argv:
         raise BootstrapError("no arguments: expected the listening port last")
@@ -92,7 +74,9 @@ def bootstrap(argv: Sequence[str]) -> ServiceContext:
         port = int(last)
     except ValueError:
         raise BootstrapError(f"last argument {last!r} is not a port number") from None
-    return ServiceContext(port=port)
+    if not 0 < port < 65536:
+        raise BootstrapError(f"port {port} out of range")
+    return port
 
 
 def write_port_file(path: Path | str, port: int) -> Path:
@@ -311,7 +295,9 @@ class ServiceServer:
     It binds in the constructor, so the port is known (and can be
     published) before serving starts.  Every request method reaches the
     handler, and each response goes out with Content-Length once the
-    handler returns.  Every response, the refusals below included, is
+    handler returns.  A handler's response whose header names or values
+    hold CR, LF or NUL would split its header block, so it goes out as a
+    500 instead.  Every response, the refusals below included, is
     logged as one SERVE event of ``actor`` before its bytes leave: a
     peer reacts the moment it has them, and transcript order must follow
     causality.  The party's own events go to ``self.transcript`` too.
@@ -356,6 +342,9 @@ class ServiceServer:
                 return True
 
             def _send(self, response: KitResponse) -> None:
+                if any(c in k or c in v for k, v in response.headers for c in "\r\n\0"):
+                    log.warning("%s %s: a header breaks its line", self.command, self.path)
+                    response = KitResponse.text("response header breaks its line\n", 500)
                 status = response.status
                 transcript.emit(SERVE, self.command, self.path, status,
                                 in_err=self.headers.get(H_ERROR), **response.note)
@@ -421,6 +410,12 @@ class ServiceServer:
     @property
     def port(self) -> int:
         return self._httpd.server_address[1]
+
+    @property
+    def netloc(self) -> str:
+        """host:port as bound, the form Referer, Host and the transcript use."""
+        host, port = self._httpd.server_address[:2]
+        return f"{host}:{port}"
 
     def start(self) -> None:
         """Serve in a background thread."""

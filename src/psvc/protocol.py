@@ -49,7 +49,7 @@ from .kit import (
     WHITE_PAGES,
     YELLOW_PAGES,
 )
-from .registry import YellowQuery
+from .registry import MAX_QUERY_DEPTH, YellowQuery, _nested_deeper
 
 H_SERVICE = "PSvc-Service"
 H_METHOD = "PSvc-Method"
@@ -68,11 +68,6 @@ ERROR_CODES = frozenset({ERR_PARAMETERS, ERR_AMBIGUOUS, ERR_HANDLE, ERR_SERVICE}
 
 OP_YELLOW = "Yellow Pages"
 OP_WHITE = "White Pages"
-
-# Lists and objects in a query nest at most this deep.  The envelope
-# that carries a query back nests it deeper still, so one that barely
-# decodes may not encode.
-MAX_QUERY_DEPTH = 32
 
 # Directive headers are consumed by the client machinery; everything else
 # in a 31x response is carried verbatim to the personal service.
@@ -107,15 +102,6 @@ class BrokerResult(NamedTuple):
     # Yellow: list of service names (possibly empty).  White: an object
     # with "service" and "handle", or None when nothing was resolved.
     response: list[dict[str, Any]] | dict[str, Any] | None
-
-
-def _nested_deeper(value: Any, room: int) -> bool:
-    """True when lists and objects in `value` nest more than `room` levels."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if not isinstance(value, list):
-        return False
-    return room == 0 or any(_nested_deeper(item, room - 1) for item in value)
 
 
 def _load_json_object(text: str, what: str, max_depth: int | None = None) -> dict[str, Any]:

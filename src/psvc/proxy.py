@@ -399,10 +399,6 @@ class PersonalServiceProxy(ServiceServer):
         self.broker = BrokerLink(ps_dir)
         super().__init__(address, self._handle, "Proxy")
 
-    @property
-    def address(self) -> str:
-        return f"{self._httpd.server_address[0]}:{self.port}"
-
     def _handle(self, request: KitRequest) -> KitResponse:
         url = request.target
         if request.method == "CONNECT":

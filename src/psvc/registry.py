@@ -36,6 +36,11 @@ log = logging.getLogger(__name__)
 DESCRIPTOR_SUFFIX = ".psd"
 BROKER_DESCRIPTOR = "broker"
 
+# Lists and objects in a query or a presentation nest at most this deep.
+# The envelope that carries either one nests it deeper still, so one that
+# barely decodes may not encode.
+MAX_QUERY_DEPTH = 32
+
 
 class DescriptorError(ValueError):
     """A descriptor file that cannot be used; .problem says why."""
@@ -160,6 +165,15 @@ def white_match(query: dict[str, Any], name: dict[str, Any]) -> bool:
     return all(attr in name and json_equal(value, name[attr]) for attr, value in query.items())
 
 
+def _nested_deeper(value: Any, room: int) -> bool:
+    """True when lists and objects in `value` nest more than `room` levels."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return False
+    return room == 0 or any(_nested_deeper(item, room - 1) for item in value)
+
+
 def validate_descriptor(
     text: str | bytes,
     *,
@@ -207,6 +221,8 @@ def validate_descriptor(
         raise DescriptorError("presentation", "presentation must not be empty")
     if not all(isinstance(k, str) and k for k in presentation):
         raise DescriptorError("presentation", "attribute names must be non-empty strings")
+    if _nested_deeper(presentation, MAX_QUERY_DEPTH):
+        raise DescriptorError("presentation", f"nested deeper than {MAX_QUERY_DEPTH} levels")
 
     workdir = configuration.get("dir")
     if workdir is not None and not isinstance(workdir, str):

@@ -173,7 +173,6 @@ class Victim(ServiceServer):
     def __init__(self) -> None:
         self.hits: list[tuple[str, str]] = []
         super().__init__(("127.0.0.1", 0), self._hit, "Victim")
-        self.netloc = f"127.0.0.1:{self.port}"
         self.start()
 
     def _hit(self, request: KitRequest) -> KitResponse:
@@ -338,17 +337,13 @@ class ScenarioContext:
     # -- per-user directory ------------------------------------------------
 
     def write_demo_descriptors(
-        self,
-        *,
-        cc: bool = True,
-        twin: bool = False,
-        broken: bool = False,
-        broker: bool = True,
+        self, *, twin: bool = False, broken: bool = False, broker: bool = True
     ) -> None:
+        """Write the demo authenticator's descriptor, and the others asked for."""
         service = [*PSVC, "demo", "service"]
         dead = [sys.executable, "-c", "raise SystemExit(3)"]
         table = [
-            (cc, "cc-personal-service", service, CC_PRESENTATION),
+            (True, "cc-personal-service", service, CC_PRESENTATION),
             (twin, "twin-auth-service", service, TWIN_PRESENTATION),
             (broken, "broken-service", dead, BROKEN_PRESENTATION),
             (broker, "broker", self.broker_argv, {"Purpose": "service brokering"}),
@@ -361,7 +356,7 @@ class ScenarioContext:
 
     # -- booting parties ----------------------------------------------------
 
-    def _boot(self, name: str, argv: list[str], port_file: Path, env: dict | None) -> str:
+    def _boot(self, name: str, argv: list[str], port_file: Path, env: dict | None = None) -> str:
         """Start a party, wait for the port it publishes, and name its netloc."""
         party = Party(name, argv, self.child_env(**(env or {})), self.workdir)
         self.parties.append(party)
@@ -380,7 +375,7 @@ class ScenarioContext:
             "--ps-dir", str(self.ps_dir),
             "--port-file", str(port_file),
         ]
-        self.proxy_netloc = self._boot("proxy", argv, port_file, None)
+        self.proxy_netloc = self._boot("proxy", argv, port_file)
         return self.proxy_netloc
 
     def boot_sp(
@@ -389,7 +384,6 @@ class ScenarioContext:
         wp_query: dict | None = None,
         fault: str | None = None,
         extras_file: Path | None = None,
-        env: dict[str, str] | None = None,
     ) -> str:
         port_file = self.workdir / "sp.port"
         argv = [
@@ -403,7 +397,7 @@ class ScenarioContext:
             argv += ["--fault", fault]
         if extras_file is not None:
             argv += ["--invoke-extras", str(extras_file)]
-        self.sp_netloc = self._boot("sp", argv, port_file, env)
+        self.sp_netloc = self._boot("sp", argv, port_file)
         return self.sp_netloc
 
     def boot_all(self, **sp_options) -> None:

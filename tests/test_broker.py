@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import threading
 import time
 from http.client import HTTPConnection
@@ -21,7 +24,7 @@ from psvc.broker.core import Broker, write_endpoint_file
 from psvc.broker.policy import PolicyError, load_policy
 from psvc.broker.runtime import ServiceLauncher, SpawnFailure
 from psvc.broker.server import BrokerServer
-from psvc.kit import EndpointFileError, allocate_port, read_endpoint_file
+from psvc.kit import EndpointFileError, allocate_port, read_endpoint_file, stop_process
 from psvc.protocol import (
     BROKER_RESULT,
     ERR_AMBIGUOUS,
@@ -222,8 +225,9 @@ class TestResolveHandle:
         broker = make_broker(ps_dir, launcher=FakeLauncher(fail=True))
         assert broker.resolve_handle(self.mint(broker), SP, "r1").error == ERR_SERVICE
 
-    def test_expired_handle(self, ps_dir):
-        broker = make_broker(ps_dir, handle_max_age_s=0.05)
+    def test_expired_handle(self, ps_dir, monkeypatch):
+        monkeypatch.setattr(psvc.broker.handles, "HANDLE_MAX_AGE_S", 0.05)
+        broker = make_broker(ps_dir)
         handle = self.mint(broker)
         time.sleep(0.15)
         assert broker.resolve_handle(handle, SP, "r1").error == ERR_HANDLE
@@ -499,7 +503,7 @@ def live_broker(tmp_path: Path):
         tmp_path, "auth", {"Purpose": "authentication", "Device": "Portuguese eID"}
     )
     write_echo_descriptor(tmp_path, "mail", {"Purpose": "mailbox"})
-    server = BrokerServer(tmp_path, port=0)
+    server = BrokerServer(tmp_path)
     server.start()
     try:
         yield server
@@ -522,7 +526,7 @@ def broker_head(
         headers.append((H_CALLBACK, callback))
     if referer is not None:
         headers.append(("Referer", referer))
-    return http_exchange(server.endpoint, "HEAD", target, headers)
+    return http_exchange(server.netloc, "HEAD", target, headers)
 
 
 class TestBrokerHTTP:
@@ -664,6 +668,36 @@ class TestBrokerHTTP:
         assert header_value(headers, H_ERROR) == ERR_PARAMETERS
         assert header_value(headers, "Location") == CALLBACK
 
+    def test_listing_over_a_deeply_nested_descriptor_is_a_result(self, tmp_path):
+        # A presentation 982 levels deep still loads in the broker's main
+        # thread.  On CPython 3.11 a handler thread, deeper in its own stack,
+        # then fails to encode a listing of it, and drops the connection.
+        write_echo_descriptor(tmp_path, "auth", {"Purpose": "authentication"})
+        (tmp_path / "deep.psd").write_text(
+            '{"configuration": {"cmd": ["x"]}, "presentation": {"Purpose": "authentication", '
+            '"Deep": ' + "[" * 981 + "]" * 981 + "}}"
+        )
+        src = str(Path(psvc.broker.__file__).resolve().parents[2])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "psvc", "broker", "run", "--ps-dir", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 10
+            while not (tmp_path / "broker.ept").exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            host, port = read_endpoint_file(tmp_path)
+            query = json.dumps({"Purpose": "authentication"})
+            headers = [(H_SERVICE, query), (H_CALLBACK, CALLBACK), ("Referer", SP)]
+            status, headers, _ = http_exchange(f"{host}:{port}", "HEAD", "/yellow", headers)
+        finally:
+            stop_process(proc)
+        assert status == BROKER_RESULT
+        assert header_value(headers, H_ERROR) is None
+        names = decode_broker_result(header_value(headers, H_SERVICE)).response
+        assert names == [{"Purpose": "authentication"}]
+
     @pytest.mark.parametrize("ref", ["%0D%0AX-Injected:%201", "%E2%82%AC"])
     def test_ref_a_header_line_cannot_carry_is_not_echoed(self, live_broker, ref):
         status, headers, _ = broker_head(live_broker, f"/resolve?ref={ref}", service="h")
@@ -685,13 +719,13 @@ class TestBrokerHTTP:
         assert header_value(headers, "Location") == ":"
 
     def test_get_is_rejected(self, live_broker):
-        status, _, body = http_exchange(live_broker.endpoint, "GET", "/yellow")
+        status, _, body = http_exchange(live_broker.netloc, "GET", "/yellow")
         assert status == 405
         assert b"HEAD" in body
 
     def test_unknown_path(self, live_broker):
         assert broker_head(live_broker, "/nope", service="x", callback=CALLBACK)[0] == 404
-        assert http_exchange(live_broker.endpoint, "POST", "/nope")[0] == 404
+        assert http_exchange(live_broker.netloc, "POST", "/nope")[0] == 404
 
     def test_reload_picks_up_new_descriptor(self, live_broker, tmp_path):
         query = json.dumps({"Purpose": "backup"})
@@ -701,7 +735,7 @@ class TestBrokerHTTP:
         assert decode_broker_result(header_value(headers, H_SERVICE)).response == []
 
         write_echo_descriptor(tmp_path, "vault", {"Purpose": "backup"})
-        status, _, body = http_exchange(live_broker.endpoint, "POST", "/reload")
+        status, _, body = http_exchange(live_broker.netloc, "POST", "/reload")
         assert status == 200
         assert b"3 services" in body
 
@@ -748,7 +782,7 @@ def fuzzed_broker(tmp_path_factory):
         ("mail", {"Purpose": "mailbox", "Tags": ["a", 1]}),
     ]:
         write_descriptor(ps_dir, stem, presentation, url="http://127.0.0.1:9/")
-    server = BrokerServer(ps_dir, port=0)
+    server = BrokerServer(ps_dir)
     server.start()
     yield server
     server.shutdown()

@@ -127,16 +127,13 @@ class TestTable:
 
 class TestExpiry:
     def test_fresh_handle_lives(self):
-        codec = HandleCodec(max_age_s=60)
+        codec = HandleCodec()
         assert codec.open(codec.mint("sp:80", "svc")).descriptor_id == "svc"
 
-    def test_old_handle_dies(self):
-        codec = HandleCodec(max_age_s=0.05)
+    def test_old_handle_dies(self, monkeypatch):
+        monkeypatch.setattr(psvc.broker.handles, "HANDLE_MAX_AGE_S", 0.05)
+        codec = HandleCodec()
         handle = codec.mint("sp:80", "svc")
         time.sleep(0.1)
         with pytest.raises(HandleError):
             codec.open(handle)
-
-    def test_no_limit_by_default(self):
-        codec = HandleCodec()
-        assert codec.max_age_s is None

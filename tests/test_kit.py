@@ -15,7 +15,6 @@ from psvc.kit import (
     BootstrapError,
     KitRequest,
     KitResponse,
-    ServiceContext,
     ServiceServer,
     allocate_port,
     bootstrap,
@@ -30,12 +29,10 @@ from conftest import chunked_post, count_accepts, header_value, http_exchange
 
 class TestBootstrap:
     def test_port_is_last_argument(self):
-        assert bootstrap(["service", "--flag", "9090"]).port == 9090
+        assert bootstrap(["service", "--flag", "9090"]) == 9090
 
     def test_port_alone(self):
-        context = bootstrap(["8081"])
-        assert context.port == 8081
-        assert context.bind_address == "127.0.0.1"
+        assert bootstrap(["8081"]) == 8081
 
     def test_no_arguments(self):
         with pytest.raises(BootstrapError, match="no arguments"):
@@ -49,17 +46,6 @@ class TestBootstrap:
     def test_port_out_of_range(self, port):
         with pytest.raises(BootstrapError, match="out of range"):
             bootstrap(["service", str(port)])
-
-    def test_loopback_binding_enforced(self):
-        with pytest.raises(BootstrapError, match="loopback"):
-            ServiceContext(port=8000, bind_address="0.0.0.0")
-        assert ServiceContext(port=8000, bind_address="127.0.0.2").port == 8000
-
-    def test_context_compares_by_value(self):
-        assert ServiceContext(8000) == ServiceContext(port=8000, bind_address="127.0.0.1")
-        assert ServiceContext(8000) != ServiceContext(8001)
-        with pytest.raises(BootstrapError, match="out of range"):
-            ServiceContext(0)
 
 
 class TestDetectInvocation:
@@ -210,13 +196,10 @@ class TestServiceServer:
         finally:
             server.shutdown()
 
-    def netloc(self, server: ServiceServer) -> str:
-        return f"127.0.0.1:{server.port}"
-
     def test_get_with_query(self, service):
         server, seen = service
         status, headers, body = http_exchange(
-            self.netloc(server), "GET", "/auth?sid=7&mode=fast", [("X-Probe", "yes")]
+            server.netloc, "GET", "/auth?sid=7&mode=fast", [("X-Probe", "yes")]
         )
         assert status == 200
         assert header_value(headers, "Content-Type") == "text/html; charset=utf-8"
@@ -229,7 +212,7 @@ class TestServiceServer:
     def test_post_body_reaches_handler(self, service):
         server, seen = service
         status, _, _ = http_exchange(
-            self.netloc(server),
+            server.netloc,
             "POST",
             "/submit",
             [("Content-Type", "application/x-www-form-urlencoded")],
@@ -240,13 +223,13 @@ class TestServiceServer:
 
     def test_chunked_body_is_refused_with_411(self, service):
         server, seen = service
-        status, body = chunked_post(self.netloc(server), "/submit", b"hello")
+        status, body = chunked_post(server.netloc, "/submit", b"hello")
         assert (status, body) == (411, b"request body needs a Content-Length\n")
         assert seen == []
 
     def test_handler_chooses_the_status(self, service):
         server, _ = service
-        status, _, body = http_exchange(self.netloc(server), "GET", "/boom")
+        status, _, body = http_exchange(server.netloc, "GET", "/boom")
         assert (status, body) == (500, b"no")
 
     def test_binding_looks_up_no_host_name(self, served, monkeypatch):
@@ -257,9 +240,22 @@ class TestServiceServer:
         server, _, _ = served()
         assert http_exchange(f"127.0.0.1:{server.port}", "GET", "/up")[0] == 200
 
+    @pytest.mark.parametrize(
+        "header", [("X-A", "1\r"), ("X-A", "1\n2"), ("X-A\n", "1"), ("X-A", "\0")]
+    )
+    def test_header_that_breaks_its_line_is_a_500(self, header):
+        server = ServiceServer(("127.0.0.1", 0), lambda _: KitResponse(200, (header,)), "Test")
+        server.start()
+        try:
+            status, headers, _ = http_exchange(server.netloc, "GET", "/")
+        finally:
+            server.shutdown()
+        assert status == 500
+        assert header_value(headers, "X-A") is None
+
     def test_head_gets_headers_only(self, service):
         server, _ = service
-        status, headers, body = http_exchange(self.netloc(server), "HEAD", "/auth")
+        status, headers, body = http_exchange(server.netloc, "HEAD", "/auth")
         assert status == 200
         assert body == b""
         assert int(header_value(headers, "Content-Length")) > 0

@@ -76,7 +76,7 @@ def proxy(tmp_path):
 
 
 def via(server: PersonalServiceProxy, method: str, url: str, headers=None, body=b""):
-    return http_exchange(server.address, method, url, headers, body)
+    return http_exchange(server.netloc, method, url, headers, body)
 
 
 def broker_stub(stub, *, endpoint: str | None = None):
@@ -203,7 +203,7 @@ class TestPlainRelay:
         origin = stub()
         server = proxy()
         status, _, body = http_exchange(
-            server.address, "GET", origin.url("/"), [("Content-Length", "abc")], timeout=2
+            server.netloc, "GET", origin.url("/"), [("Content-Length", "abc")], timeout=2
         )
         assert (status, body) == (400, b"malformed Content-Length\n")
         assert origin.requests == []
@@ -212,7 +212,7 @@ class TestPlainRelay:
         origin = stub()
         server = proxy()
         status, _, body = http_exchange(
-            server.address, "GET", origin.url("/"), [("Content-Length", "-1")], timeout=2
+            server.netloc, "GET", origin.url("/"), [("Content-Length", "-1")], timeout=2
         )
         assert (status, body) == (400, b"malformed Content-Length\n")
         assert origin.requests == []
@@ -220,7 +220,7 @@ class TestPlainRelay:
     def test_chunked_body_is_refused_not_emptied(self, proxy, stub):
         origin = stub()
         server = proxy()
-        status, body = chunked_post(server.address, origin.url("/submit"), b"hello", timeout=2)
+        status, body = chunked_post(server.netloc, origin.url("/submit"), b"hello", timeout=2)
         assert (status, body) == (411, b"request body needs a Content-Length\n")
         assert origin.requests == []
 
@@ -1005,7 +1005,7 @@ class TestConnectionPool:
             server.start()
         try:
             for _ in range(3):
-                page = Browser(front.address).run_flow(sp.absolute("/"))
+                page = Browser(front.netloc).run_flow(sp.absolute("/"))
                 assert "authenticated as demo-user" in page.text
         finally:
             for server in [front, *parties.values()]:

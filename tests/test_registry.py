@@ -12,6 +12,7 @@ import psvc.registry
 from psvc import cli
 from psvc.registry import (
     BROKER_DESCRIPTOR,
+    MAX_QUERY_DEPTH,
     Catalog,
     CatalogDirError,
     DescriptorError,
@@ -161,6 +162,19 @@ class TestLoadCatalog:
         catalog = load_catalog(tmp_path)
         assert list(catalog.entries) == ["good"]
         assert {name for name, _ in catalog.diagnostics} == {"bad.psd", "empty.psd"}
+
+    def test_presentation_nested_too_deep_is_skipped(self, tmp_path):
+        def nested(depth: int) -> dict:  # the presentation object is the first level
+            value: list = []
+            for _ in range(depth - 2):
+                value = [value]
+            return {"Purpose": "authentication", "Deep": value}
+
+        write_descriptor(tmp_path, "fits", nested(MAX_QUERY_DEPTH), cmd=["x"])
+        write_descriptor(tmp_path, "deep", nested(MAX_QUERY_DEPTH + 1), cmd=["x"])
+        catalog = load_catalog(tmp_path)
+        assert list(catalog.entries) == ["fits"]
+        assert catalog.diagnostics == (("deep.psd", "nested deeper than 32 levels"),)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CatalogDirError):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import shutil
+import socket
 import subprocess
 import sys
 import threading
@@ -14,6 +16,7 @@ import pytest
 
 import psvc
 import psvc.demo.sp
+from psvc import transcript
 from psvc.cli import main
 from psvc.demo.sp import DemoSP, SPConfig
 from psvc.scenario import (
@@ -187,6 +190,40 @@ def test_demo_sp_tables_stay_bounded(monkeypatch):
         assert front_page(cookies[0])[0] == 302
     finally:
         sp.shutdown()
+
+
+@pytest.mark.parametrize(
+    "target", ["/evil313?to=%0D%0AX-Evil:%201", "/login?next=%0D%0AX-Evil:%201"]
+)
+def test_demo_sp_header_that_breaks_its_line_is_a_500(target, monkeypatch, tmp_path):
+    log = tmp_path / "transcript.jsonl"
+    monkeypatch.setenv(transcript.ENV_VAR, str(log))
+    sp = DemoSP(SPConfig(port=0))
+    sp.start()
+    try:
+        cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie('demo-user')}"
+        with socket.create_connection(("127.0.0.1", sp.port), timeout=5) as sock:
+            sock.sendall(
+                f"GET {target} HTTP/1.1\r\nHost: x\r\nCookie: {cookie}\r\n"
+                "Connection: close\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+    finally:
+        sp.shutdown()
+    assert reply.startswith(b"HTTP/1.1 500 ")
+    assert b"X-Evil" not in reply
+    served = [(e.direction, e.path, e.status) for e in transcript.read_events(log)]
+    assert served == [(transcript.SERVE, target, 500)]
+
+
+def test_tampered_handle_is_still_hex_and_differs_in_one_digit():
+    for handle in (os.urandom(16).hex() for _ in range(200)):
+        tampered = psvc.demo.sp._tamper(handle)
+        assert len(tampered) == 32
+        assert all(c in "0123456789abcdef" for c in tampered)
+        assert sum(a != b for a, b in zip(handle, tampered)) == 1
 
 
 class TestBrowser:
