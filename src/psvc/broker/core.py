@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 
-from ..kit import ENDPOINT_FILE, write_port_file
+from ..kit import ENDPOINT_FILE, KitResponse, write_port_file
 from ..protocol import (
+    BROKER_RESULT,
     BrokerResult,
     ERR_AMBIGUOUS,
     ERR_HANDLE,
     ERR_SERVICE,
+    H_ERROR,
+    H_SERVICE,
     OP_WHITE,
     OP_YELLOW,
     YellowQuery,
@@ -34,18 +37,23 @@ from .runtime import ServiceLauncher, SpawnFailure
 
 log = logging.getLogger(__name__)
 
+
 def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
     """Atomically publish the broker port for proxies to find."""
     return write_port_file(Path(ps_dir) / ENDPOINT_FILE, port)
 
 
-class BrokerReply(NamedTuple):
-    """One 313 reply: where to go next and what to carry there."""
-
-    location: str
-    service: str | None = None
-    error: str | None = None
-    names: int = 0  # how many service names a yellow listing carries
+def broker_reply(
+    location: str, service: str | None = None, tag: str | None = None, error: str | None = None
+) -> KitResponse:
+    """A 313 carrying `service` or `error`; `tag` names on its SERVE event what it carried."""
+    headers = [("Location", location)]
+    if service is not None:
+        headers.append((H_SERVICE, service))
+    if error is not None:
+        headers.append((H_ERROR, error))
+    note = {"loc": location, "svc": tag, "err": error}
+    return KitResponse(BROKER_RESULT, tuple(headers), note=note)
 
 
 class Broker:
@@ -70,7 +78,7 @@ class Broker:
     def _visible(self, sp_host: str, descriptor_id: str) -> bool:
         return self.policy.allows(sp_host, descriptor_id)
 
-    def serve_yellow(self, query: YellowQuery, sp_host: str, callback: str) -> BrokerReply:
+    def serve_yellow(self, query: YellowQuery, sp_host: str, callback: str) -> KitResponse:
         """List the names of policy-permitted services matching the query."""
         names = [
             d.presentation
@@ -78,11 +86,9 @@ class Broker:
             if self._visible(sp_host, d.descriptor_id)
         ]
         envelope = BrokerResult(OP_YELLOW, query.as_object(), names)
-        return BrokerReply(
-            location=callback, service=encode_broker_result(envelope), names=len(names)
-        )
+        return broker_reply(callback, encode_broker_result(envelope), f"names[{len(names)}]")
 
-    def serve_white(self, query: dict[str, Any], sp_host: str, callback: str) -> BrokerReply:
+    def serve_white(self, query: dict[str, Any], sp_host: str, callback: str) -> KitResponse:
         """Resolve a white query to exactly one service and mint its handle."""
         hits = [
             d
@@ -90,38 +96,38 @@ class Broker:
             if self._visible(sp_host, d.descriptor_id)
         ]
         if not hits:
-            return BrokerReply(location=callback, error=ERR_SERVICE)
+            return broker_reply(callback, error=ERR_SERVICE)
         if len(hits) > 1:
-            return BrokerReply(location=callback, error=ERR_AMBIGUOUS)
+            return broker_reply(callback, error=ERR_AMBIGUOUS)
         found = hits[0]
         handle = self.codec.mint(sp_host, found.descriptor_id)
         envelope = BrokerResult(
             OP_WHITE, dict(query), {"service": found.presentation, "handle": handle}
         )
-        return BrokerReply(location=callback, service=encode_broker_result(envelope))
+        return broker_reply(callback, encode_broker_result(envelope), "handle")
 
-    def resolve_handle(self, handle_text: str, sp_host: str, ref: str) -> BrokerReply:
+    def resolve_handle(self, handle_text: str, sp_host: str, ref: str) -> KitResponse:
         """Open a handle and return a live endpoint for its service."""
         location = f":{ref}"
         try:
             opened = self.codec.open(handle_text)
         except HandleError as exc:
             log.info("rejected handle from %s: %s", sp_host, exc)
-            return BrokerReply(location=location, error=ERR_HANDLE)
+            return broker_reply(location, error=ERR_HANDLE)
         if opened.requester_host != sp_host:
             log.info(
                 "handle minted for %s presented for %s", opened.requester_host, sp_host
             )
-            return BrokerReply(location=location, error=ERR_HANDLE)
+            return broker_reply(location, error=ERR_HANDLE)
         desc = self.catalog.entries.get(opened.descriptor_id)
         if desc is None or not self._visible(sp_host, desc.descriptor_id):
-            return BrokerReply(location=location, error=ERR_HANDLE)
+            return broker_reply(location, error=ERR_HANDLE)
         try:
             endpoint = self.launcher.ensure_live(desc)
         except SpawnFailure as exc:
             log.warning("cannot activate %s: %s", desc.descriptor_id, exc)
-            return BrokerReply(location=location, error=ERR_SERVICE)
-        return BrokerReply(location=location, service=endpoint)
+            return broker_reply(location, error=ERR_SERVICE)
+        return broker_reply(location, endpoint, "endpoint")
 
     def shutdown(self) -> None:
         self.launcher.shutdown()

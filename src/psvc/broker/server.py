@@ -22,17 +22,15 @@ from pathlib import Path
 
 from ..kit import KitRequest, KitResponse, ServiceServer, header_value
 from ..protocol import (
-    BROKER_RESULT,
     ERR_PARAMETERS,
     H_CALLBACK,
-    H_ERROR,
     H_SERVICE,
     MalformedDirective,
     decode_white_query,
     decode_yellow_query,
 )
 from ..transcript import SPAWN
-from .core import Broker, BrokerReply, write_endpoint_file
+from .core import Broker, broker_reply, write_endpoint_file
 from .runtime import ServiceLauncher
 
 
@@ -48,17 +46,6 @@ class BrokerServer(ServiceServer):
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)
-
-    @staticmethod
-    def _reply(reply: BrokerReply, svc_tag: str | None) -> KitResponse:
-        headers = [("Location", reply.location)]
-        if reply.service is not None:
-            headers.append((H_SERVICE, reply.service))
-        if reply.error is not None:
-            headers.append((H_ERROR, reply.error))
-        svc = svc_tag if reply.error is None else None
-        note = {"loc": reply.location, "svc": svc, "err": reply.error}
-        return KitResponse(BROKER_RESULT, tuple(headers), note=note)
 
     def _handle(self, request: KitRequest) -> KitResponse:
         if request.method == "POST":
@@ -77,25 +64,19 @@ class BrokerServer(ServiceServer):
             if not (ref.isascii() and ref.isprintable()):
                 ref = ""  # Location echoes it, and a header line cannot carry it
             if not service or not sp_host or not ref:
-                reply = BrokerReply(location=f":{ref}", error=ERR_PARAMETERS)
-                return self._reply(reply, None)
-            reply = self.broker.resolve_handle(service, sp_host, ref)
-            return self._reply(reply, "endpoint")
+                return broker_reply(f":{ref}", error=ERR_PARAMETERS)
+            return self.broker.resolve_handle(service, sp_host, ref)
 
         if request.path not in ("/yellow", "/white"):
             return KitResponse.text("unknown path\n", 404)
         if not service or not callback or not sp_host:
-            reply = BrokerReply(location=callback or ":", error=ERR_PARAMETERS)
-            return self._reply(reply, None)
+            return broker_reply(callback or ":", error=ERR_PARAMETERS)
         try:
             if request.path == "/yellow":
-                reply = self.broker.serve_yellow(decode_yellow_query(service), sp_host, callback)
-                return self._reply(reply, f"names[{reply.names}]")
-            reply = self.broker.serve_white(decode_white_query(service), sp_host, callback)
-            return self._reply(reply, "handle")
+                return self.broker.serve_yellow(decode_yellow_query(service), sp_host, callback)
+            return self.broker.serve_white(decode_white_query(service), sp_host, callback)
         except MalformedDirective:
-            reply = BrokerReply(location=callback, error=ERR_PARAMETERS)
-            return self._reply(reply, None)
+            return broker_reply(callback, error=ERR_PARAMETERS)
 
     def shutdown(self) -> None:
         super().shutdown()

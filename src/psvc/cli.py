@@ -40,9 +40,26 @@ def _serve_until_signal(server, port_file: str | None) -> int:
 
 def _parse_listen(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, port 0-65535, got {text!r}")
     return host, int(port)
+
+
+def _json_object(text: str) -> dict:
+    value = json.loads(text)  # argparse reports a ValueError as a usage error too
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError(f"expected a JSON object, got {text!r}")
+    return value
+
+
+def _invoke_extras(path: str) -> tuple[tuple[tuple[str, str], ...], bytes]:
+    """The headers and body a JSON file {"headers": [[k, v], ...], "body_b64": ...} names."""
+    try:
+        record = json.loads(Path(path).read_text("utf-8"))
+        headers = tuple((k, v) for k, v in record.get("headers", []))
+        return headers, b64decode(record.get("body_b64", ""))
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise argparse.ArgumentTypeError(f"unusable extras file {path}: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -86,32 +103,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_sp(args: argparse.Namespace) -> int:
-    from .demo.sp import FAULTS, DemoSP, SPConfig
+    from .demo.sp import FAULTS, DemoSP
 
-    host, port = args.listen
-    extra_headers: tuple[tuple[str, str], ...] = ()
-    extra_body = b""
-    if args.invoke_extras:
-        record = json.loads(Path(args.invoke_extras).read_text("utf-8"))
-        extra_headers = tuple((k, v) for k, v in record.get("headers", []))
-        extra_body = b64decode(record.get("body_b64", ""))
     if args.fault and args.fault not in FAULTS:
         print(f"unknown fault {args.fault!r}; known: {', '.join(FAULTS)}", file=sys.stderr)
         return 2
-    queries = {
-        name: json.loads(text)
-        for name, text in (("wp_query", args.wp_query), ("yp_query", args.yp_query))
-        if text
-    }
-    config = SPConfig(
-        host=host,
-        port=port,
+    sp = DemoSP(
+        args.listen,
+        wp_query=args.wp_query,
+        yp_query=args.yp_query,
         fault=args.fault,
-        invoke_extra_headers=extra_headers,
-        invoke_extra_body=extra_body,
-        **queries,
+        invoke_extras=args.invoke_extras,
     )
-    sp = DemoSP(config)
     print(f"demo SP at {sp.netloc}", flush=True)
     return _serve_until_signal(sp, args.port_file)
 
@@ -210,11 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="HOST:PORT to listen on (default: 127.0.0.1:8080)",
     )
     demo_sp.add_argument("--port-file", help="write the chosen port here once listening")
-    demo_sp.add_argument("--wp-query", help="white-pages query as a JSON object")
-    demo_sp.add_argument("--yp-query", help="yellow-pages query as a JSON object")
+    demo_sp.add_argument("--wp-query", type=_json_object, help="white-pages query (JSON object)")
+    demo_sp.add_argument("--yp-query", type=_json_object, help="yellow-pages query (JSON object)")
     demo_sp.add_argument("--fault", help="misbehave on purpose (for the error scenarios)")
     demo_sp.add_argument(
         "--invoke-extras",
+        type=_invoke_extras,
+        default=((), b""),
         help="JSON file with extra headers/body to attach to the invocation",
     )
     demo_sp.set_defaults(func=_cmd_demo_sp)

@@ -2,8 +2,10 @@
 
 Launched by the broker with its port as the last argument, it accepts
 the proxy-built invocation on /auth, runs one dialog round with the
-user (a confirmation form the demo browser auto-submits), and returns
-the authentication result to the SP with an auto-POST page.  The
+user (a consent page: a confirmation form the demo browser
+auto-submits, to the service's own absolute /confirm URL), and returns
+the authentication result to the SP with an auto-POST page.  Open
+dialogs are capped at kit.MAX_TABLE_ENTRIES, oldest dropped first.  The
 "signature" is a nonce echo: good enough to prove the plumbing,
 nothing more.
 
@@ -29,6 +31,7 @@ from ..kit import (
     bootstrap,
     detect_psvc_invocation,
     header_value,
+    put_bounded,
     sp_return_page,
 )
 
@@ -36,21 +39,6 @@ USER = "demo-user"
 DEVICE = "Portuguese eID"
 
 DUMP_ENV = "PSVC_DUMP_DIR"
-
-# The form action must be absolute: the page reaches the browser as the
-# response to an SP URL, so relative paths would resolve wrongly.
-_CHALLENGE = """<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>eID authentication</title></head>
-<body onload="document.forms[0].submit()">
-<h1>Mock citizen-card authentication</h1>
-<p>The service provider asks you to sign a challenge.</p>
-<form method="POST" action="http://127.0.0.1:{port}/confirm" data-autosubmit="1">
-<input type="hidden" name="sid" value="{sid}">
-<input type="hidden" name="confirm" value="yes">
-<noscript><button type="submit">Sign with my eID</button></noscript>
-</form>
-</body></html>
-"""
 
 
 def _new_sid() -> str:
@@ -91,16 +79,21 @@ class MockAuthService:
         return KitResponse.text("no such page\n", status=404)
 
     def _auth(self, request: KitRequest) -> KitResponse:
-        if not detect_psvc_invocation(dict(request.headers)):
+        if not detect_psvc_invocation(request.headers):
             return KitResponse.text("only proxy-built invocations are served here\n", 403)
         self._dump_invocation(request)
-        sid = request.query["sid"] if "sid" in request.query else _new_sid()
+        query = request.query
+        sid = query["sid"] if "sid" in query else _new_sid()
+        dialog = {"nonce": query.get("nonce", ""), "return": query.get("return", "")}
         with self._lock:
-            self._dialogs[sid] = {
-                "nonce": request.query.get("nonce", ""),
-                "return": request.query.get("return", ""),
-            }
-        return KitResponse.html(_CHALLENGE.format(sid=sid, port=self.port))
+            put_bounded(self._dialogs, sid, dialog)
+        page = sp_return_page(
+            {"sid": sid, "confirm": "yes"},
+            f"http://127.0.0.1:{self.port}/confirm",
+            title="eID authentication",
+            message="The service provider asks you to sign a challenge.",
+        )
+        return KitResponse.html(page)
 
     def _confirm(self, request: KitRequest) -> KitResponse:
         form = request.form()
@@ -109,12 +102,7 @@ class MockAuthService:
             dialog = self._dialogs.pop(sid, None)
         if dialog is None or form.get("confirm") != "yes":
             return KitResponse.text("no such dialog\n", 403)
-        fields = {
-            "sid": sid,
-            "nonce": dialog["nonce"],
-            "user": USER,
-            "device": DEVICE,
-        }
+        fields = {"sid": sid, "nonce": dialog["nonce"], "user": USER, "device": DEVICE}
         return KitResponse.html(
             sp_return_page(fields, dialog["return"], title="Signed", message="Signed; returning...")
         )

@@ -8,7 +8,7 @@ The service runs its dialog with the user and finally auto-POSTs the
 result to /result, where a nonce echo is checked, the session cookie is
 set, and the browser is sent back to the original page.  A sid+nonce
 pair is accepted once: a replayed result gets 403.  Open sign-in
-attempts and issued cookies are each capped at MAX_TABLE_ENTRIES,
+attempts and issued cookies are each capped at kit.MAX_TABLE_ENTRIES,
 oldest dropped first.
 
 Fault switches let scenarios exercise the error paths: a 311 with no
@@ -21,11 +21,10 @@ import json
 import logging
 import secrets
 import threading
-from collections import OrderedDict
 from typing import Any, NamedTuple
 from urllib.parse import quote
 
-from ..kit import KitRequest, KitResponse, ServiceServer, header_value
+from ..kit import KitRequest, KitResponse, ServiceServer, header_value, html_page, put_bounded
 from ..protocol import (
     BROKER_RESULT,
     H_CALLBACK,
@@ -56,20 +55,6 @@ FAULT_MALFORMED_311 = "malformed-311"
 FAULT_TAMPER_HANDLE = "tamper-handle"
 FAULTS = (FAULT_MALFORMED_311, FAULT_TAMPER_HANDLE)
 
-# Sign-in attempts and cookies each; past this many the oldest is dropped.
-MAX_TABLE_ENTRIES = 4096
-
-
-class SPConfig(NamedTuple):
-    host: str = "127.0.0.1"
-    port: int = 8080
-    wp_query: dict[str, Any] = DEFAULT_WP_QUERY  # shared defaults: never mutated
-    yp_query: dict[str, Any] = DEFAULT_YP_QUERY
-    fault: str | None = None
-    # Extra headers/body attached to the 312, carried to the service.
-    invoke_extra_headers: tuple[tuple[str, str], ...] = ()
-    invoke_extra_body: bytes = b""
-
 
 class _Session(NamedTuple):
     sid: str
@@ -84,20 +69,9 @@ def _tamper(handle: str) -> str:
     return handle[:mid] + swapped + handle[mid + 1 :]
 
 
-def _put_bounded(table: OrderedDict, key: str, value) -> None:
-    """Insert, then evict the oldest entry past MAX_TABLE_ENTRIES."""
-    table[key] = value
-    if len(table) > MAX_TABLE_ENTRIES:
-        table.popitem(last=False)
-
-
 def _html(status: int, title: str, body: str, **note) -> KitResponse:
     """A page; `note` goes on the response's SERVE event."""
-    page = (
-        f"<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">"
-        f"<title>{title}</title></head>\n<body>{body}</body></html>\n"
-    )
-    return KitResponse.html(page, status, **note)
+    return KitResponse.html(html_page(title, body), status, **note)
 
 
 def _redirect(to: str) -> KitResponse:
@@ -107,10 +81,23 @@ def _redirect(to: str) -> KitResponse:
 class DemoSP(ServiceServer):
     """Session state plus one route handler per page."""
 
-    def __init__(self, config: SPConfig):
-        self.config = config
-        self.sessions: OrderedDict[str, _Session] = OrderedDict()
-        self.cookies: OrderedDict[str, str] = OrderedDict()  # token -> user
+    def __init__(
+        self,
+        address: tuple[str, int],
+        *,
+        wp_query: dict[str, Any] | None = None,
+        yp_query: dict[str, Any] | None = None,
+        fault: str | None = None,
+        invoke_extras: tuple[tuple[tuple[str, str], ...], bytes] = ((), b""),
+    ):
+        # None: the defaults, shared and never mutated.
+        self.wp_query = DEFAULT_WP_QUERY if wp_query is None else wp_query
+        self.yp_query = DEFAULT_YP_QUERY if yp_query is None else yp_query
+        self.fault = fault
+        # Extra headers and body attached to the 312, carried to the service.
+        self.invoke_headers, self.invoke_body = invoke_extras
+        self.sessions: dict[str, _Session] = {}
+        self.cookies: dict[str, str] = {}  # token -> user
         self.lock = threading.Lock()
         self._routes = {
             ("GET", "/"): self._front,
@@ -122,7 +109,7 @@ class DemoSP(ServiceServer):
             ("POST", "/invoke-error"): self._invoke_error,
             ("POST", "/result"): self._result,
         }
-        super().__init__((config.host, config.port), self._handle, "SP")
+        super().__init__(address, self._handle, "SP")
 
     def absolute(self, path: str) -> str:
         return f"http://{self.netloc}{path}"
@@ -130,13 +117,9 @@ class DemoSP(ServiceServer):
     # -- session helpers ---------------------------------------------------
 
     def new_session(self, next_url: str) -> _Session:
-        session = _Session(
-            sid=secrets.token_urlsafe(8),
-            nonce=secrets.token_urlsafe(12),
-            next_url=next_url,
-        )
+        session = _Session(secrets.token_urlsafe(8), secrets.token_urlsafe(12), next_url)
         with self.lock:
-            _put_bounded(self.sessions, session.sid, session)
+            put_bounded(self.sessions, session.sid, session)
         return session
 
     def session(self, sid: str | None) -> _Session | None:
@@ -154,7 +137,7 @@ class DemoSP(ServiceServer):
     def issue_cookie(self, user: str) -> str:
         token = secrets.token_urlsafe(16)
         with self.lock:
-            _put_bounded(self.cookies, token, user)
+            put_bounded(self.cookies, token, user)
         return token
 
     def user_for_cookie(self, header: str | None) -> str | None:
@@ -198,15 +181,15 @@ class DemoSP(ServiceServer):
             )
         session = self.new_session(next_url)
         headers = [(H_CALLBACK, self.absolute(f"/wp-callback?sid={session.sid}"))]
-        if self.config.fault != FAULT_MALFORMED_311:
-            headers.insert(0, (H_SERVICE, json.dumps(self.config.wp_query)))
+        if self.fault != FAULT_MALFORMED_311:
+            headers.insert(0, (H_SERVICE, json.dumps(self.wp_query)))
         return KitResponse(WHITE_PAGES, tuple(headers), note={"svc": "query"})
 
     def _discover(self, request: KitRequest) -> KitResponse:
         if not speaks_version(header_value(request.headers, H_VERSION)):
             return _html(200, "Discovery", "<p>client announces no redirection support</p>")
         headers = [
-            (H_SERVICE, json.dumps(self.config.yp_query)),
+            (H_SERVICE, json.dumps(self.yp_query)),
             (H_CALLBACK, self.absolute("/yp-callback")),
         ]
         return KitResponse(YELLOW_PAGES, tuple(headers), note={"svc": "query"})
@@ -238,7 +221,7 @@ class DemoSP(ServiceServer):
             )
 
         handle = envelope.response["handle"]
-        if self.config.fault == FAULT_TAMPER_HANDLE:
+        if self.fault == FAULT_TAMPER_HANDLE:
             handle = _tamper(handle)
         return_url = quote(self.absolute("/result"), safe="")
         headers = [
@@ -250,10 +233,8 @@ class DemoSP(ServiceServer):
             ),
             (H_CALLBACK, self.absolute(f"/invoke-error?sid={session.sid}")),
         ]
-        headers.extend(self.config.invoke_extra_headers)
-        return KitResponse(
-            SERVICE_CALL, tuple(headers), self.config.invoke_extra_body, note={"svc": "handle"}
-        )
+        headers.extend(self.invoke_headers)
+        return KitResponse(SERVICE_CALL, tuple(headers), self.invoke_body, note={"svc": "handle"})
 
     def _yp_callback(self, request: KitRequest) -> KitResponse:
         raw = header_value(request.headers, H_SERVICE)

@@ -3,8 +3,9 @@
 A personal service is an ordinary loopback HTTP server whose listening
 port arrives as the final command-line argument (the broker allocates
 it at launch).  The kit reads that port from argv, spots proxy-built
-invocations, and renders the page that hands results back to the SP
-via an auto-submitting POST form.  Its one-handler-function server is
+invocations, renders every party's HTML pages (among them the one that
+hands results back to the SP via an auto-submitting POST form) and
+bounds the parties' per-user tables.  Its one-handler-function server is
 also what broker, proxy and demo SP serve on, and it logs every request
 it serves to the transcript.
 
@@ -102,7 +103,7 @@ def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
     path = Path(ps_dir) / ENDPOINT_FILE
     try:
         text = path.read_text("ascii").strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EndpointFileError(f"cannot read {path}: {exc}") from None
     if not text.isdigit():
         raise EndpointFileError(f"{path} does not hold a decimal port")
@@ -137,26 +138,22 @@ def stop_process(proc: subprocess.Popen) -> None:
         proc.wait()
 
 
-def detect_psvc_invocation(headers: Mapping[str, str]) -> bool:
+def detect_psvc_invocation(headers: Sequence[tuple[str, str]]) -> bool:
     """True when a request was built by a redirection-aware proxy.
 
     Such a request carries both a Referer naming the SP and the
     proxy-added invocation marker.
     """
-    lowered = {k.lower(): v for k, v in headers.items()}
-    return bool(lowered.get("referer")) and lowered.get(H_INVOCATION.lower()) == "1"
+    return bool(header_value(headers, "Referer")) and header_value(headers, H_INVOCATION) == "1"
 
 
-_AUTO_FORM = """<!DOCTYPE html>
-<html><head><meta charset="utf-8"><title>{title}</title></head>
-<body onload="document.forms[0].submit()">
-<p>{message}</p>
-<form method="POST" action="{action}" data-autosubmit="1">
-{inputs}
-<noscript><button type="submit">Continue</button></noscript>
-</form>
-</body></html>
-"""
+def html_page(title: str, body: str, onload: str = "") -> bytes:
+    """A whole HTML document in UTF-8: `title` is escaped, `body` is markup as given."""
+    handler = f' onload="{onload}"' if onload else ""
+    return (
+        f'<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>{html.escape(title)}'
+        f"</title></head>\n<body{handler}>\n{body}</body></html>\n"
+    ).encode("utf-8")
 
 
 def sp_return_page(
@@ -168,27 +165,24 @@ def sp_return_page(
 ) -> bytes:
     """HTML that auto-POSTs the given fields to the SP.
 
-    With an empty callback there is nowhere to return to, so a plain
-    terminal page is produced instead.
+    The action must be absolute: the page reaches the browser as the
+    response to an SP URL.  With an empty callback there is nowhere to
+    return to, so a plain terminal page is produced instead.
     """
+    paragraph = f"<p>{html.escape(message)}</p>\n"
     if not sp_callback:
-        return (
-            "<!DOCTYPE html><html><body><p>"
-            + html.escape(message)
-            + "</p></body></html>"
-        ).encode("utf-8")
-    inputs = "\n".join(
+        return html_page(title, paragraph)
+    inputs = "".join(
         f'<input type="hidden" name="{html.escape(k, quote=True)}" '
-        f'value="{html.escape(str(v), quote=True)}">'
+        f'value="{html.escape(str(v), quote=True)}">\n'
         for k, v in fields.items()
     )
-    page = _AUTO_FORM.format(
-        title=html.escape(title),
-        message=html.escape(message),
-        action=html.escape(sp_callback, quote=True),
-        inputs=inputs,
+    form = (
+        f'<form method="POST" action="{html.escape(sp_callback, quote=True)}" '
+        f'data-autosubmit="1">\n{inputs}'
+        '<noscript><button type="submit">Continue</button></noscript>\n</form>\n'
     )
-    return page.encode("utf-8")
+    return html_page(title, paragraph + form, onload="document.forms[0].submit()")
 
 
 def header_value(headers: Iterable[tuple[str, str]], name: str) -> str | None:
@@ -198,6 +192,17 @@ def header_value(headers: Iterable[tuple[str, str]], name: str) -> str | None:
         if key.lower() == low:
             return value
     return None
+
+
+# A party's per-user table (sign-ins, cookies, dialogs) holds at most this many entries.
+MAX_TABLE_ENTRIES = 4096
+
+
+def put_bounded(table: dict, key: str, value: Any) -> None:
+    """Insert, then drop the oldest entry past MAX_TABLE_ENTRIES."""
+    table[key] = value
+    if len(table) > MAX_TABLE_ENTRIES:
+        del table[next(iter(table))]
 
 
 class KitRequest(NamedTuple):

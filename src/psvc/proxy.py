@@ -76,7 +76,6 @@ from .transcript import RECV, SEND
 
 log = logging.getLogger(__name__)
 
-DEFAULT_LISTEN = ("127.0.0.1", 3128)
 MAX_CHAIN = 8  # redirections one browser request may run through
 
 UPSTREAM_TIMEOUT_S = 15.0
@@ -395,7 +394,7 @@ class BrokerLink:
 class PersonalServiceProxy(ServiceServer):
     """The proxy: relays each browser request and runs its redirection chain."""
 
-    def __init__(self, ps_dir: Path | str, address: tuple[str, int] = DEFAULT_LISTEN):
+    def __init__(self, ps_dir: Path | str, address: tuple[str, int]):
         self.broker = BrokerLink(ps_dir)
         super().__init__(address, self._handle, "Proxy")
 

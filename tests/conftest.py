@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from http.client import HTTPConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import pytest
 
@@ -258,6 +258,21 @@ def header_value(headers: list[tuple[str, str]], name: str) -> str | None:
         if key.lower() == low:
             return value
     return None
+
+
+class Reply313(NamedTuple):
+    """What one broker 313 carries to the proxy."""
+
+    location: str | None
+    service: str | None  # PSvc-Service
+    error: str | None  # PSvc-Error
+
+
+def read_313(response) -> Reply313:
+    """The fields of a broker reply, a KitResponse from ``psvc.broker.core``."""
+    assert response.status == 313
+    names = ("Location", "PSvc-Service", "PSvc-Error")
+    return Reply313(*(header_value(response.headers, name) for name in names))
 
 
 # -- random JSON material -----------------------------------------------------

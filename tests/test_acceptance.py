@@ -14,6 +14,7 @@ from conftest import (
     random_attribute_name,
     random_presentation,
     random_scalar,
+    read_313,
     write_descriptor,
 )
 from psvc.broker.core import Broker, write_endpoint_file
@@ -100,12 +101,10 @@ def test_criterion_3_handle_security_properties(tmp_path):
     handles: list[tuple[str, str]] = []
     for n in range(100):
         sp = f"sp-{n:02d}.test:{8000 + n}"
-        reply = broker.serve_white(
-            {"Purpose": "authentication"}, sp, "http://cb.test/cb"
-        )
+        reply = read_313(broker.serve_white({"Purpose": "authentication"}, sp, "http://cb.test/cb"))
         assert reply.error is None, f"mint {n} failed: {reply.error}"
         handle = decode_broker_result(reply.service).response["handle"]
-        resolved = broker.resolve_handle(handle, sp, f"r{n}")
+        resolved = read_313(broker.resolve_handle(handle, sp, f"r{n}"))
         assert resolved.error is None, f"resolve {n} failed: {resolved.error}"
         handles.append((handle, sp))
 
@@ -117,7 +116,7 @@ def test_criterion_3_handle_security_properties(tmp_path):
     # 10,000 random byte strings must all be refused with the handle code.
     for _ in range(10_000):
         junk = rng.randbytes(rng.randint(0, 64)).decode("latin-1")
-        reply = broker.resolve_handle(junk, "sp-00.test:8000", "r")
+        reply = read_313(broker.resolve_handle(junk, "sp-00.test:8000", "r"))
         assert reply.error == "handle", f"accepted junk {junk!r}: {reply.error}"
 
     # 1,000 single-character mutations of valid handles, any position.
@@ -126,7 +125,7 @@ def test_criterion_3_handle_security_properties(tmp_path):
         pos = rng.randrange(len(handle))
         swap = rng.choice([c for c in URL_SAFE if c != handle[pos]])
         mutated = handle[:pos] + swap + handle[pos + 1 :]
-        reply = broker.resolve_handle(mutated, sp, "r")
+        reply = read_313(broker.resolve_handle(mutated, sp, "r"))
         assert reply.error == "handle", f"accepted mutation of {handle}"
 
     elapsed = time.monotonic() - started
@@ -233,7 +232,7 @@ def test_criterion_4_matching_equivalence_against_oracle(tmp_path):
             else:
                 name = random_attribute_name(rng)
                 value = random_scalar(rng)
-            reply = broker.serve_yellow(YellowQuery(name, value), sp, callback)
+            reply = read_313(broker.serve_yellow(YellowQuery(name, value), sp, callback))
             assert reply.error is None
             got = decode_broker_result(reply.service).response or []
             want = [flat[sid] for sid in oracle_yellow(flat, name, value)]
@@ -252,7 +251,7 @@ def test_criterion_4_matching_equivalence_against_oracle(tmp_path):
             if rng.random() < 0.2:
                 query[random_attribute_name(rng)] = random_scalar(rng)
             expected = oracle_white(flat, query)
-            reply = broker.serve_white(query, sp, callback)
+            reply = read_313(broker.serve_white(query, sp, callback))
             if len(expected) == 0:
                 assert reply.error == "service", f"round {round_no}: {query!r}"
             elif len(expected) > 1:
@@ -340,11 +339,8 @@ def test_criterion_8_config_file_conformance(tmp_path):
     assert entry.cmd == ("java", "-jar", "CCPersonalService.jar")
 
     broker = Broker(catalog_dir, launcher=FlatLauncher())
-    reply = broker.serve_white(
-        {"Purpose": "authentication", "Device": "Portuguese eID"},
-        "sp.test:8080",
-        "http://sp.test:8080/cb",
-    )
+    query = {"Purpose": "authentication", "Device": "Portuguese eID"}
+    reply = read_313(broker.serve_white(query, "sp.test:8080", "http://sp.test:8080/cb"))
     assert reply.error is None, f"white lookup failed: {reply.error}"
     result = decode_broker_result(reply.service).response
     assert result["service"]["Device name"] == "Cartão de Cidadão"

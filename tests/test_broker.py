@@ -45,6 +45,7 @@ from conftest import (
     echo_service_cmd,
     header_value,
     http_exchange,
+    read_313,
     write_descriptor,
     write_echo_descriptor,
 )
@@ -120,11 +121,17 @@ class TestEndpointFile:
         with pytest.raises(EndpointFileError):
             read_endpoint_file(tmp_path)
 
+    def test_contents_that_are_not_ascii(self, tmp_path):
+        (tmp_path / "broker.ept").write_bytes(b"\xff12")
+        with pytest.raises(EndpointFileError, match="cannot read"):
+            read_endpoint_file(tmp_path)
+
 
 class TestYellowService:
     def test_matches_listed_in_id_order(self, ps_dir):
         broker = make_broker(ps_dir)
-        reply = broker.serve_yellow(YellowQuery("purpose", "authentication"), SP, CALLBACK)
+        query = YellowQuery("purpose", "authentication")
+        reply = read_313(broker.serve_yellow(query, SP, CALLBACK))
         assert reply.location == CALLBACK
         assert reply.error is None
         result = decode_broker_result(reply.service)
@@ -137,7 +144,7 @@ class TestYellowService:
 
     def test_no_match_is_empty_list(self, ps_dir):
         broker = make_broker(ps_dir)
-        reply = broker.serve_yellow(YellowQuery("Purpose", "time travel"), SP, CALLBACK)
+        reply = read_313(broker.serve_yellow(YellowQuery("Purpose", "time travel"), SP, CALLBACK))
         assert reply.error is None
         assert decode_broker_result(reply.service).response == []
 
@@ -146,7 +153,7 @@ class TestWhiteService:
     def test_unique_match_mints_working_handle(self, ps_dir):
         broker = make_broker(ps_dir)
         query = {"Purpose": "authentication", "Device": "Portuguese eID"}
-        reply = broker.serve_white(query, SP, CALLBACK)
+        reply = read_313(broker.serve_white(query, SP, CALLBACK))
         assert reply.location == CALLBACK
         assert reply.error is None
         result = decode_broker_result(reply.service)
@@ -159,34 +166,33 @@ class TestWhiteService:
 
     def test_ambiguous(self, ps_dir):
         broker = make_broker(ps_dir)
-        reply = broker.serve_white({"Purpose": "authentication"}, SP, CALLBACK)
+        reply = read_313(broker.serve_white({"Purpose": "authentication"}, SP, CALLBACK))
         assert reply.error == ERR_AMBIGUOUS
         assert reply.service is None
         assert reply.location == CALLBACK
 
     def test_no_match(self, ps_dir):
         broker = make_broker(ps_dir)
-        reply = broker.serve_white({"Purpose": "nothing has this"}, SP, CALLBACK)
+        reply = read_313(broker.serve_white({"Purpose": "nothing has this"}, SP, CALLBACK))
         assert reply.error == ERR_SERVICE
         assert reply.service is None
 
     def test_white_is_case_sensitive(self, ps_dir):
         broker = make_broker(ps_dir)
-        reply = broker.serve_white({"purpose": "printing"}, SP, CALLBACK)
+        reply = read_313(broker.serve_white({"purpose": "printing"}, SP, CALLBACK))
         assert reply.error == ERR_SERVICE
 
 
 class TestResolveHandle:
     def mint(self, broker: Broker, sp: str = SP) -> str:
-        reply = broker.serve_white(
-            {"Purpose": "authentication", "Device": "Portuguese eID"}, sp, CALLBACK
-        )
+        query = {"Purpose": "authentication", "Device": "Portuguese eID"}
+        reply = read_313(broker.serve_white(query, sp, CALLBACK))
         return decode_broker_result(reply.service).response["handle"]
 
     def test_live_endpoint_returned(self, ps_dir):
         launcher = FakeLauncher()
         broker = make_broker(ps_dir, launcher=launcher)
-        reply = broker.resolve_handle(self.mint(broker), SP, "r7")
+        reply = read_313(broker.resolve_handle(self.mint(broker), SP, "r7"))
         assert reply.location == ":r7"
         assert reply.error is None
         assert reply.service == launcher.endpoint
@@ -195,7 +201,7 @@ class TestResolveHandle:
     def test_garbage_handle(self, ps_dir):
         launcher = FakeLauncher()
         broker = make_broker(ps_dir, launcher=launcher)
-        reply = broker.resolve_handle("not-a-handle", SP, "r1")
+        reply = read_313(broker.resolve_handle("not-a-handle", SP, "r1"))
         assert reply.error == ERR_HANDLE
         assert reply.service is None
         assert launcher.calls == []
@@ -206,39 +212,39 @@ class TestResolveHandle:
         mid = len(handle) // 2
         flipped = "B" if handle[mid] != "B" else "C"
         tampered = handle[:mid] + flipped + handle[mid + 1 :]
-        assert broker.resolve_handle(tampered, SP, "r1").error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(tampered, SP, "r1")).error == ERR_HANDLE
 
     def test_handle_bound_to_requesting_sp(self, ps_dir):
         broker = make_broker(ps_dir)
         handle = self.mint(broker, sp="bank.test:443")
-        assert broker.resolve_handle(handle, "shop.test:80", "r1").error == ERR_HANDLE
-        assert broker.resolve_handle(handle, "bank.test:443", "r1").error is None
+        assert read_313(broker.resolve_handle(handle, "shop.test:80", "r1")).error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(handle, "bank.test:443", "r1")).error is None
 
     def test_handle_for_removed_service(self, ps_dir):
         broker = make_broker(ps_dir)
         handle = self.mint(broker)
         (ps_dir / "cc.psd").unlink()
         broker.reload_catalog()
-        assert broker.resolve_handle(handle, SP, "r1").error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(handle, SP, "r1")).error == ERR_HANDLE
 
     def test_spawn_failure_reported_as_service(self, ps_dir):
         broker = make_broker(ps_dir, launcher=FakeLauncher(fail=True))
-        assert broker.resolve_handle(self.mint(broker), SP, "r1").error == ERR_SERVICE
+        assert read_313(broker.resolve_handle(self.mint(broker), SP, "r1")).error == ERR_SERVICE
 
     def test_expired_handle(self, ps_dir, monkeypatch):
         monkeypatch.setattr(psvc.broker.handles, "HANDLE_MAX_AGE_S", 0.05)
         broker = make_broker(ps_dir)
         handle = self.mint(broker)
         time.sleep(0.15)
-        assert broker.resolve_handle(handle, SP, "r1").error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(handle, SP, "r1")).error == ERR_HANDLE
 
     def test_evicted_handle(self, ps_dir, monkeypatch):
         monkeypatch.setattr(psvc.broker.handles, "MAX_LIVE_HANDLES", 2)
         broker = make_broker(ps_dir)
         oldest, *newest = (self.mint(broker) for _ in range(3))
-        assert broker.resolve_handle(oldest, SP, "r1").error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(oldest, SP, "r1")).error == ERR_HANDLE
         for handle in newest:
-            assert broker.resolve_handle(handle, SP, "r2").error is None
+            assert read_313(broker.resolve_handle(handle, SP, "r2")).error is None
 
     def test_binding_outcomes_random_hosts(self, ps_dir):
         rng = random.Random(0xB20CE)
@@ -248,7 +254,7 @@ class TestResolveHandle:
             minted_for = rng.choice(hosts)
             presented_by = rng.choice(hosts)
             handle = self.mint(broker, sp=minted_for)
-            reply = broker.resolve_handle(handle, presented_by, "r")
+            reply = read_313(broker.resolve_handle(handle, presented_by, "r"))
             if presented_by == minted_for:
                 assert reply.error is None
             else:
@@ -331,10 +337,10 @@ class TestPolicyFiltering:
         broker = make_broker(ps_dir)
         query = YellowQuery("purpose", "authentication")
         from_bank = decode_broker_result(
-            broker.serve_yellow(query, "bank.test:443", CALLBACK).service
+            read_313(broker.serve_yellow(query, "bank.test:443", CALLBACK)).service
         )
         from_shop = decode_broker_result(
-            broker.serve_yellow(query, "shop.test:80", CALLBACK).service
+            read_313(broker.serve_yellow(query, "shop.test:80", CALLBACK)).service
         )
         assert len(from_bank.response) == 2
         assert [n["Device"] for n in from_shop.response] == ["Other eID"]
@@ -344,8 +350,8 @@ class TestPolicyFiltering:
         self.restrict_cc_to_bank(ps_dir)
         broker = make_broker(ps_dir)
         query = {"Purpose": "authentication"}
-        assert broker.serve_white(query, "bank.test:443", CALLBACK).error == ERR_AMBIGUOUS
-        reply = broker.serve_white(query, "shop.test:80", CALLBACK)
+        assert read_313(broker.serve_white(query, "bank.test:443", CALLBACK)).error == ERR_AMBIGUOUS
+        reply = read_313(broker.serve_white(query, "shop.test:80", CALLBACK))
         assert reply.error is None
         result = decode_broker_result(reply.service)
         assert result.response["service"]["Device"] == "Other eID"
@@ -353,12 +359,12 @@ class TestPolicyFiltering:
     def test_resolve_respects_policy(self, ps_dir):
         # minted while shop may see cc, so the binding holds and only the policy rejects
         broker = make_broker(ps_dir)
-        reply = broker.serve_white({"Device": "Portuguese eID"}, "shop.test:80", CALLBACK)
+        reply = read_313(broker.serve_white({"Device": "Portuguese eID"}, "shop.test:80", CALLBACK))
         handle = decode_broker_result(reply.service).response["handle"]
-        assert broker.resolve_handle(handle, "shop.test:80", "r1").error is None
+        assert read_313(broker.resolve_handle(handle, "shop.test:80", "r1")).error is None
         self.restrict_cc_to_bank(ps_dir)
         broker.policy = load_policy(ps_dir)
-        assert broker.resolve_handle(handle, "shop.test:80", "r1").error == ERR_HANDLE
+        assert read_313(broker.resolve_handle(handle, "shop.test:80", "r1")).error == ERR_HANDLE
 
 
 class TestServiceLauncher:

@@ -1,4 +1,4 @@
-"""The command lines the scenarios and the benchmark build parse, and removed flags do not."""
+"""The party command lines parse; removed flags and unusable values are usage errors."""
 
 from __future__ import annotations
 
@@ -38,13 +38,15 @@ def scenario_argvs(monkeypatch, workdir: Path) -> list[list[str]]:
         return "127.0.0.1:1"
 
     monkeypatch.setattr(ScenarioContext, "_boot", boot)
+    extras = workdir / "extras.json"
+    extras.write_text(json.dumps({"headers": [["X-Extra", "1"]], "body_b64": "aGk="}))
     ctx = ScenarioContext("cli", workdir)
     ctx.boot_broker()
     ctx.boot_proxy()
     ctx.boot_sp(
         wp_query={"Purpose": "authentication"},
         fault="tamper-handle",
-        extras_file=workdir / "extras.json",
+        extras_file=extras,
     )
     return started
 
@@ -62,7 +64,7 @@ def test_every_party_command_line_parses(source, monkeypatch, tmp_path):
     assert sps and all(sp.func is cli._cmd_demo_sp for sp in sps)
     assert all(sp.listen == ("127.0.0.1", 0) and sp.port_file for sp in sps)
     queries = [sp.wp_query or sp.yp_query for sp in sps]
-    assert json.loads(queries[-1]) == {"Purpose": "authentication"}
+    assert queries[-1] == {"Purpose": "authentication"}
 
 
 @pytest.mark.parametrize(
@@ -79,3 +81,29 @@ def test_per_user_directory_defaults_to_home(monkeypatch, tmp_path):
     monkeypatch.setenv("PSVC_HOME", str(tmp_path))
     args = cli.build_parser().parse_args(["broker", "run"])
     assert args.ps_dir == str(Path.home() / ".PS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["proxy", "run", "--listen", "127.0.0.1:70000"],
+        ["demo", "sp", "--listen", "127.0.0.1:70000"],
+        ["demo", "sp", "--wp-query", "nope"],
+        ["demo", "sp", "--yp-query", "[1, 2]"],
+        ["demo", "sp", "--invoke-extras", "no-such-file.json"],
+    ],
+    ids=["proxy-port", "sp-port", "wp-query", "yp-query", "extras"],
+)
+def test_unusable_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)  # parsed only: a wrongly accepted value never serves
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_invoke_extras_are_decoded_where_the_flag_is_declared(tmp_path):
+    extras = tmp_path / "extras.json"
+    extras.write_text(json.dumps({"headers": [["X-A", "1"], ["X-A", "2"]], "body_b64": "aGk="}))
+    args = cli.build_parser().parse_args(["demo", "sp", "--invoke-extras", str(extras)])
+    assert args.invoke_extras == ((("X-A", "1"), ("X-A", "2")), b"hi")
+    assert cli.build_parser().parse_args(["demo", "sp"]).invoke_extras == ((), b"")

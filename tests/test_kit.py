@@ -50,23 +50,19 @@ class TestBootstrap:
 
 class TestDetectInvocation:
     def test_marker_plus_referer(self):
-        assert detect_psvc_invocation(
-            {"Referer": "sp.test:8080", H_INVOCATION: "1"}
-        )
+        assert detect_psvc_invocation((("Referer", "sp.test:8080"), (H_INVOCATION, "1")))
 
     def test_header_names_are_case_insensitive(self):
-        assert detect_psvc_invocation(
-            {"REFERER": "sp.test:8080", "psvc-invocation": "1"}
-        )
+        assert detect_psvc_invocation((("REFERER", "sp.test:8080"), ("psvc-invocation", "1")))
 
     @pytest.mark.parametrize(
         "headers",
         [
-            {},
-            {"Referer": "sp.test:8080"},
-            {H_INVOCATION: "1"},
-            {"Referer": "", H_INVOCATION: "1"},
-            {"Referer": "sp.test:8080", H_INVOCATION: "2"},
+            (),
+            (("Referer", "sp.test:8080"),),
+            ((H_INVOCATION, "1"),),
+            (("Referer", ""), (H_INVOCATION, "1")),
+            (("Referer", "sp.test:8080"), (H_INVOCATION, "2")),
         ],
     )
     def test_not_an_invocation(self, headers):

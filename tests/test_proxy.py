@@ -19,7 +19,7 @@ import psvc.proxy
 from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
 from psvc.demo.service import MockAuthService
-from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP, SPConfig
+from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP
 from psvc.kit import ServiceServer, allocate_port
 from psvc.protocol import (
     BROKER_RESULT,
@@ -436,6 +436,21 @@ class TestListingFlows:
         result = decode_broker_result(sp.requests[1].header(H_SERVICE))
         assert result.operation == OP_WHITE
         assert result.response is None
+
+    def test_undecodable_endpoint_file_is_broker_down(self, proxy, stub, tmp_path):
+        sp = stub()
+        sp.enqueue(
+            Scripted(311, ((H_SERVICE, '{"Purpose": "x"}'), (H_CALLBACK, sp.url("/wp")))),
+            Scripted(200),
+        )
+        server = proxy()
+        (tmp_path / "broker.ept").write_bytes(b"\xff12")  # and no broker.psd
+        assert via(server, "GET", sp.url("/login"))[0] == 200
+        posted = sp.requests[1]
+        assert posted.path == "/wp"
+        assert posted.header(H_ERROR) is None
+        result = decode_broker_result(posted.header(H_SERVICE))
+        assert (result.operation, result.response) == (OP_WHITE, None)
 
     def test_unreadable_broker_reply_is_502_not_an_empty_listing(self, proxy, stub):
         sp = stub()
@@ -997,7 +1012,7 @@ class TestConnectionPool:
             tmp_path, "cc", dict(DEFAULT_WP_QUERY), url=f"http://127.0.0.1:{service_port}"
         )
         broker = BrokerServer(tmp_path)
-        sp = DemoSP(SPConfig(port=0))
+        sp = DemoSP(("127.0.0.1", 0))
         front = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0))
         parties = {"service": service, "broker": broker, "sp": sp}
         accepts = {name: count_accepts(server) for name, server in parties.items()}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import shutil
 import socket
@@ -16,9 +17,13 @@ import pytest
 
 import psvc
 import psvc.demo.sp
+import psvc.kit
 from psvc import transcript
 from psvc.cli import main
-from psvc.demo.sp import DemoSP, SPConfig
+from psvc.demo.service import MockAuthService
+from psvc.demo.sp import DemoSP
+from psvc.kit import KitRequest
+from psvc.protocol import H_INVOCATION, H_SERVICE, OP_YELLOW, BrokerResult, encode_broker_result
 from psvc.scenario import (
     SCENARIOS,
     Browser,
@@ -31,6 +36,8 @@ from psvc.scenario import (
 )
 
 from conftest import Scripted, header_value, http_exchange
+
+WORLD = Path(__file__).resolve().parent.parent / "perfbench" / "world.py"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -146,7 +153,7 @@ def test_kill_and_wait_sees_an_unreaped_grandchild_exit():
 
 
 def test_demo_sp_accepts_a_result_once():
-    sp = DemoSP(SPConfig(port=0))
+    sp = DemoSP(("127.0.0.1", 0))
     sp.start()
     try:
         session = sp.new_session("/")
@@ -164,8 +171,8 @@ def test_demo_sp_accepts_a_result_once():
 
 
 def test_demo_sp_tables_stay_bounded(monkeypatch):
-    monkeypatch.setattr(psvc.demo.sp, "MAX_TABLE_ENTRIES", 4)
-    sp = DemoSP(SPConfig(port=0))
+    monkeypatch.setattr(psvc.kit, "MAX_TABLE_ENTRIES", 4)
+    sp = DemoSP(("127.0.0.1", 0))
     sp.start()
     try:
         form_headers = [("Content-Type", "application/x-www-form-urlencoded")]
@@ -198,7 +205,7 @@ def test_demo_sp_tables_stay_bounded(monkeypatch):
 def test_demo_sp_header_that_breaks_its_line_is_a_500(target, monkeypatch, tmp_path):
     log = tmp_path / "transcript.jsonl"
     monkeypatch.setenv(transcript.ENV_VAR, str(log))
-    sp = DemoSP(SPConfig(port=0))
+    sp = DemoSP(("127.0.0.1", 0))
     sp.start()
     try:
         cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie('demo-user')}"
@@ -224,6 +231,76 @@ def test_tampered_handle_is_still_hex_and_differs_in_one_digit():
         assert len(tampered) == 32
         assert all(c in "0123456789abcdef" for c in tampered)
         assert sum(a != b for a, b in zip(handle, tampered)) == 1
+
+
+def load_bench_world(monkeypatch):
+    """perfbench/world.py, whose browser reads the demo pages the benchmark drives."""
+    spec = importlib.util.spec_from_file_location("perfbench_world", WORLD)
+    world = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, world)  # its dataclasses look it up
+    spec.loader.exec_module(world)
+    return world
+
+
+def test_demo_sp_pages_keep_the_markers_the_benchmark_reads(monkeypatch):
+    world = load_bench_world(monkeypatch)
+    sp = DemoSP(("127.0.0.1", 0))
+    sp.start()
+    try:
+        cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie('demo-user')}"
+        status, _, members = http_exchange(sp.netloc, "GET", "/", [("Cookie", cookie)])
+        assert status == 200
+        assert world._MEMBER.search(members).group(1) == b"demo-user"
+        names = [{"Purpose": "authentication"}, {"Purpose": "printing"}]
+        envelope = encode_broker_result(BrokerResult(OP_YELLOW, {"Purpose": "x"}, names))
+        status, _, listing = http_exchange(
+            sp.netloc, "POST", "/yp-callback", [(H_SERVICE, envelope)]
+        )
+        assert status == 200
+        assert world._COUNT.search(listing).group(1) == b"2"
+    finally:
+        sp.shutdown()
+
+
+def auth_request(sid: str) -> KitRequest:
+    """The invocation a proxy builds for the demo service's /auth."""
+    query = {"sid": sid, "nonce": f"n-{sid}", "return": "http://sp.test/result"}
+    return KitRequest(
+        "GET",
+        "/auth?" + urlencode(query),
+        "/auth",
+        query,
+        (("Referer", "sp.test"), (H_INVOCATION, "1")),
+        b"",
+    )
+
+
+def confirm_request(sid: str) -> KitRequest:
+    body = urlencode({"sid": sid, "confirm": "yes"}).encode()
+    return KitRequest("POST", "/confirm", "/confirm", {}, (), body)
+
+
+def test_demo_service_consent_page_is_one_autosubmit_form(monkeypatch):
+    world = load_bench_world(monkeypatch)
+    page = MockAuthService(4321).handle(auth_request("s1")).body.decode("utf-8")
+    assert page.count("<form") == 1 and page.count('data-autosubmit="1"') == 1
+    scraper = world._AutoForm()
+    scraper.feed(page)
+    assert scraper.form == {
+        "action": "http://127.0.0.1:4321/confirm",
+        "method": "POST",
+        "fields": {"sid": "s1", "confirm": "yes"},
+    }
+
+
+def test_demo_service_dialogs_stay_bounded():
+    service = MockAuthService(4321)
+    sids = [f"s{n}" for n in range(psvc.kit.MAX_TABLE_ENTRIES + 1)]
+    for sid in sids:
+        assert service.handle(auth_request(sid)).status == 200
+    assert len(service._dialogs) == psvc.kit.MAX_TABLE_ENTRIES
+    assert service.handle(confirm_request(sids[0])).status == 403
+    assert service.handle(confirm_request(sids[-1])).status == 200
 
 
 class TestBrowser:
