@@ -21,6 +21,7 @@ import json
 import logging
 import secrets
 import threading
+from html import escape
 from typing import Any, NamedTuple
 from urllib.parse import quote
 
@@ -166,7 +167,8 @@ class DemoSP(ServiceServer):
         user = self.user_for_cookie(header_value(request.headers, "Cookie"))
         if user is None:
             return _redirect(self.absolute("/login?next=/"))
-        return _html(200, "Members area", f"<h1>Members area</h1><p>authenticated as {user}</p>")
+        members = f"<h1>Members area</h1><p>authenticated as {escape(user)}</p>"
+        return _html(200, "Members area", members)
 
     def _login(self, request: KitRequest) -> KitResponse:
         next_url = request.query.get("next", "/")
@@ -205,7 +207,8 @@ class DemoSP(ServiceServer):
             return _html(403, "Unknown session", "<p>no such sign-in attempt</p>")
         error = header_value(request.headers, H_ERROR)
         if error:
-            return _html(200, "Sign-in unavailable", f"<p>authentication unavailable: {error}</p>")
+            message = f"<p>authentication unavailable: {escape(error)}</p>"
+            return _html(200, "Sign-in unavailable", message)
         raw = header_value(request.headers, H_SERVICE)
         envelope = None
         if raw:
@@ -240,14 +243,14 @@ class DemoSP(ServiceServer):
         raw = header_value(request.headers, H_SERVICE)
         error = header_value(request.headers, H_ERROR)
         if error or not raw:
-            return _html(200, "Discovery", f"<p>listing failed: {error or 'no result'}</p>")
+            return _html(200, "Discovery", f"<p>listing failed: {escape(error or 'no result')}</p>")
         try:
             envelope = decode_broker_result(raw)
             names = envelope.response if isinstance(envelope.response, list) else []
         except ValueError:
             names = []
         items = "".join(
-            f"<li>{json.dumps(name, ensure_ascii=False)}</li>" for name in names
+            f"<li>{escape(json.dumps(name, ensure_ascii=False))}</li>" for name in names
         )
         return _html(
             200,
@@ -258,7 +261,7 @@ class DemoSP(ServiceServer):
 
     def _invoke_error(self, request: KitRequest) -> KitResponse:
         error = header_value(request.headers, H_ERROR) or "unknown"
-        return _html(200, "Sign-in failed", f"<p>authentication failed: {error}</p>")
+        return _html(200, "Sign-in failed", f"<p>authentication failed: {escape(error)}</p>")
 
     def _result(self, request: KitRequest) -> KitResponse:
         form = request.form()

@@ -21,13 +21,14 @@ from __future__ import annotations
 import html
 import logging
 import os
+import re
+import select
 import socket
-import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import suppress
+from http import HTTPStatus
 from pathlib import Path
-from socketserver import TCPServer
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import parse_qs, urlsplit
@@ -241,200 +242,294 @@ class KitResponse(NamedTuple):
         )
 
 
-# Bounds on kept-alive connections; each open connection holds a thread.
+# Bounds on connections and workers.  Idle kept connections wait in one
+# epoll set and hold no thread; a request runs on one of the workers.
 KEEPALIVE_IDLE_S = 5.0  # an idle connection is closed after this long
-KEEPALIVE_MAX = 32  # past this many open connections, replies carry Connection: close
+KEEPALIVE_MAX = 32  # workers at most; past this many connections, replies carry Connection: close
 MAX_BODY_BYTES = 8 << 20  # over it: a request body gets a 413, an upstream reply a 502
 LINGER_S = 1.0  # how long a refused request's unread body is drained
+MAX_LINE = 65536  # bytes in a request line or a field line, CRLF included
+MAX_FIELDS = 100  # field lines in one request head
+
+_TOKEN = rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
+_REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % _TOKEN)
+_FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % _TOKEN)
+_UNSENDABLE = re.compile("[\r\n\0\u0100-\U0010ffff]")  # breaks a head line, or is not latin-1
+_PHRASES = {**{status.value: status.phrase for status in HTTPStatus}, **REASON_PHRASES}
+_ONESHOT = select.EPOLLIN | select.EPOLLONESHOT
 
 
-class _Listener(ThreadingHTTPServer):
-    # The default backlog of 5 holds fewer connections than a burst of
-    # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
-    request_queue_size = 64
-    daemon_threads = True
+class Refusal(Exception):
+    """A request the scaffold answers itself, then closes on: (status, message)."""
 
-    def __init__(self, address, handler_class) -> None:
-        self.open: set[socket.socket] = set()
-        self.open_lock = threading.Lock()
-        super().__init__(address, handler_class)
 
-    def server_bind(self) -> None:
-        # HTTPServer's own resolves the host's FQDN, which costs an idna
-        # import and a reverse lookup; only CGI handlers read server_name.
-        TCPServer.server_bind(self)
-        self.server_name, self.server_port = self.server_address[:2]
+def read_head(recv: Callable[[int], bytes], buf: bytes = b"") -> tuple | None:
+    """One request head read strictly by RFC 9112 §2-§5, from `buf`, then from `recv`.
 
-    def process_request(self, request, client_address) -> None:
-        with self.open_lock:
-            self.open.add(request)
-        super().process_request(request, client_address)
+    Returns (method, target, is HTTP/1.0, fields, the bytes after the
+    head), or None if the peer closes first.  A Refusal names the status:
+    414 or 431 for a line over MAX_LINE, 431 past MAX_FIELDS, else 400.
+    """
+    lines: list[bytes] = []
+    start = 0
+    while True:
+        end = buf.find(b"\n", start)
+        if end < 0 and len(buf) - start < MAX_LINE:
+            chunk = recv(65536)
+            if not chunk:
+                return None
+            buf += chunk
+            continue
+        if end < 0 or end + 1 - start > MAX_LINE:
+            raise Refusal(431 if lines else 414, "line too long\n")
+        line, start = buf[start : end + 1], end + 1
+        if line == b"\r\n":
+            break
+        lines.append(line)
+        if len(lines) > MAX_FIELDS + 1:
+            raise Refusal(431, "too many header fields\n")
+    request = _REQUEST_LINE.fullmatch(lines[0]) if lines else None
+    if request is None:
+        raise Refusal(400, "malformed request line\n")
+    fields = []
+    for line in lines[1:]:
+        field = _FIELD_LINE.fullmatch(line)
+        if field is None:
+            raise Refusal(400, "malformed header field\n")
+        fields.append((field[1].decode("ascii"), field[2].decode("latin-1").strip(" \t")))
+    method, target = request[1].decode("ascii"), request[2].decode("ascii")
+    return method, target, request[3] == b"0", tuple(fields), buf[start:]
 
-    def shutdown_request(self, request) -> None:
-        with self.open_lock:
-            self.open.discard(request)
-        super().shutdown_request(request)
 
-    def handle_error(self, request, client_address) -> None:
-        # A client may reset a kept connection at any time; that ends it.
-        exc = sys.exc_info()[1]
-        if isinstance(exc, ConnectionError):
-            log.debug("%s went away: %s", client_address, exc)
-        else:
-            super().handle_error(request, client_address)
-
-    def close_open(self) -> None:
-        """End every accepted connection; a handler waiting on one reads EOF."""
-        with self.open_lock:
-            kept = list(self.open)
-        for sock in kept:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # already closed by its peer or its handler
+def _content_length(fields: tuple[tuple[str, str], ...]) -> int:
+    """The length of the body a head announces (RFC 9112 §6.3), or a Refusal."""
+    if header_value(fields, "Transfer-Encoding") is not None:
+        raise Refusal(411, "request body needs a Content-Length\n")
+    lengths = [value for key, value in fields if key.lower() == "content-length"]
+    if len(lengths) > 1 or lengths and not (lengths[0].isascii() and lengths[0].isdigit()):
+        raise Refusal(400, "malformed Content-Length\n")
+    length = int(lengths[0]) if lengths else 0
+    if length > MAX_BODY_BYTES:
+        raise Refusal(413, f"request body over {MAX_BODY_BYTES} bytes\n")
+    return length
 
 
 class ServiceServer:
     """HTTP/1.1 server driven by one handler function; every psvc party runs on it.
 
     It binds in the constructor, so the port is known (and can be
-    published) before serving starts.  Every request method reaches the
-    handler, and each response goes out with Content-Length once the
-    handler returns.  A handler's response whose header names or values
-    hold CR, LF or NUL would split its header block, so it goes out as a
-    500 instead.  Every response, the refusals below included, is
-    logged as one SERVE event of ``actor`` before its bytes leave: a
-    peer reacts the moment it has them, and transcript order must follow
+    published) before serving starts.  Every method reaches the handler,
+    whose response leaves in one write, with Content-Length.  A handler
+    that raises, or a response header holding CR, LF or NUL, gets a 500.
+    Every response, refusals included, is logged as one SERVE event of
+    ``actor`` before its bytes leave, so transcript order follows
     causality.  The party's own events go to ``self.transcript`` too.
-    Status line, headers and body are buffered and sent in one write
-    (two for a response over the 8 KiB buffer).
 
-    Connections stay open for another request unless the client asks
-    for ``close``.  An idle connection is closed after
-    ``KEEPALIVE_IDLE_S``, and past ``KEEPALIVE_MAX`` open connections a
-    reply carries ``Connection: close``.  ``shutdown()`` ends the kept
-    connections too, so no handler thread serves on after it.
+    Workers wait together on one epoll set (Linux), where the listener
+    and each idle connection are armed for one event; the worker that
+    wakes accepts, or serves the connection and re-arms it.  Workers
+    start to keep one waiting, up to ``KEEPALIVE_MAX``.  A connection
+    closes when the client says ``close`` or speaks HTTP/1.0, and after
+    ``KEEPALIVE_IDLE_S`` idle (within twice that); past ``KEEPALIVE_MAX``
+    open connections, replies carry ``Connection: close``.
 
-    A request whose Content-Length is not a decimal count gets a 400,
-    one with a Transfer-Encoding a 411, and one whose body is over
-    ``MAX_BODY_BYTES`` a 413, without reaching the handler: the body is
-    read by Content-Length only, and a framed body must not reach the
-    handler as empty.  These replies close the connection, so the
-    unread body is never parsed as the next request.
+    Besides ``read_head``'s refusals, Transfer-Encoding gets a 411, a
+    Content-Length that is not one decimal count a 400, and a body over
+    ``MAX_BODY_BYTES`` a 413: the body is read by Content-Length only.
+    A refusal closes the connection, so an unread body is never parsed.
     """
 
     def __init__(
         self, address: tuple[str, int], handler: Callable[[KitRequest], KitResponse], actor: str
     ):
-        self.transcript = transcript = Transcript.from_env(actor)
-
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            timeout = KEEPALIVE_IDLE_S
-            # Buffered: a response leaves in one write when the request is
-            # done (handle_one_request flushes), headers and body together.
-            wbufsize = -1
-            # A response over the buffer takes two writes; with Nagle on, a
-            # kept connection stalls the second until the peer's delayed ACK.
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt: str, *args) -> None:
-                log.debug("%s %s", self.address_string(), fmt % args)
-
-            def handle_expect_100(self) -> bool:
-                super().handle_expect_100()
-                self.wfile.flush()  # the client waits for it before its body
-                return True
-
-            def _send(self, response: KitResponse) -> None:
-                if any(c in k or c in v for k, v in response.headers for c in "\r\n\0"):
-                    log.warning("%s %s: a header breaks its line", self.command, self.path)
-                    response = KitResponse.text("response header breaks its line\n", 500)
-                status = response.status
-                transcript.emit(SERVE, self.command, self.path, status,
-                                in_err=self.headers.get(H_ERROR), **response.note)
-                self.send_response_only(status, response.reason or REASON_PHRASES.get(status))
-                for key, value in response.headers:
-                    self.send_header(key, value)
-                self.send_header("Content-Length", str(len(response.body)))
-                if self.close_connection or len(self.server.open) > KEEPALIVE_MAX:
-                    self.send_header("Connection", "close")  # also ends the loop
-                self.end_headers()
-                if response.body and self.command != "HEAD":
-                    self.wfile.write(response.body)
-
-            def _refuse(self, message: str, status: int) -> None:
-                self.close_connection = True  # the body is left unread
-                self._send(KitResponse.text(message, status))
-                self.wfile.flush()
-                # Closing on unread bytes resets the connection, and a client
-                # still sending its body would lose the reply: send EOF, then
-                # read and drop what arrives for a moment.
-                self.request.shutdown(socket.SHUT_WR)
-                self.request.settimeout(LINGER_S)
-                deadline = time.monotonic() + LINGER_S
-                try:
-                    while time.monotonic() < deadline and self.rfile.read1(65536):
-                        pass
-                except OSError:
-                    pass  # timed out or reset: either way the client is done
-
-            def _run(self) -> None:
-                if "Transfer-Encoding" in self.headers:
-                    self._refuse("request body needs a Content-Length\n", 411)
-                    return
-                text = (self.headers.get("Content-Length") or "0").strip()
-                if not (text.isascii() and text.isdigit()):
-                    self._refuse("malformed Content-Length\n", 400)
-                    return
-                length = int(text)
-                if length > MAX_BODY_BYTES:
-                    self._refuse(f"request body over {MAX_BODY_BYTES} bytes\n", 413)
-                    return
-                try:
-                    parts = urlsplit(self.path)
-                except ValueError:  # an unbalanced IPv6 bracket
-                    self._refuse("malformed request target\n", 400)
-                    return
-                request = KitRequest(
-                    method=self.command,
-                    target=self.path,
-                    path=parts.path,
-                    query={k: v[0] for k, v in parse_qs(parts.query).items()},
-                    headers=tuple(self.headers.items()),
-                    body=self.rfile.read(length) if length else b"",
-                )
-                self._send(handler(request))
-
-            do_GET = do_POST = do_HEAD = do_PUT = do_DELETE = _run
-            do_OPTIONS = do_PATCH = do_CONNECT = _run
-
-        self._httpd = _Listener(address, _Handler)
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def netloc(self) -> str:
-        """host:port as bound, the form Referer, Host and the transcript use."""
-        host, port = self._httpd.server_address[:2]
-        return f"{host}:{port}"
+        self.transcript = Transcript.from_env(actor)
+        self._handler = handler
+        # The default backlog holds fewer connections than a burst of
+        # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
+        self._sock = socket.create_server(address, backlog=64)
+        self._sock.setblocking(False)
+        self.host, self.port = self._sock.getsockname()[:2]
+        self.netloc = f"{self.host}:{self.port}"  # the form Referer, Host and the transcript use
+        self._wake = os.eventfd(0)  # readable once shutdown() writes it
+        self._epoll = select.epoll()
+        self._epoll.register(self._sock, _ONESHOT)
+        self._epoll.register(self._wake, select.EPOLLIN)
+        self._lock = threading.Lock()
+        self._open: dict[int, socket.socket] = {}  # every accepted connection, by fd
+        self._idle: dict[int, float] = {}  # fd: since when, of those armed
+        self._workers: set[threading.Thread] = set()
+        self._waiting = 0  # workers waiting, or on their way back to wait
+        self._closed = threading.Event()
 
     def start(self) -> None:
-        """Serve in a background thread."""
-        self._thread = threading.Thread(
-            target=lambda: self._httpd.serve_forever(poll_interval=0.1), daemon=True
-        )
-        self._thread.start()
+        """Serve on worker threads."""
+        with self._lock:
+            self._spawn()
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        """Serve until shutdown()."""
+        self.start()
+        self._closed.wait()
 
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._httpd.close_open()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        """Close the listener and every connection, and wait for the workers to end."""
+        with self._lock:
+            if self._closed.is_set():
+                return
+            self._closed.set()
+            for fd in self._idle:
+                self._open.pop(fd).close()
+            busy = list(self._open.values())
+            workers = self._workers - {threading.current_thread()}
+        os.eventfd_write(self._wake, 1)
+        for sock in busy:
+            with suppress(OSError):  # unless its peer closed it already
+                sock.shutdown(socket.SHUT_RDWR)  # its worker reads EOF
+        deadline = time.monotonic() + STOP_TIMEOUT_S
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+        self._sock.close()
+        self._epoll.close()
+        os.close(self._wake)
+
+    def _spawn(self) -> None:  # the lock is held
+        worker = threading.Thread(target=self._work, daemon=True)
+        self._workers.add(worker)
+        self._waiting += 1
+        worker.start()
+
+    def _work(self) -> None:
+        """Wait on the epoll set with the other workers; serve what wakes this one."""
+        try:
+            while not self._closed.is_set():
+                events = self._epoll.poll(KEEPALIVE_IDLE_S, 1)
+                fd = events[0][0] if events else -1
+                with self._lock:
+                    if self._closed.is_set() or not events and self._waiting > 1:
+                        return  # shut down, or idle while another worker waits
+                    horizon = time.monotonic() - KEEPALIVE_IDLE_S
+                    for stale in [f for f, since in self._idle.items() if since <= horizon]:
+                        del self._idle[stale]
+                        self._open.pop(stale).close()
+                    if fd == self._sock.fileno():
+                        sock = self._sock
+                    elif self._idle.pop(fd, None) is not None:
+                        sock = self._open[fd]
+                    else:
+                        continue  # a timeout, or a connection closed meanwhile
+                    self._waiting -= 1
+                    if not self._waiting and len(self._workers) < KEEPALIVE_MAX:
+                        self._spawn()
+                if sock is self._sock:
+                    self._accept()
+                else:
+                    self._answer(fd, sock)
+        finally:
+            with self._lock:
+                self._waiting -= 1
+                self._workers.discard(threading.current_thread())
+
+    def _accept(self) -> None:
+        try:
+            sock = self._sock.accept()[0]
+            # A response is one write; it must not wait for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(KEEPALIVE_IDLE_S)
+        except OSError:
+            sock = None  # the client gave up before it was accepted
+        with self._lock:
+            self._waiting += 1
+            if not self._closed.is_set():
+                self._epoll.modify(self._sock, _ONESHOT)
+                if sock is not None:
+                    self._open[sock.fileno()] = sock
+                    self._idle[sock.fileno()] = time.monotonic()
+                    self._epoll.register(sock, _ONESHOT)
+                return
+        if sock is not None:
+            sock.close()
+
+    def _answer(self, fd: int, sock: socket.socket) -> None:
+        try:
+            keep = self._serve(sock)
+        except OSError:
+            keep = False  # timed out, reset or gone
+        except Exception:
+            log.exception("%s: serving a connection failed", self.netloc)
+            keep = False
+        with self._lock:
+            self._waiting += 1
+            if keep and not self._closed.is_set():
+                self._idle[fd] = time.monotonic()
+                self._epoll.modify(fd, _ONESHOT)
+                return
+            self._open.pop(fd, None)
+        sock.close()
+
+    def _serve(self, sock: socket.socket) -> bool:
+        """Answer the requests waiting on `sock`; True to keep it for another."""
+        rest = b""
+        try:
+            while True:
+                method, target, fields = "", "", ()  # until a head is read
+                head = read_head(sock.recv, rest)
+                if head is None:
+                    return False
+                method, target, http10, fields, rest = head
+                length = _content_length(fields)
+                try:
+                    parts = urlsplit(target)
+                except ValueError:  # an unbalanced IPv6 bracket
+                    raise Refusal(400, "malformed request target\n") from None
+                if not http10 and (header_value(fields, "Expect") or "").lower() == "100-continue":
+                    sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client waits for it
+                body = bytearray(rest[:length])
+                while len(body) < length:
+                    chunk = sock.recv(min(length - len(body), 65536))
+                    if not chunk:
+                        return False
+                    body += chunk
+                rest = rest[length:]
+                query = {k: v[0] for k, v in parse_qs(parts.query).items()}
+                request = KitRequest(method, target, parts.path, query, fields, bytes(body))
+                try:
+                    response = self._handler(request)
+                except Exception:
+                    log.exception("%s %s: the handler raised", method, target)
+                    response = KitResponse.text("internal error\n", 500)
+                options = (header_value(fields, "Connection") or "").lower().split(",")
+                close = http10 or "close" in map(str.strip, options)
+                close = close or len(self._open) > KEEPALIVE_MAX
+                self._send(sock, method, target, fields, response, close)
+                if close or not rest:  # else a pipelined request waits in `rest`
+                    return not close
+        except Refusal as refusal:
+            status, message = refusal.args
+            self._send(sock, method, target, fields, KitResponse.text(message, status), True)
+        # Closing on unread bytes resets the connection, and a client still
+        # sending its body would lose the reply: send EOF, then read and drop
+        # what arrives for a moment.
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(LINGER_S)
+        deadline = time.monotonic() + LINGER_S
+        with suppress(OSError):  # timed out or reset: either way the client is done
+            while time.monotonic() < deadline and sock.recv(65536):
+                pass
+        return False
+
+    def _send(self, sock, method, target, fields, response: KitResponse, close: bool) -> None:
+        """Log a SERVE event, then send status line, fields, Content-Length and body at once."""
+        reason = response.reason or _PHRASES.get(response.status, "")
+        lines = [f"HTTP/1.1 {response.status} {reason}"]
+        lines += [f"{key}: {value}" for key, value in response.headers]
+        lines.append(f"Content-Length: {len(response.body)}")
+        if close:
+            lines.append("Connection: close")
+        if _UNSENDABLE.search("".join(lines)):
+            log.warning("%s %s: a response header breaks its line", method, target)
+            response = KitResponse.text("response header breaks its line\n", 500)
+            return self._send(sock, method, target, fields, response, close)
+        in_err = header_value(fields, H_ERROR)
+        self.transcript.emit(SERVE, method, target, response.status, in_err=in_err, **response.note)
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        sock.sendall(head if method == "HEAD" else head + response.body)

@@ -36,7 +36,7 @@ import time
 from http.client import HTTPConnection, HTTPException, HTTPResponse, IncompleteRead
 from pathlib import Path
 from typing import NamedTuple
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from .kit import (
     KEEPALIVE_IDLE_S,
@@ -150,6 +150,14 @@ def strip_hop_by_hop(headers: list[tuple[str, str]] | tuple[tuple[str, str], ...
     ]
 
 
+def _port(parts: SplitResult) -> int | None:
+    """The port a split http URL names, 80 by default; None when out of range."""
+    try:
+        return parts.port or 80
+    except ValueError:
+        return None
+
+
 class _Pool:
     """Idle upstream connections, oldest first, shared by the proxy's threads."""
 
@@ -228,8 +236,8 @@ def send_request(
     over MAX_BODY_BYTES is a 502, and its connection is closed.
     """
     parts = urlsplit(url)
-    if parts.scheme != "http" or not parts.hostname:
-        raise Diagnostic(400, f"cannot forward to {url!r}: only plain http URLs")
+    if parts.scheme != "http" or not parts.hostname or _port(parts) is None:
+        raise Diagnostic(400, f"cannot forward to {url!r}: only plain http URLs with a valid port")
     origin = parts.netloc
     target = parts.path or "/"
     if parts.query:
@@ -408,6 +416,10 @@ class PersonalServiceProxy(ServiceServer):
             )
         if not url.startswith("http://"):
             return KitResponse.text("expected an absolute http:// request target\n", 400)
+        parts = urlsplit(url)
+        if _port(parts) == self.port and parts.hostname in (self.host, "localhost"):
+            # Forwarded, it would come back here and hold a second worker.
+            return KitResponse.text("refusing to forward to this proxy itself\n", 508)
         try:
             final = self.handle_transaction(request.method, url, list(request.headers), request.body)
         except Diagnostic as diag:

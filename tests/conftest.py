@@ -14,6 +14,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
 
 import json
 import random
+import socket
 import string
 import sys
 import threading
@@ -239,16 +240,29 @@ def chunked_post(netloc: str, target: str, body: bytes, timeout: float = 10.0) -
         conn.close()
 
 
+class _CountedListener:
+    """A listening socket that records the client address of each accept."""
+
+    def __init__(self, sock: socket.socket, accepts: list[tuple[str, int]]):
+        self._sock = sock
+        self._accepts = accepts
+
+    def accept(self):
+        conn, address = self._sock.accept()
+        self._accepts.append(address)
+        return conn, address
+
+    def __getattr__(self, name: str):
+        return getattr(self._sock, name)
+
+
 def count_accepts(server) -> list[tuple[str, int]]:
-    """The client address of every connection a kit.ServiceServer accepts from now on."""
+    """The client address of every connection a kit.ServiceServer accepts from now on.
+
+    Call it before the server starts.
+    """
     accepts: list[tuple[str, int]] = []
-    process = server._httpd.process_request
-
-    def counted(request, client_address):
-        accepts.append(client_address)
-        process(request, client_address)
-
-    server._httpd.process_request = counted
+    server._sock = _CountedListener(server._sock, accepts)
     return accepts
 
 

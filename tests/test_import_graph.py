@@ -46,15 +46,26 @@ def within(modules: set[str], *packages: str) -> set[str]:
     return {m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)}
 
 
+# kit serves HTTP itself; these come only with the proxy's upstream client.
+HTTP_LIBRARIES = ("http.server", "http.client", "email", "ssl", "socketserver")
+
+
 def test_a_kit_service_loads_nothing_the_other_parties_need():
     added = added_modules("psvc.cli", "psvc.demo.service")
-    assert {"psvc.kit", "psvc.transcript", "http.server"} <= added
+    assert {"psvc.kit", "psvc.transcript"} <= added
     unwanted = within(
         added,
         "psvc.protocol", "psvc.registry", "psvc.broker",
         "dataclasses", "secrets", "hmac", "hashlib", "tempfile",
+        *HTTP_LIBRARIES,
     )
     assert unwanted == set()
+
+
+def test_the_broker_loads_no_http_library():
+    added = added_modules("psvc.cli", "psvc.broker.server")
+    assert {"psvc.kit", "psvc.broker.server"} <= added
+    assert within(added, *HTTP_LIBRARIES) == set()
 
 
 def test_the_proxy_loads_no_broker():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 import socket
+import sys
+import threading
 import time
 from html.parser import HTMLParser
 from http.client import HTTPConnection
@@ -237,7 +239,8 @@ class TestServiceServer:
         assert http_exchange(f"127.0.0.1:{server.port}", "GET", "/up")[0] == 200
 
     @pytest.mark.parametrize(
-        "header", [("X-A", "1\r"), ("X-A", "1\n2"), ("X-A\n", "1"), ("X-A", "\0")]
+        "header",
+        [("X-A", "1\r"), ("X-A", "1\n2"), ("X-A\n", "1"), ("X-A", "\0"), ("X-A", "\u20ac")],
     )
     def test_header_that_breaks_its_line_is_a_500(self, header):
         server = ServiceServer(("127.0.0.1", 0), lambda _: KitResponse(200, (header,)), "Test")
@@ -426,15 +429,16 @@ class TestKeepAlive:
 
 class TestOneWritePerResponse:
     def test_each_response_reaches_the_socket_in_one_write(self, served, monkeypatch):
-        writes: list[int] = []
-        write = socket.SocketIO.write
-
-        def counted(self, data):
-            writes.append(len(data))
-            return write(self, data)
-
-        monkeypatch.setattr(socket.SocketIO, "write", counted)
         server, _, _ = served()
+        writes: list[int] = []
+        sendall = socket.socket.sendall
+
+        def counted(self, data, *flags):
+            if self.getsockname()[1] == server.port:  # the server's end of a connection
+                writes.append(len(data))
+            return sendall(self, data, *flags)
+
+        monkeypatch.setattr(socket.socket, "sendall", counted)
         with socket.create_connection(("127.0.0.1", server.port)) as sock:
             replies = []
             for request in (
@@ -539,3 +543,147 @@ class TestOneWritePerResponse:
         assert reply.startswith(b"HTTP/1.1 400")
         assert b"\r\nConnection: close" in reply
         assert seen == []
+
+    def test_handler_that_raises_gets_a_500_and_one_serve_event(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+
+        def handler(request: KitRequest) -> KitResponse:
+            raise KeyError("missing")
+
+        server = ServiceServer(("127.0.0.1", 0), handler, "Test")
+        server.start()
+        try:
+            status, _, body = http_exchange(server.netloc, "GET", "/raises")
+            assert http_exchange(server.netloc, "GET", "/again")[0] == 500  # still serving
+        finally:
+            server.shutdown()
+        assert (status, body) == (500, b"internal error\n")
+        events = [(e.actor, e.direction, e.method, e.path, e.status) for e in read_events(log)]
+        assert events[0] == ("Test", SERVE, "GET", "/raises", 500)
+        assert len(events) == 2
+        assert "KeyError: 'missing'" in caplog.text
+
+
+@pytest.fixture()
+def slow_server(monkeypatch):
+    """Factory for a started server whose handler sleeps `delay` s: (server, handler threads)."""
+    made: list[ServiceServer] = []
+
+    def make(delay: float, **limits):
+        for name, value in limits.items():
+            monkeypatch.setattr(kit, name, value)
+        threads: set[int] = set()
+
+        def handler(request: KitRequest) -> KitResponse:
+            threads.add(threading.get_ident())
+            time.sleep(delay)
+            return KitResponse.text("slow")
+
+        server = ServiceServer(("127.0.0.1", 0), handler, "Test")
+        server.start()
+        made.append(server)
+        return server, threads
+
+    yield make
+    for server in made:
+        server.shutdown()
+
+
+def concurrently(count: int, job) -> list:
+    """Run `job(i)` on `count` threads at once; their results in order."""
+    results: list = [None] * count
+
+    def run(i: int) -> None:
+        results[i] = job(i)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    return results
+
+
+class TestWorkerBounds:
+    def test_concurrent_slow_requests_are_all_served_by_at_most_the_cap(self, slow_server):
+        server, threads = slow_server(0.05, KEEPALIVE_MAX=4)
+        results = concurrently(40, lambda i: http_exchange(server.netloc, "GET", f"/{i}")[::2])
+        assert results == [(200, b"slow")] * 40
+        assert 1 <= len(threads) <= 4
+
+    def test_idle_kept_connections_hold_no_thread(self, served):
+        baseline = threading.active_count()
+        server, _, accepts = served()
+        conns = [HTTPConnection("127.0.0.1", server.port, timeout=5) for _ in range(32)]
+        try:
+            for conn in conns:
+                conn.request("GET", "/kept")
+                assert conn.getresponse().read() == b"GET /kept"
+            assert len(accepts) == 32
+            # One worker waits and one serves; the one just served may not be back
+            # waiting when the next connection arrives, so a third can start.
+            assert threading.active_count() - baseline <= 3
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_shutdown_ends_every_worker(self, slow_server):
+        baseline = threading.active_count()
+        server, threads = slow_server(0.2)
+        concurrently(8, lambda i: http_exchange(server.netloc, "GET", "/")[0])
+        assert len(threads) > 1
+        server.shutdown()
+        assert threading.active_count() == baseline
+
+    def test_idle_connection_closes_while_others_keep_the_workers_busy(self, served):
+        server, _, _ = served(KEEPALIVE_IDLE_S=0.3)
+        idle = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        busy = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            idle.request("GET", "/idle")
+            idle.getresponse().read()
+            idle.sock.setblocking(False)
+            deadline = time.monotonic() + 3
+            closed = False
+            while not closed and time.monotonic() < deadline:
+                busy.request("GET", "/busy")  # a wake-up at least every 0.05 s
+                assert busy.getresponse().read() == b"GET /busy"
+                time.sleep(0.05)
+                try:
+                    closed = idle.sock.recv(1) == b""
+                except BlockingIOError:
+                    pass
+            assert closed
+        finally:
+            idle.close()
+            busy.close()
+
+    def test_worker_counts_hold_under_contention(self, served):
+        server, seen, _ = served(KEEPALIVE_MAX=3)
+
+        def job(i: int) -> list[bytes]:
+            conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+            try:
+                replies = []
+                for n in range(5):
+                    conn.request("GET", f"/{i}/{n}")
+                    replies.append(conn.getresponse().read())
+                return replies
+            finally:
+                conn.close()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = concurrently(12, job)
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == [[f"GET /{i}/{n}".encode() for n in range(5)] for i in range(12)]
+        assert len(seen) == 60
+        deadline = time.monotonic() + 3
+        while server._waiting != len(server._workers) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert 1 <= server._waiting == len(server._workers) <= 3  # every worker back waiting

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import psvc.kit
 import psvc.proxy
+from psvc import transcript
 from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
 from psvc.demo.service import MockAuthService
@@ -46,6 +47,7 @@ from psvc.proxy import (
     strip_hop_by_hop,
 )
 from psvc.scenario import Browser
+from psvc.transcript import SERVE, read_events
 
 from conftest import (
     Scripted,
@@ -235,6 +237,21 @@ class TestPlainRelay:
     def test_unsplittable_target_is_400(self, proxy):
         status, _, body = via(proxy(), "GET", "http://[127.0.0.1/")
         assert (status, body) == (400, b"malformed request target\n")
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost", "LocalHost"])
+    def test_request_for_the_proxy_itself_is_refused(self, proxy, monkeypatch, tmp_path, host):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        server = proxy()
+        status, _, body = via(server, "GET", f"http://{host}:{server.port}/loop")
+        assert (status, body) == (508, b"refusing to forward to this proxy itself\n")
+        events = [(e.actor, e.direction, e.status) for e in read_events(log)]
+        assert events == [("Proxy", SERVE, 508)]
+
+    def test_port_out_of_range_is_400(self, proxy):
+        status, _, body = via(proxy(), "GET", "http://127.0.0.1:99999/")
+        assert status == 400
+        assert b"valid port" in body
 
     def test_https_target_rejected(self, proxy):
         server = proxy()

@@ -23,7 +23,14 @@ from psvc.cli import main
 from psvc.demo.service import MockAuthService
 from psvc.demo.sp import DemoSP
 from psvc.kit import KitRequest
-from psvc.protocol import H_INVOCATION, H_SERVICE, OP_YELLOW, BrokerResult, encode_broker_result
+from psvc.protocol import (
+    H_ERROR,
+    H_INVOCATION,
+    H_SERVICE,
+    OP_YELLOW,
+    BrokerResult,
+    encode_broker_result,
+)
 from psvc.scenario import (
     SCENARIOS,
     Browser,
@@ -258,6 +265,39 @@ def test_demo_sp_pages_keep_the_markers_the_benchmark_reads(monkeypatch):
         )
         assert status == 200
         assert world._COUNT.search(listing).group(1) == b"2"
+    finally:
+        sp.shutdown()
+
+
+SCRIPT = "</li><script>alert(1)</script>"
+
+
+def test_demo_sp_writes_what_it_echoes_as_text():
+    sp = DemoSP(("127.0.0.1", 0))
+
+    def page(method: str, path: str, headers=(), query=None) -> str:
+        request = KitRequest(method, path, path, query or {}, tuple(headers), b"")
+        return sp._handle(request).body.decode("utf-8")
+
+    sp.start()
+    try:
+        names = [{"Name": SCRIPT}]
+        envelope = encode_broker_result(BrokerResult(OP_YELLOW, {"Purpose": "x"}, names))
+        listing = page("POST", "/yp-callback", [(H_SERVICE, envelope)])
+        assert "1 service(s) available" in listing
+        assert "&lt;/li&gt;&lt;script&gt;alert(1)&lt;/script&gt;" in listing
+        cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie(SCRIPT)}"
+        sid = sp.new_session("/").sid
+        echoes = [
+            listing,
+            page("GET", "/", [("Cookie", cookie)]),
+            page("POST", "/yp-callback", [(H_ERROR, SCRIPT)]),
+            page("POST", "/wp-callback", [(H_ERROR, SCRIPT)], {"sid": sid}),
+            page("POST", "/invoke-error", [(H_ERROR, SCRIPT)]),
+        ]
+        for echoed in echoes:
+            assert "alert(1)" in echoed
+            assert "<script>" not in echoed
     finally:
         sp.shutdown()
 
