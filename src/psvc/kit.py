@@ -195,6 +195,13 @@ def header_value(headers: Iterable[tuple[str, str]], name: str) -> str | None:
     return None
 
 
+def field_tokens(headers: Iterable[tuple[str, str]], name: str) -> list[str]:
+    """The comma-separated tokens of every `name` field, lowercased (``Connection``, say)."""
+    low = name.lower()
+    tokens = (t.strip().lower() for k, v in headers if k.lower() == low for t in v.split(","))
+    return [t for t in tokens if t]
+
+
 # A party's per-user table (sign-ins, cookies, dialogs) holds at most this many entries.
 MAX_TABLE_ENTRIES = 4096
 
@@ -248,11 +255,12 @@ KEEPALIVE_IDLE_S = 5.0  # an idle connection is closed after this long
 KEEPALIVE_MAX = 32  # workers at most; past this many connections, replies carry Connection: close
 MAX_BODY_BYTES = 8 << 20  # over it: a request body gets a 413, an upstream reply a 502
 LINGER_S = 1.0  # how long a refused request's unread body is drained
-MAX_LINE = 65536  # bytes in a request line or a field line, CRLF included
-MAX_FIELDS = 100  # field lines in one request head
+MAX_LINE = 65536  # bytes in a start line or a field line, CRLF included
+MAX_FIELDS = 100  # field lines in one head
 
 _TOKEN = rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
-_REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % _TOKEN)
+REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % _TOKEN)
+STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9]) ([\t\x20-\x7e\x80-\xff]*)\r\n")
 _FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % _TOKEN)
 _UNSENDABLE = re.compile("[\r\n\0\u0100-\U0010ffff]")  # breaks a head line, or is not latin-1
 _PHRASES = {**{status.value: status.phrase for status in HTTPStatus}, **REASON_PHRASES}
@@ -260,55 +268,112 @@ _ONESHOT = select.EPOLLIN | select.EPOLLONESHOT
 
 
 class Refusal(Exception):
-    """A request the scaffold answers itself, then closes on: (status, message)."""
+    """A head or body that cannot be read: (status, message).  A server answers it, then closes."""
 
 
-def read_head(recv: Callable[[int], bytes], buf: bytes = b"") -> tuple | None:
-    """One request head read strictly by RFC 9112 §2-§5, from `buf`, then from `recv`.
+class Stream:
+    """A connection's incoming bytes, taken a line or a count at a time.
 
-    Returns (method, target, is HTTP/1.0, fields, the bytes after the
-    head), or None if the peer closes first.  A Refusal names the status:
-    414 or 431 for a line over MAX_LINE, 431 past MAX_FIELDS, else 400.
+    Every read ends by ``deadline`` (time.monotonic()), or raises
+    TimeoutError.  Bytes received beyond those taken wait for the next
+    call, such as a pipelined request.
     """
-    lines: list[bytes] = []
-    start = 0
-    while True:
-        end = buf.find(b"\n", start)
-        if end < 0 and len(buf) - start < MAX_LINE:
-            chunk = recv(65536)
+
+    def __init__(self, sock: socket.socket, timeout: float):
+        self._sock = sock
+        self.deadline = time.monotonic() + timeout
+        self._buf = b""
+        self._pos = 0  # where the untaken bytes of _buf start
+
+    def _recv(self, size: int) -> bytes:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out")
+        self._sock.settimeout(left)
+        return self._sock.recv(size)
+
+    @property
+    def idle(self) -> bool:
+        """True when every byte received so far was taken."""
+        return self._pos == len(self._buf)
+
+    def line(self, too_long: int = 431) -> bytes | None:
+        """The next line, LF included, or None at EOF; Refusal(too_long) past MAX_LINE bytes."""
+        while (end := self._buf.find(b"\n", self._pos)) < 0:
+            if len(self._buf) - self._pos >= MAX_LINE:
+                break
+            chunk = self._recv(65536)
             if not chunk:
                 return None
-            buf += chunk
-            continue
-        if end < 0 or end + 1 - start > MAX_LINE:
-            raise Refusal(431 if lines else 414, "line too long\n")
-        line, start = buf[start : end + 1], end + 1
-        if line == b"\r\n":
-            break
-        lines.append(line)
-        if len(lines) > MAX_FIELDS + 1:
-            raise Refusal(431, "too many header fields\n")
-    request = _REQUEST_LINE.fullmatch(lines[0]) if lines else None
-    if request is None:
-        raise Refusal(400, "malformed request line\n")
+            self._buf, self._pos = self._buf[self._pos :] + chunk, 0
+        if end < 0 or end + 1 - self._pos > MAX_LINE:
+            raise Refusal(too_long, "line too long\n")
+        line, self._pos = self._buf[self._pos : end + 1], end + 1
+        return line
+
+    def take(self, size: int) -> bytes:
+        """The next `size` bytes, fewer only if the peer closes first."""
+        data = self._buf[self._pos : self._pos + size]
+        self._pos += len(data)
+        if len(data) < size:
+            data = bytearray(data)
+            while len(data) < size and (chunk := self._recv(min(size - len(data), 65536))):
+                data += chunk
+        return bytes(data)
+
+
+def read_head(stream: Stream, start_line: re.Pattern = REQUEST_LINE) -> tuple | None:
+    """One head read strictly by RFC 9112 §2-§5: a request's, or with STATUS_LINE a reply's.
+
+    Returns (the start line's match, fields), or None if the peer closes
+    first.  A Refusal names the status: 414 for a start line over
+    MAX_LINE, 431 for a field line over it or past MAX_FIELDS, else 400.
+    """
+    line = stream.line(414)
+    if line is None:
+        return None
+    start = start_line.fullmatch(line)
+    if start is None:
+        raise Refusal(400, "malformed start line\n")
+    fields = read_fields(stream)
+    return None if fields is None else (start, fields)
+
+
+def read_fields(stream: Stream) -> tuple[tuple[str, str], ...] | None:
+    """Field lines through the empty line that ends them: a head's, or a chunked body's trailers."""
     fields = []
-    for line in lines[1:]:
+    while (line := stream.line()) != b"\r\n":
+        if line is None:
+            return None
         field = _FIELD_LINE.fullmatch(line)
         if field is None:
             raise Refusal(400, "malformed header field\n")
+        if len(fields) == MAX_FIELDS:
+            raise Refusal(431, "too many header fields\n")
         fields.append((field[1].decode("ascii"), field[2].decode("latin-1").strip(" \t")))
-    method, target = request[1].decode("ascii"), request[2].decode("ascii")
-    return method, target, request[3] == b"0", tuple(fields), buf[start:]
+    return tuple(fields)
 
 
-def _content_length(fields: tuple[tuple[str, str], ...]) -> int:
-    """The length of the body a head announces (RFC 9112 §6.3), or a Refusal."""
-    if header_value(fields, "Transfer-Encoding") is not None:
-        raise Refusal(411, "request body needs a Content-Length\n")
+def content_length(fields: Iterable[tuple[str, str]]) -> int | None:
+    """The one Content-Length a head gives, or None; Refusal(400) for several or a malformed one."""
     lengths = [value for key, value in fields if key.lower() == "content-length"]
     if len(lengths) > 1 or lengths and not (lengths[0].isascii() and lengths[0].isdigit()):
         raise Refusal(400, "malformed Content-Length\n")
-    length = int(lengths[0]) if lengths else 0
+    return int(lengths[0]) if lengths else None
+
+
+def encode_head(lines: Sequence[str]) -> bytes | None:
+    """A head's lines as wire bytes; None if one holds CR, LF, NUL or a non-latin-1 character."""
+    if _UNSENDABLE.search("".join(lines)):
+        return None
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _body_length(fields: tuple[tuple[str, str], ...]) -> int:
+    """The length of the request body a head announces (RFC 9112 §6.3), or a Refusal."""
+    if header_value(fields, "Transfer-Encoding") is not None:
+        raise Refusal(411, "request body needs a Content-Length\n")
+    length = content_length(fields) or 0
     if length > MAX_BODY_BYTES:
         raise Refusal(413, f"request body over {MAX_BODY_BYTES} bytes\n")
     return length
@@ -331,7 +396,8 @@ class ServiceServer:
     start to keep one waiting, up to ``KEEPALIVE_MAX``.  A connection
     closes when the client says ``close`` or speaks HTTP/1.0, and after
     ``KEEPALIVE_IDLE_S`` idle (within twice that); past ``KEEPALIVE_MAX``
-    open connections, replies carry ``Connection: close``.
+    open connections, replies carry ``Connection: close``.  A request's
+    head and body together must arrive within ``KEEPALIVE_IDLE_S``.
 
     Besides ``read_head``'s refusals, Transfer-Encoding gets a 411, a
     Content-Length that is not one decimal count a 400, and a body over
@@ -434,7 +500,6 @@ class ServiceServer:
             sock = self._sock.accept()[0]
             # A response is one write; it must not wait for the peer's delayed ACK.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(KEEPALIVE_IDLE_S)
         except OSError:
             sock = None  # the client gave up before it was accepted
         with self._lock:
@@ -468,40 +533,40 @@ class ServiceServer:
 
     def _serve(self, sock: socket.socket) -> bool:
         """Answer the requests waiting on `sock`; True to keep it for another."""
-        rest = b""
+        stream = Stream(sock, KEEPALIVE_IDLE_S)
         try:
             while True:
                 method, target, fields = "", "", ()  # until a head is read
-                head = read_head(sock.recv, rest)
+                # One deadline covers a request's head and body, so a client
+                # that trickles bytes cannot hold its worker for longer.
+                stream.deadline = time.monotonic() + KEEPALIVE_IDLE_S
+                head = read_head(stream)
                 if head is None:
                     return False
-                method, target, http10, fields, rest = head
-                length = _content_length(fields)
+                request, fields = head
+                method, target = request[1].decode("ascii"), request[2].decode("ascii")
+                http10 = request[3] == b"0"
+                length = _body_length(fields)
                 try:
                     parts = urlsplit(target)
                 except ValueError:  # an unbalanced IPv6 bracket
                     raise Refusal(400, "malformed request target\n") from None
                 if not http10 and (header_value(fields, "Expect") or "").lower() == "100-continue":
                     sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client waits for it
-                body = bytearray(rest[:length])
-                while len(body) < length:
-                    chunk = sock.recv(min(length - len(body), 65536))
-                    if not chunk:
-                        return False
-                    body += chunk
-                rest = rest[length:]
+                body = stream.take(length)
+                if len(body) < length:
+                    return False
                 query = {k: v[0] for k, v in parse_qs(parts.query).items()}
-                request = KitRequest(method, target, parts.path, query, fields, bytes(body))
+                request = KitRequest(method, target, parts.path, query, fields, body)
                 try:
                     response = self._handler(request)
                 except Exception:
                     log.exception("%s %s: the handler raised", method, target)
                     response = KitResponse.text("internal error\n", 500)
-                options = (header_value(fields, "Connection") or "").lower().split(",")
-                close = http10 or "close" in map(str.strip, options)
+                close = http10 or "close" in field_tokens(fields, "Connection")
                 close = close or len(self._open) > KEEPALIVE_MAX
                 self._send(sock, method, target, fields, response, close)
-                if close or not rest:  # else a pipelined request waits in `rest`
+                if close or stream.idle:  # else a pipelined request waits in `stream`
                     return not close
         except Refusal as refusal:
             status, message = refusal.args
@@ -518,18 +583,31 @@ class ServiceServer:
         return False
 
     def _send(self, sock, method, target, fields, response: KitResponse, close: bool) -> None:
-        """Log a SERVE event, then send status line, fields, Content-Length and body at once."""
-        reason = response.reason or _PHRASES.get(response.status, "")
-        lines = [f"HTTP/1.1 {response.status} {reason}"]
-        lines += [f"{key}: {value}" for key, value in response.headers]
-        lines.append(f"Content-Length: {len(response.body)}")
+        """Log a SERVE event, then send status line, fields, Content-Length and body at once.
+
+        Content-Length follows RFC 9110 §8.6: none on 1xx and 204; on a 304
+        or a HEAD reply, the handler's own if given; else the body's length.
+        """
+        status, given = response.status, header_value(response.headers, "Content-Length")
+        if status < 200 or status == 204:
+            length = None
+        elif status == 304 or method == "HEAD" and given is not None:
+            length = given
+        else:
+            length = str(len(response.body))
+        lines = [f"HTTP/1.1 {status} {response.reason or _PHRASES.get(status, '')}"]
+        lines += [f"{k}: {v}" for k, v in response.headers if k.lower() != "content-length"]
+        if length is not None:
+            lines.append(f"Content-Length: {length}")
         if close:
             lines.append("Connection: close")
-        if _UNSENDABLE.search("".join(lines)):
+        head = encode_head(lines)
+        if head is None:
             log.warning("%s %s: a response header breaks its line", method, target)
             response = KitResponse.text("response header breaks its line\n", 500)
             return self._send(sock, method, target, fields, response, close)
         in_err = header_value(fields, H_ERROR)
-        self.transcript.emit(SERVE, method, target, response.status, in_err=in_err, **response.note)
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        sock.sendall(head if method == "HEAD" else head + response.body)
+        self.transcript.emit(SERVE, method, target, status, in_err=in_err, **response.note)
+        sock.settimeout(KEEPALIVE_IDLE_S)  # reads left it at what remained of their deadline
+        bodiless = method == "HEAD" or status < 200 or status in (204, 304)
+        sock.sendall(head if bodiless else head + response.body)

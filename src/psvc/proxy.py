@@ -21,6 +21,10 @@ callback so the SP can carry on, and a failed service invocation is
 reported there as ``service``.  Plain responses relay to the browser
 untouched apart from hop-by-hop headers; one that cannot be read is a
 502.  HTTPS is not intercepted.
+
+Upstream, the proxy speaks HTTP/1.1 itself (``send_request``): one write
+per request, replies read by the scaffold's own head reader, and idle
+connections pooled by origin.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import select
 import socket
 import subprocess
 import threading
 import time
-from http.client import HTTPConnection, HTTPException, HTTPResponse, IncompleteRead
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import SplitResult, urlsplit
@@ -41,12 +45,21 @@ from urllib.parse import SplitResult, urlsplit
 from .kit import (
     KEEPALIVE_IDLE_S,
     MAX_BODY_BYTES,
+    REQUEST_LINE,
+    STATUS_LINE,
     EndpointFileError,
     KitRequest,
     KitResponse,
+    Refusal,
     ServiceServer,
+    Stream,
+    content_length,
+    encode_head,
+    field_tokens,
     header_value,
     read_endpoint_file,
+    read_fields,
+    read_head,
     stop_process,
 )
 from .protocol import (
@@ -88,6 +101,9 @@ BROKER_LAUNCH_TIMEOUT_S = 10.0
 # its end, so a reused connection is rarely one being closed.
 POOL_MAX = 32
 POOL_IDLE_S = KEEPALIVE_IDLE_S / 2
+
+_OVER_CAP = f"body over {MAX_BODY_BYTES} bytes"
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[\t ]*(?:;[\t\x20-\x7e\x80-\xff]*)?\r\n")
 
 # End at this proxy; never forwarded (RFC 7230 hop-by-hop set).
 HOP_BY_HOP = frozenset(
@@ -139,10 +155,7 @@ class UpstreamResponse(NamedTuple):
 
 def strip_hop_by_hop(headers: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> list[tuple[str, str]]:
     """Drop hop-by-hop headers, including those named by Connection."""
-    named = set()
-    for key, value in headers:
-        if key.lower() == "connection":
-            named.update(tok.strip().lower() for tok in value.split(",") if tok.strip())
+    named = set(field_tokens(headers, "Connection"))
     return [
         (k, v)
         for k, v in headers
@@ -159,64 +172,125 @@ def _port(parts: SplitResult) -> int | None:
 
 
 class _Pool:
-    """Idle upstream connections, oldest first, shared by the proxy's threads."""
+    """Idle upstream connections by origin, shared by the proxy's threads.
+
+    At most POOL_MAX wait, across all origins; past that the oldest goes.
+    """
 
     def __init__(self) -> None:
-        self._idle: list[tuple[float, str, HTTPConnection]] = []  # (since, origin, conn)
+        # origin: [(idle since, connection)], oldest first; no list is empty
+        self._idle: dict[str, list[tuple[float, socket.socket]]] = {}
         self._lock = threading.Lock()
 
-    def take(self, origin: str) -> HTTPConnection | None:
+    def take(self, origin: str) -> socket.socket | None:
         """The newest idle connection to `origin` that is still open, if any."""
-        horizon = time.monotonic() - POOL_IDLE_S
-        found = None
         with self._lock:
-            kept = [entry for entry in self._idle if entry[0] >= horizon]
-            dropped = [conn for since, _, conn in self._idle if since < horizon]
-            for i in range(len(kept) - 1, -1, -1):
-                if kept[i][1] == origin:
-                    found = kept.pop(i)[2]
-                    break
-            self._idle = kept
-        if found is not None and not _alive(found):
-            dropped.append(found)
-            found = None
-        for conn in dropped:
+            idle = self._idle.get(origin)
+            if not idle:
+                return None
+            since, sock = idle.pop()
+            dropped = []
+            if since < time.monotonic() - POOL_IDLE_S:  # then the older ones are stale too
+                dropped = [sock, *(older for _, older in idle)]
+                idle.clear()
+            if not idle:
+                del self._idle[origin]
+        if not dropped and _alive(sock):
+            return sock
+        for conn in dropped or [sock]:
             conn.close()
-        return found
+        return None
 
-    def give(self, origin: str, conn: HTTPConnection) -> None:
+    def give(self, origin: str, sock: socket.socket) -> None:
         with self._lock:
-            self._idle.append((time.monotonic(), origin, conn))
-            evicted = self._idle.pop(0)[2] if len(self._idle) > POOL_MAX else None
-        if evicted is not None:
-            evicted.close()
+            self._idle.setdefault(origin, []).append((time.monotonic(), sock))
+            if sum(map(len, self._idle.values())) <= POOL_MAX:
+                return
+            oldest = min(self._idle, key=lambda key: self._idle[key][0][0])
+            evicted = self._idle[oldest].pop(0)[1]
+            if not self._idle[oldest]:
+                del self._idle[oldest]
+        evicted.close()
 
 
-def _alive(conn: HTTPConnection) -> bool:
+def _alive(sock: socket.socket) -> bool:
     """True when nothing, not even EOF, waits to be read on an idle connection."""
     poller = select.poll()
-    poller.register(conn.sock, select.POLLIN)
+    poller.register(sock, select.POLLIN)
     return not poller.poll(0)
 
 
 _POOL = _Pool()
 
 
-def _exchange(
-    conn: HTTPConnection, method: str, target: str, origin: str,
-    headers: list[tuple[str, str]], body: bytes,
-) -> HTTPResponse:
-    """Send one request on `conn`; the reply comes back unread."""
-    conn.putrequest(method, target, skip_host=True, skip_accept_encoding=True)
-    if not any(k.lower() == "host" for k, _ in headers):
-        conn.putheader("Host", origin)
-    have_length = any(k.lower() == "content-length" for k, _ in headers)
-    for key, value in headers:
-        conn.putheader(key, value)
-    if not have_length and (body or method not in ("GET", "HEAD")):
-        conn.putheader("Content-Length", str(len(body)))
-    conn.endheaders(body or None)
-    return conn.getresponse()
+def _encode_request(
+    method: str, target: str, origin: str, headers: list[tuple[str, str]], body: bytes
+) -> bytes:
+    """The request's bytes, or a Diagnostic for what would not reach the wire intact."""
+    lines = [f"{method} {target} HTTP/1.1"]
+    if header_value(headers, "Host") is None:
+        lines.append(f"Host: {origin}")
+    lines += [f"{key}: {value}" for key, value in headers]
+    if header_value(headers, "Content-Length") is None and (body or method not in ("GET", "HEAD")):
+        lines.append(f"Content-Length: {len(body)}")
+    head = encode_head(lines)
+    if head is None or not REQUEST_LINE.match(head):
+        raise Diagnostic(502, f"cannot send {method} {target!r} to {origin}: not a valid head")
+    return head + body
+
+
+def _read_reply(stream: Stream, method: str) -> tuple[re.Match, tuple, bytes, bool]:
+    """A final reply, body framed by RFC 9112 §6.3: (status line, fields, body, reusable).
+
+    Reusable means an HTTP/1.1 reply without ``close`` whose body did not run to EOF.
+    """
+    head = read_head(stream, STATUS_LINE)
+    if head is None and stream.idle:
+        raise ConnectionResetError("closed without replying")
+    while head is not None and head[0][2].startswith(b"1"):
+        head = read_head(stream, STATUS_LINE)
+    if head is None:
+        raise Refusal(502, "closed mid-head")
+    start, fields = head
+    length, codings = content_length(fields), field_tokens(fields, "Transfer-Encoding")
+    reusable = start[1] != b"0" and "close" not in field_tokens(fields, "Connection")
+    if method == "HEAD" or start[2] in (b"204", b"304"):
+        body = b""
+    elif codings and codings[-1] == "chunked":
+        body = _dechunk(stream)
+        reusable = reusable and length is None  # both framings: a smuggling attempt, at best
+    elif codings or length is None:  # the body runs to EOF
+        body, reusable = stream.take(MAX_BODY_BYTES + 1), False
+        if len(body) > MAX_BODY_BYTES:
+            raise Refusal(502, _OVER_CAP)
+    elif length > MAX_BODY_BYTES:
+        raise Refusal(502, _OVER_CAP)
+    elif len(body := stream.take(length)) < length:
+        raise Refusal(502, "body shorter than its Content-Length")
+    return start, fields, body, reusable and stream.idle
+
+
+def _dechunk(stream: Stream) -> bytes:
+    """A chunked body (RFC 9112 §7.1) decoded under the cap; its trailer fields are dropped."""
+    body = bytearray()
+    while (size := _CHUNK_SIZE.fullmatch(stream.line() or b"")) and (length := int(size[1], 16)):
+        if len(body) + length > MAX_BODY_BYTES:
+            raise Refusal(502, _OVER_CAP)
+        chunk = stream.take(length + 2)
+        if chunk[length:] != b"\r\n":
+            raise Refusal(502, "malformed chunk")
+        body += chunk[:length]
+    if size is None or read_fields(stream) is None:
+        raise Refusal(502, "malformed chunk size or trailer")
+    return bytes(body)
+
+
+def _exchange(sock: socket.socket, request: bytes, method: str, timeout: float):
+    """Send `request` on `sock` and read the reply, the whole exchange within `timeout`."""
+    stream = Stream(sock, timeout)
+    sock.settimeout(timeout)
+    sock.sendall(request)
+    return _read_reply(stream, method)
 
 
 def send_request(
@@ -227,64 +301,51 @@ def send_request(
     *,
     timeout: float = UPSTREAM_TIMEOUT_S,
 ) -> UpstreamResponse:
-    """One plain HTTP exchange; headers go out exactly as given.
+    """One plain HTTP/1.1 exchange; headers go out exactly as given.
 
     It runs on an idle pooled connection to the origin when there is
     one.  A HEAD or GET whose pooled connection breaks before the reply
     (the server closed it meanwhile) is sent once more on a fresh
-    connection; any other method is never sent twice.  A reply body
-    over MAX_BODY_BYTES is a 502, and its connection is closed.
+    connection; any other method is never sent twice.  A request that
+    would not reach the wire intact is a 502 before any byte is sent,
+    and so is a reply that cannot be read or whose body is over
+    MAX_BODY_BYTES; its connection is closed.
     """
     parts = urlsplit(url)
-    if parts.scheme != "http" or not parts.hostname or _port(parts) is None:
+    port = _port(parts)
+    if parts.scheme != "http" or not parts.hostname or port is None:
         raise Diagnostic(400, f"cannot forward to {url!r}: only plain http URLs with a valid port")
     origin = parts.netloc
     target = parts.path or "/"
     if parts.query:
         target += "?" + parts.query
-
-    def fresh() -> HTTPConnection:
-        return HTTPConnection(parts.hostname, parts.port or 80, timeout=timeout)
-
-    conn = _POOL.take(origin)
-    pooled = conn is not None
-    if pooled:
-        conn.sock.settimeout(timeout)
-    else:
-        conn = fresh()
-    reusable = False
+    request = _encode_request(method, target, origin, headers, body)
+    sock, reply = _POOL.take(origin), None
     try:
-        try:
-            resp = _exchange(conn, method, target, origin, headers, body)
-        except (ConnectionResetError, BrokenPipeError):
-            if not pooled or method not in ("GET", "HEAD"):
-                raise
-            conn.close()
-            conn = fresh()
-            resp = _exchange(conn, method, target, origin, headers, body)
-        # b"" for a HEAD; reading to the end leaves the connection reusable
-        payload = resp.read(MAX_BODY_BYTES + 1)
-        if len(payload) > MAX_BODY_BYTES:
-            raise Diagnostic(502, f"upstream {origin} sent a reply body over {MAX_BODY_BYTES} bytes")
-        if resp.length:  # a read with a limit leaves a short body unreported
-            raise IncompleteRead(payload, resp.length)
-        reusable = not resp.will_close
+        if sock is not None:
+            try:
+                reply = _exchange(sock, request, method, timeout)
+            except (ConnectionResetError, BrokenPipeError):
+                if method not in ("GET", "HEAD"):
+                    raise
+                sock.close()
+        if reply is None:
+            sock = socket.create_connection((parts.hostname, port), timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reply = _exchange(sock, request, method, timeout)
     except OSError as exc:
         raise Unreachable(origin, exc) from None
-    except HTTPException as exc:
-        raise Diagnostic(502, f"upstream {origin} sent an unreadable reply: {exc!r}") from None
+    except Refusal as refusal:
+        reason = refusal.args[1].strip()
+        raise Diagnostic(502, f"upstream {origin} sent an unreadable reply: {reason}") from None
     finally:
-        if not reusable:
-            conn.close()
+        if sock is not None and (reply is None or not reply[3]):
+            sock.close()
+    start, fields, payload, reusable = reply
     if reusable:
-        _POOL.give(origin, conn)
-    return UpstreamResponse(
-        status=resp.status,
-        reason=resp.reason or "",
-        headers=tuple(resp.getheaders()),
-        body=payload,
-        origin=origin,
-    )
+        _POOL.give(origin, sock)
+    reason = start[3].decode("latin-1").strip()
+    return UpstreamResponse(int(start[2]), reason, fields, payload, origin)
 
 
 class BrokerLink:
@@ -424,12 +485,8 @@ class PersonalServiceProxy(ServiceServer):
             final = self.handle_transaction(request.method, url, list(request.headers), request.body)
         except Diagnostic as diag:
             return KitResponse.text(diag.reason + "\n", diag.status, diag=diag.reason)
-        headers = [
-            (k, v)
-            for k, v in strip_hop_by_hop(list(final.headers))
-            if k.lower() != "content-length"
-        ]
-        return KitResponse(final.status, tuple(headers), final.body, final.reason)
+        headers = tuple(strip_hop_by_hop(final.headers))  # the scaffold sets Content-Length
+        return KitResponse(final.status, headers, final.body, final.reason)
 
     def handle_transaction(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes

@@ -46,7 +46,7 @@ def within(modules: set[str], *packages: str) -> set[str]:
     return {m for m in modules if any(m == p or m.startswith(p + ".") for p in packages)}
 
 
-# kit serves HTTP itself; these come only with the proxy's upstream client.
+# kit serves HTTP and the proxy speaks it upstream on their own; no party loads these.
 HTTP_LIBRARIES = ("http.server", "http.client", "email", "ssl", "socketserver")
 
 
@@ -65,6 +65,12 @@ def test_a_kit_service_loads_nothing_the_other_parties_need():
 def test_the_broker_loads_no_http_library():
     added = added_modules("psvc.cli", "psvc.broker.server")
     assert {"psvc.kit", "psvc.broker.server"} <= added
+    assert within(added, *HTTP_LIBRARIES) == set()
+
+
+def test_the_proxy_loads_no_http_library():
+    added = added_modules("psvc.cli", "psvc.proxy")
+    assert {"psvc.kit", "psvc.proxy"} <= added
     assert within(added, *HTTP_LIBRARIES) == set()
 
 

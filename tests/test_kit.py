@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import select
 import socket
 import sys
 import threading
@@ -258,6 +259,35 @@ class TestServiceServer:
         assert status == 200
         assert body == b""
         assert int(header_value(headers, "Content-Length")) > 0
+
+    @pytest.mark.parametrize(
+        "method, status, given, sent",
+        [
+            ("GET", 200, None, "4"),
+            ("GET", 200, "1234", "4"),  # a GET's length is the body's
+            ("HEAD", 200, None, "4"),
+            ("HEAD", 200, "1234", "1234"),  # what a GET would get
+            ("GET", 204, None, None),
+            ("GET", 204, "4", None),
+            ("GET", 304, None, None),
+            ("GET", 304, "1234", "1234"),
+        ],
+    )
+    def test_content_length_follows_rfc_9110(self, method, status, given, sent):
+        headers = (("Content-Length", given),) if given else ()
+        server = ServiceServer(
+            ("127.0.0.1", 0), lambda _: KitResponse(status, headers, b"body"), "Test"
+        )
+        server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.sendall(f"{method} / HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+                head, _, body = read_to_eof(sock).partition(b"\r\n\r\n")
+        finally:
+            server.shutdown()
+        lengths = re.findall(rb"\r\nContent-Length: ([^\r]*)", head)
+        assert lengths == ([sent.encode()] if sent else [])
+        assert body == (b"body" if (method, status) == ("GET", 200) else b"")
 
 
 def read_to_eof(sock, timeout: float = 5.0) -> bytes:
@@ -660,6 +690,22 @@ class TestWorkerBounds:
         finally:
             idle.close()
             busy.close()
+
+    def test_a_trickling_client_is_closed_within_the_idle_bound(self, served):
+        # One deadline covers the whole head, not each read of it.
+        server, seen, _ = served(KEEPALIVE_IDLE_S=0.5)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            started = time.monotonic()
+            for byte in b"GET / HTTP/1.1\r\nX-Slow: " + b"a" * 20:  # 4 s, at a byte per 0.1 s
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:  # reset: the server closed
+                    break
+                if select.select([sock], [], [], 0.1)[0]:  # EOF or a reset waits
+                    break
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.25
+        assert seen == []
 
     def test_worker_counts_hold_under_contention(self, served):
         server, seen, _ = served(KEEPALIVE_MAX=3)

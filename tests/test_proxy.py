@@ -7,6 +7,7 @@ import socket
 import string
 import sys
 import threading
+from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -21,7 +22,7 @@ from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
 from psvc.demo.service import MockAuthService
 from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP
-from psvc.kit import ServiceServer, allocate_port
+from psvc.kit import KitResponse, ServiceServer, allocate_port
 from psvc.protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -252,6 +253,22 @@ class TestPlainRelay:
         status, _, body = via(proxy(), "GET", "http://127.0.0.1:99999/")
         assert status == 400
         assert b"valid port" in body
+
+    def test_head_then_get_on_one_kept_connection(self, proxy):
+        # A HEAD reply keeps the origin's Content-Length and carries no body.
+        origin = ServiceServer(("127.0.0.1", 0), lambda _: KitResponse(body=b"x" * 1234), "Origin")
+        origin.start()
+        conn = HTTPConnection("127.0.0.1", proxy().port, timeout=10)
+        try:
+            replies = []
+            for method in ("HEAD", "GET"):
+                conn.request(method, f"http://{origin.netloc}/doc")
+                resp = conn.getresponse()
+                replies.append((resp.status, resp.getheader("Content-Length"), len(resp.read())))
+        finally:
+            conn.close()
+            origin.shutdown()
+        assert replies == [(200, "1234", 0), (200, "1234", 1234)]
 
     def test_https_target_rejected(self, proxy):
         server = proxy()
@@ -691,6 +708,23 @@ class TestServiceInvocation:
         assert (posted.method, posted.path) == ("POST", "/err")
         assert posted.header(H_ERROR) == ERR_SERVICE
 
+    @pytest.mark.parametrize("parameters", ["/auth?sid=a b", "/auth?sid=\u00e9"])
+    def test_parameters_that_cannot_go_on_the_wire_are_service(self, proxy, stub, parameters):
+        sp = stub()
+        service = stub()
+        broker = broker_stub(stub, endpoint=service.netloc)
+        directive = self.invoke_response(sp)
+        headers = tuple((k, parameters if k == H_PARAMETERS else v) for k, v in directive.headers)
+        sp.enqueue(
+            Scripted(312, headers, directive.body, directive.reason),
+            Scripted(200, (), b"told the sp\n"),
+        )
+        server = proxy(broker_port=broker.port)
+        status, _, body = via(server, "GET", sp.url("/login"))
+        assert (status, body) == (200, b"told the sp\n")
+        assert sp.requests[1].header(H_ERROR) == ERR_SERVICE
+        assert service.requests == []
+
     def test_invoke_without_handle_is_parameters(self, proxy, stub):
         sp = stub()
         sp.enqueue(
@@ -1016,6 +1050,24 @@ class TestConnectionPool:
         reply = psvc.proxy.send_request(method, origin.url("/again"), [], b"")
         assert reply.status == 200
         assert origin.requests == [(1, method, "/warm"), (1, method, "/again"), (2, method, "/again")]
+
+    def test_the_oldest_idle_connection_goes_first_across_origins(self, monkeypatch):
+        monkeypatch.setattr(psvc.proxy, "POOL_MAX", 3)
+        pool = psvc.proxy._Pool()
+        pairs = [socket.socketpair() for _ in range(5)]
+        conns = [mine for mine, _ in pairs]
+        try:
+            for origin, conn in zip("abacc", conns):
+                pool.give(origin, conn)
+            # Past POOL_MAX, the oldest went first, whatever its origin.
+            assert [conn.fileno() == -1 for conn in conns] == [True, True, False, False, False]
+            assert pool.take("b") is None
+            assert pool.take("a") is conns[2]
+            assert [pool.take("c"), pool.take("c"), pool.take("c")] == [conns[4], conns[3], None]
+        finally:
+            for pair in pairs:
+                for sock in pair:
+                    sock.close()
 
     def test_sign_in_reuses_upstream_connections(self, tmp_path, monkeypatch):
         # No idle limit may end a connection between sign-ins on a slow host.
