@@ -14,17 +14,22 @@ broker binds a free loopback port and publishes it in broker.ept there;
 
 from __future__ import annotations
 
-import argparse
-import json
-import logging
-import signal
 import sys
 import threading
 from base64 import b64decode
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+# argparse, json, logging and signal are imported where they are used: a
+# launched demo service needs none of them, and each launch pays for what it loads.
+if TYPE_CHECKING:
+    import argparse
+
 
 def _serve_until_signal(server, port_file: str | None) -> int:
     """Publish the bound port if asked, serve until SIGINT/SIGTERM, tear down."""
+    import signal
+
     from .kit import write_port_file
 
     if port_file:
@@ -39,6 +44,8 @@ def _serve_until_signal(server, port_file: str | None) -> int:
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
+    import argparse
+
     host, _, port = text.rpartition(":")
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, port 0-65535, got {text!r}")
@@ -46,6 +53,9 @@ def _parse_listen(text: str) -> tuple[str, int]:
 
 
 def _json_object(text: str) -> dict:
+    import argparse
+    import json
+
     value = json.loads(text)  # argparse reports a ValueError as a usage error too
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError(f"expected a JSON object, got {text!r}")
@@ -54,6 +64,9 @@ def _json_object(text: str) -> dict:
 
 def _invoke_extras(path: str) -> tuple[tuple[tuple[str, str], ...], bytes]:
     """The headers and body a JSON file {"headers": [[k, v], ...], "body_b64": ...} names."""
+    import argparse
+    import json
+
     try:
         record = json.loads(Path(path).read_text("utf-8"))
         headers = tuple((k, v) for k, v in record.get("headers", []))
@@ -159,15 +172,16 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Takes flags only in full, so no flag stands in for another (--port for --port-file)."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(allow_abbrev=False, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="psvc", description=__doc__.splitlines()[0])
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Takes flags only in full, so no flag stands in for another (--port for --port-file)."""
+
+        def __init__(self, **kwargs) -> None:
+            super().__init__(allow_abbrev=False, **kwargs)
+
+    parser = Parser(prog="psvc", description=__doc__.splitlines()[0])
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -250,6 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:2] == ["demo", "service"]:
+        # A launched service's arguments are its own (the port comes last):
+        # it starts without building the parser or configuring logging.
+        from .demo.service import main as service_main
+
+        return service_main(argv[2:])
+    import logging
+
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,

@@ -17,7 +17,6 @@ proxy carried everything faithfully.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import threading
 import time
@@ -56,7 +55,8 @@ class MockAuthService:
         dump_dir = os.environ.get(DUMP_ENV)
         if not dump_dir:
             return
-        import hashlib  # only dumps need it; a service starts without it
+        import hashlib  # only dumps need these; a service starts without them
+        import json
 
         record = {
             "method": request.method,

@@ -19,7 +19,6 @@ the broker package.
 from __future__ import annotations
 
 import html
-import logging
 import os
 import re
 import select
@@ -37,8 +36,6 @@ from .transcript import SERVE, Transcript
 
 if TYPE_CHECKING:
     import subprocess
-
-log = logging.getLogger(__name__)
 
 YELLOW_PAGES = 310
 WHITE_PAGES = 311
@@ -262,9 +259,18 @@ _TOKEN = rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
 REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % _TOKEN)
 STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9]) ([\t\x20-\x7e\x80-\xff]*)\r\n")
 _FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % _TOKEN)
-_UNSENDABLE = re.compile("[\r\n\0\u0100-\U0010ffff]")  # breaks a head line, or is not latin-1
+# CR, LF, NUL, or past latin-1: what breaks a head line or cannot be sent.  Negated,
+# since a class naming the ranges up to U+10FFFF takes every party about 8 ms to compile.
+_UNSENDABLE = re.compile(r"[^\x01-\x09\x0b\x0c\x0e-\xff]")
 _PHRASES = {**{status.value: status.phrase for status in HTTPStatus}, **REASON_PHRASES}
 _ONESHOT = select.EPOLLIN | select.EPOLLONESHOT
+
+
+def _log():
+    """The kit's logger, imported on first use, since only failures log."""
+    import logging
+
+    return logging.getLogger(__name__)
 
 
 class Refusal(Exception):
@@ -520,7 +526,7 @@ class ServiceServer:
         except OSError:
             keep = False  # timed out, reset or gone
         except Exception:
-            log.exception("%s: serving a connection failed", self.netloc)
+            _log().exception("%s: serving a connection failed", self.netloc)
             keep = False
         with self._lock:
             self._waiting += 1
@@ -561,7 +567,7 @@ class ServiceServer:
                 try:
                     response = self._handler(request)
                 except Exception:
-                    log.exception("%s %s: the handler raised", method, target)
+                    _log().exception("%s %s: the handler raised", method, target)
                     response = KitResponse.text("internal error\n", 500)
                 close = http10 or "close" in field_tokens(fields, "Connection")
                 close = close or len(self._open) > KEEPALIVE_MAX
@@ -586,12 +592,13 @@ class ServiceServer:
         """Log a SERVE event, then send status line, fields, Content-Length and body at once.
 
         Content-Length follows RFC 9110 §8.6: none on 1xx and 204; on a 304
-        or a HEAD reply, the handler's own if given; else the body's length.
+        or a HEAD reply, the handler's own if given (and none on a HEAD reply
+        without a body, as a relayed chunked reply is); else the body's length.
         """
         status, given = response.status, header_value(response.headers, "Content-Length")
         if status < 200 or status == 204:
             length = None
-        elif status == 304 or method == "HEAD" and given is not None:
+        elif status == 304 or method == "HEAD" and (given is not None or not response.body):
             length = given
         else:
             length = str(len(response.body))
@@ -603,7 +610,7 @@ class ServiceServer:
             lines.append("Connection: close")
         head = encode_head(lines)
         if head is None:
-            log.warning("%s %s: a response header breaks its line", method, target)
+            _log().warning("%s %s: a response header breaks its line", method, target)
             response = KitResponse.text("response header breaks its line\n", 500)
             return self._send(sock, method, target, fields, response, close)
         in_err = header_value(fields, H_ERROR)

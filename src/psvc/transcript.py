@@ -20,7 +20,6 @@ response/request, setcookie=1, spawn fields, and the like.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
@@ -75,6 +74,8 @@ class Transcript:
     ) -> None:
         if self.path is None:
             return
+        import json  # loaded by the first event, not by every party that might emit one
+
         event = {
             "ts": time.monotonic_ns(),
             "actor": self.actor,
@@ -92,6 +93,8 @@ class Transcript:
 
 def read_events(path: str | os.PathLike) -> list[Event]:
     """Load a transcript file ordered by the shared monotonic clock."""
+    import json
+
     events: list[Event] = []
     text = Path(path).read_text("ascii") if Path(path).exists() else ""
     for line in text.splitlines():

@@ -1,18 +1,29 @@
-"""The party command lines parse; removed flags and unusable values are usage errors."""
+"""The party command lines parse; removed flags and unusable values are usage errors.
+
+The demo service starts by every route, with or without the parser.
+"""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import socket
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from psvc import cli
+from psvc.kit import allocate_port, stop_process
 from psvc.scenario import PSVC, ScenarioContext
 
-WORLD = Path(__file__).resolve().parent.parent / "perfbench" / "world.py"
+from conftest import http_exchange
+
+ROOT = Path(__file__).resolve().parent.parent
+WORLD = ROOT / "perfbench" / "world.py"
 
 
 def benchmark_argvs(monkeypatch, run_dir: Path) -> list[list[str]]:
@@ -107,3 +118,67 @@ def test_invoke_extras_are_decoded_where_the_flag_is_declared(tmp_path):
     args = cli.build_parser().parse_args(["demo", "sp", "--invoke-extras", str(extras)])
     assert args.invoke_extras == ((("X-A", "1"), ("X-A", "2")), b"hi")
     assert cli.build_parser().parse_args(["demo", "sp"]).invoke_extras == ((), b"")
+
+
+# Every way to start the demo service: cli.main given a list (as the console
+# script and perfbench/tracer.py call it), python -m psvc, and through the
+# parser, which any flag before the command (-v here) takes.
+SERVICE_ROUTES = {
+    "cli-main": [
+        sys.executable, "-c", "import sys; from psvc import cli; sys.exit(cli.main(sys.argv[1:]))"
+    ],
+    "python-m": PSVC,
+    "parser": [*PSVC, "-v"],
+}
+
+
+def run_psvc(route: str, *args: str, **popen) -> subprocess.Popen:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen([*SERVICE_ROUTES[route], *args], env=env, **popen)
+
+
+@pytest.mark.parametrize("route", SERVICE_ROUTES)
+def test_demo_service_serves_by_every_route(route):
+    port = allocate_port()
+    proc = run_psvc(route, "demo", "service", str(port), stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 20
+        while True:
+            assert proc.poll() is None, f"the service exited with {proc.returncode}"
+            try:
+                socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                break
+            except OSError:
+                assert time.monotonic() < deadline, "the service never listened"
+                time.sleep(0.02)
+        status, _, body = http_exchange(f"127.0.0.1:{port}", "GET", "/auth")
+    finally:
+        stop_process(proc)
+    assert (status, body) == (403, b"only proxy-built invocations are served here\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["demo", "service", "nope"], ["demo", "service"], ["-v", "demo", "service", "70000"]],
+    ids=["not-a-port", "no-port", "parser"],
+)
+def test_demo_service_without_a_usable_port_exits_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out.startswith("cannot start: ")
+
+
+def test_python_m_psvc_demo_service_without_a_port_exits_2():
+    proc = run_psvc("python-m", "demo", "service", "nope", stdout=subprocess.PIPE, text=True)
+    out, _ = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == "cannot start: last argument 'nope' is not a port number\n"
+
+
+def test_demo_help_lists_the_service(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["demo", "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "{sp,service}" in out
+    assert "mock eID authenticator (port as last argument)" in out

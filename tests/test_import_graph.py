@@ -18,6 +18,19 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports psvc from this tree."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+
+
 def added_modules(*names: str, blocked: tuple[str, ...] = ()) -> set[str]:
     """The modules that importing `names` adds to a fresh interpreter.
 
@@ -30,16 +43,7 @@ def added_modules(*names: str, blocked: tuple[str, ...] = ()) -> set[str]:
         f"import {', '.join(names)}\n"
         "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
-    )
-    return set(done.stdout.split())
+    return set(fresh_python(script).stdout.split())
 
 
 def within(modules: set[str], *packages: str) -> set[str]:
@@ -57,9 +61,35 @@ def test_a_kit_service_loads_nothing_the_other_parties_need():
         added,
         "psvc.protocol", "psvc.registry", "psvc.broker",
         "dataclasses", "secrets", "hmac", "hashlib", "tempfile",
+        # cli.main hands `demo service` its own argv; logging and json load on first use.
+        "argparse", "logging", "json",
         *HTTP_LIBRARIES,
     )
     assert unwanted == set()
+
+
+def test_a_raising_handler_gets_a_500_and_a_traceback_with_no_logging_configured():
+    script = (
+        "import socket, sys\n"
+        "from psvc.kit import ServiceServer\n"
+        "def handler(request):\n"
+        "    raise KeyError('missing')\n"
+        "server = ServiceServer(('127.0.0.1', 0), handler, 'Test')\n"
+        "server.start()\n"
+        "print('logging' in sys.modules)\n"
+        "with socket.create_connection(('127.0.0.1', server.port), timeout=10) as sock:\n"
+        "    sock.sendall(b'GET / HTTP/1.1\\r\\nConnection: close\\r\\n\\r\\n')\n"
+        "    reply = b''\n"
+        "    while chunk := sock.recv(65536):\n"
+        "        reply += chunk\n"
+        "server.shutdown()\n"
+        "print(reply.partition(b'\\r\\n')[0].decode())\n"
+    )
+    done = fresh_python(script)
+    assert done.stdout.splitlines() == ["False", "HTTP/1.1 500 Internal Server Error"]
+    assert "GET /: the handler raised" in done.stderr
+    assert "Traceback" in done.stderr
+    assert "KeyError: 'missing'" in done.stderr
 
 
 def test_the_broker_loads_no_http_library():

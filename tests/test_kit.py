@@ -289,6 +289,42 @@ class TestServiceServer:
         assert lengths == ([sent.encode()] if sent else [])
         assert body == (b"body" if (method, status) == ("GET", 200) else b"")
 
+    def test_head_reply_with_neither_body_nor_length_names_no_length(self):
+        # Content-Length: 0 would say that a GET gets no bytes (RFC 9110 §8.6).
+        server = ServiceServer(("127.0.0.1", 0), lambda _: KitResponse(200), "Test")
+        server.start()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+                sock.sendall(b"HEAD / HTTP/1.1\r\nConnection: close\r\n\r\n")
+                reply = read_to_eof(sock)
+        finally:
+            server.shutdown()
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Content-Length" not in reply
+
+
+# What kit._UNSENDABLE matched when it named the ranges instead of negating latin-1.
+NAMED_UNSENDABLE = "[\r\n\0\u0100-\U0010ffff]"
+
+
+class TestEncodeHead:
+    def test_unsendable_matches_exactly_the_named_ranges(self):
+        every = "".join(map(chr, range(0x110000)))
+        kept = re.compile(NAMED_UNSENDABLE).sub("", every)
+        assert len(kept) == 253  # latin-1 less CR, LF and NUL
+        assert kit._UNSENDABLE.sub("", every) == kept
+
+    @pytest.mark.parametrize(
+        "bad", ["\r", "\n", "\0", "\u0100", "\u20ac", "\ud800", "\U0010ffff"]
+    )
+    def test_a_field_line_holding_an_unsendable_character_is_refused(self, bad):
+        assert kit.encode_head(["HTTP/1.1 200 OK", f"X-A: a{bad}b"]) is None
+
+    def test_tab_delete_and_latin_1_are_sent(self):
+        line = "X-A: \t\x01\x7f\x80\xff"
+        head = kit.encode_head(["HTTP/1.1 200 OK", line])
+        assert head == b"HTTP/1.1 200 OK\r\n" + line.encode("latin-1") + b"\r\n\r\n"
+
 
 def read_to_eof(sock, timeout: float = 5.0) -> bytes:
     sock.settimeout(timeout)

@@ -270,6 +270,27 @@ class TestPlainRelay:
             origin.shutdown()
         assert replies == [(200, "1234", 0), (200, "1234", 1234)]
 
+    def test_head_reply_without_a_length_reaches_the_browser_without_one(self, proxy):
+        # A chunked origin names no length for a HEAD; 0 would say a GET gets no bytes.
+        origin = socket.create_server(("127.0.0.1", 0))
+
+        def answer() -> None:
+            sock = origin.accept()[0]
+            with sock:
+                head = b""
+                while not head.endswith(b"\r\n\r\n") and (chunk := sock.recv(65536)):
+                    head += chunk
+                sock.sendall(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n")
+
+        threading.Thread(target=answer, daemon=True).start()
+        try:
+            url = f"http://127.0.0.1:{origin.getsockname()[1]}/doc"
+            status, headers, _ = via(proxy(), "HEAD", url)
+        finally:
+            origin.close()
+        assert status == 200
+        assert header_value(headers, "Content-Length") is None
+
     def test_https_target_rejected(self, proxy):
         server = proxy()
         status, _, _ = via(server, "GET", "https://secure.test/")
