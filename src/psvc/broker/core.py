@@ -64,26 +64,17 @@ class Broker:
     """
 
     def __init__(self, ps_dir: Path | str, *, launcher: ServiceLauncher | None = None):
-        self.ps_dir = Path(ps_dir)
-        self.policy = load_policy(self.ps_dir)
+        self.policy = load_policy(ps_dir)
         self.launcher = launcher or ServiceLauncher()
         self.codec = HandleCodec()
-        self.catalog: Catalog = load_catalog(self.ps_dir)
-
-    def reload_catalog(self) -> Catalog:
-        """Re-read the descriptor directory and swap the snapshot in."""
-        self.catalog = load_catalog(self.ps_dir)
-        return self.catalog
-
-    def _visible(self, sp_host: str, descriptor_id: str) -> bool:
-        return self.policy.allows(sp_host, descriptor_id)
+        self.catalog: Catalog = load_catalog(ps_dir)
 
     def serve_yellow(self, query: YellowQuery, sp_host: str, callback: str) -> KitResponse:
         """List the names of policy-permitted services matching the query."""
         names = [
             d.presentation
             for d in list_matching(self.catalog, query)
-            if self._visible(sp_host, d.descriptor_id)
+            if self.policy.allows(sp_host, d.descriptor_id)
         ]
         envelope = BrokerResult(OP_YELLOW, query.as_object(), names)
         return broker_reply(callback, encode_broker_result(envelope), f"names[{len(names)}]")
@@ -93,7 +84,7 @@ class Broker:
         hits = [
             d
             for d in list_matching_white(self.catalog, query)
-            if self._visible(sp_host, d.descriptor_id)
+            if self.policy.allows(sp_host, d.descriptor_id)
         ]
         if not hits:
             return broker_reply(callback, error=ERR_SERVICE)
@@ -120,7 +111,7 @@ class Broker:
             )
             return broker_reply(location, error=ERR_HANDLE)
         desc = self.catalog.entries.get(opened.descriptor_id)
-        if desc is None or not self._visible(sp_host, desc.descriptor_id):
+        if desc is None or not self.policy.allows(sp_host, desc.descriptor_id):
             return broker_reply(location, error=ERR_HANDLE)
         try:
             endpoint = self.launcher.ensure_live(desc)

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import logging
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
-
-log = logging.getLogger(__name__)
 
 POLICY_FILE = "policy.json"
 

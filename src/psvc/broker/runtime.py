@@ -48,10 +48,10 @@ def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Pop
 
 
 class RuntimeRecord:
-    """Live state the broker keeps for one descriptor."""
+    """Live state the broker keeps for one descriptor; `lock` serializes its launches."""
 
-    def __init__(self, descriptor_id: str) -> None:
-        self.descriptor_id = descriptor_id
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
         self.proc: subprocess.Popen | None = None
         self.port: int | None = None
         self.launch_count = 0
@@ -67,12 +67,7 @@ class ServiceLauncher:
     def __init__(self, *, on_spawn: Callable[[str, int, int, int], None] | None = None):
         self.on_spawn = on_spawn
         self._records: dict[str, RuntimeRecord] = {}
-        self._locks: dict[str, threading.Lock] = {}
         self._table_lock = threading.Lock()
-
-    def _lock_for(self, descriptor_id: str) -> threading.Lock:
-        with self._table_lock:
-            return self._locks.setdefault(descriptor_id, threading.Lock())
 
     def record(self, descriptor_id: str) -> RuntimeRecord | None:
         return self._records.get(descriptor_id)
@@ -87,11 +82,9 @@ class ServiceLauncher:
         if desc.is_remote:
             return desc.url
 
-        with self._lock_for(desc.descriptor_id):
-            with self._table_lock:
-                rec = self._records.setdefault(
-                    desc.descriptor_id, RuntimeRecord(desc.descriptor_id)
-                )
+        with self._table_lock:
+            rec = self._records.setdefault(desc.descriptor_id, RuntimeRecord())
+        with rec.lock:
             if rec.proc is not None and rec.proc.poll() is None:
                 return f"{LOOPBACK}:{rec.port}"
             return self._spawn(desc, rec)

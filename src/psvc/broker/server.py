@@ -12,8 +12,8 @@ headers, never bodies:
 
 Every reply is a 313 whose Location is the callback (listings) or
 ``:<ref>`` (resolution), with PSvc-Service carrying the envelope or
-endpoint and PSvc-Error naming any failure.  POST /reload swaps in a
-fresh catalog snapshot.
+endpoint and PSvc-Error naming any failure.  Any other method gets a
+405.  Each run serves the catalog it read at start.
 """
 
 from __future__ import annotations
@@ -38,21 +38,15 @@ class BrokerServer(ServiceServer):
     """Runs a Broker behind a loopback HTTP endpoint and publishes it."""
 
     def __init__(self, ps_dir: Path | str):
-        self.ps_dir = Path(ps_dir)
-        self.broker = Broker(self.ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
+        self.broker = Broker(ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
         # Bound and listening by now, so a reader of broker.ept can connect.
         super().__init__(("127.0.0.1", 0), self._handle, "Broker")
-        write_endpoint_file(self.ps_dir, self.port)
+        write_endpoint_file(ps_dir, self.port)
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)
 
     def _handle(self, request: KitRequest) -> KitResponse:
-        if request.method == "POST":
-            if request.path != "/reload":
-                return KitResponse.text("unknown path\n", 404)
-            catalog = self.broker.reload_catalog()
-            return KitResponse.text(f"catalog reloaded: {len(catalog)} services\n")
         if request.method != "HEAD":
             return KitResponse.text("use HEAD for broker calls\n", 405)
 

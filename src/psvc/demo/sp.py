@@ -25,7 +25,15 @@ from html import escape
 from typing import Any, NamedTuple
 from urllib.parse import quote
 
-from ..kit import KitRequest, KitResponse, ServiceServer, header_value, html_page, put_bounded
+from ..kit import (
+    KitRequest,
+    KitResponse,
+    ServiceServer,
+    field_tokens,
+    header_value,
+    html_page,
+    put_bounded,
+)
 from ..protocol import (
     BROKER_RESULT,
     H_CALLBACK,
@@ -34,11 +42,11 @@ from ..protocol import (
     H_PARAMETERS,
     H_SERVICE,
     H_VERSION,
+    PROTOCOL_VERSION,
     SERVICE_CALL,
     WHITE_PAGES,
     YELLOW_PAGES,
     decode_broker_result,
-    speaks_version,
 )
 
 log = logging.getLogger(__name__)
@@ -174,7 +182,7 @@ class DemoSP(ServiceServer):
         next_url = request.query.get("next", "/")
         if self.user_for_cookie(header_value(request.headers, "Cookie")) is not None:
             return _redirect(self.absolute(next_url))
-        if not speaks_version(header_value(request.headers, H_VERSION)):
+        if PROTOCOL_VERSION not in field_tokens(request.headers, H_VERSION):
             return _html(
                 200,
                 "Sign in",
@@ -188,7 +196,7 @@ class DemoSP(ServiceServer):
         return KitResponse(WHITE_PAGES, tuple(headers), note={"svc": "query"})
 
     def _discover(self, request: KitRequest) -> KitResponse:
-        if not speaks_version(header_value(request.headers, H_VERSION)):
+        if PROTOCOL_VERSION not in field_tokens(request.headers, H_VERSION):
             return _html(200, "Discovery", "<p>client announces no redirection support</p>")
         headers = [
             (H_SERVICE, json.dumps(self.yp_query)),

@@ -254,10 +254,3 @@ def parse_directive(
         carried_headers=tuple(carried),
         carried_body=bytes(body),
     )
-
-
-def speaks_version(header_value: str | None, version: str = PROTOCOL_VERSION) -> bool:
-    """True when a PSvc-Version value lists the given version token."""
-    if not header_value:
-        return False
-    return version in (tok.strip() for tok in header_value.split(","))

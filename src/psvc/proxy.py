@@ -401,6 +401,7 @@ class BrokerLink:
                         f"broker exited with status {self._proc.returncode}"
                     )
                 time.sleep(0.05)
+            stop_process(self._proc)  # else each failed call would leave one more broker
         raise BrokerUnreachable("launched broker but it never published an endpoint")
 
     def _launch(self) -> None:
@@ -413,13 +414,15 @@ class BrokerLink:
             raise BrokerUnreachable(f"no usable {path.name}: {exc}") from None
         if desc.cmd is None:
             raise BrokerUnreachable(f"{path.name} does not define a launch command")
+        if not desc.workdir.is_dir():
+            raise BrokerUnreachable(f"broker working directory {desc.workdir} does not exist")
         log.info("launching broker: %s", list(desc.cmd))
         try:
             # Unlike services, the broker picks its own port and
             # publishes it, so the vector runs unchanged.
             self._proc = subprocess.Popen(
                 list(desc.cmd),
-                cwd=desc.workdir if desc.workdir.is_dir() else self.ps_dir,
+                cwd=desc.workdir,
                 stdin=subprocess.DEVNULL,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
@@ -434,26 +437,14 @@ class BrokerLink:
         the broker is there, so it must not pass for an absent one.
         """
         host, port = self.endpoint()
-        try:
-            return self._head(host, port, path_and_query, headers)
-        except Unreachable as exc:
-            if not exc.refused:
-                raise BrokerUnreachable(exc.reason) from None
-        host, port = self._recover((host, port))
-        try:
-            return self._head(host, port, path_and_query, headers)
-        except Unreachable as exc:
-            raise BrokerUnreachable(exc.reason) from None
-
-    @staticmethod
-    def _head(host: str, port: int, path_and_query: str, headers) -> UpstreamResponse:
-        return send_request(
-            "HEAD",
-            f"http://{host}:{port}{path_and_query}",
-            headers,
-            b"",
-            timeout=BROKER_CALL_TIMEOUT_S,
-        )
+        for retry in (True, False):
+            url = f"http://{host}:{port}{path_and_query}"
+            try:
+                return send_request("HEAD", url, headers, b"", timeout=BROKER_CALL_TIMEOUT_S)
+            except Unreachable as exc:
+                if not (retry and exc.refused):
+                    raise BrokerUnreachable(exc.reason) from None
+            host, port = self._recover((host, port))
 
     def shutdown(self) -> None:
         if self._proc is not None:

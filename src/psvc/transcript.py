@@ -76,16 +76,9 @@ class Transcript:
             return
         import json  # loaded by the first event, not by every party that might emit one
 
-        event = {
-            "ts": time.monotonic_ns(),
-            "actor": self.actor,
-            "direction": direction,
-            "method": method,
-            "path": path,
-            "status": status,
-            "detail": {k: v for k, v in detail.items() if v is not None},
-        }
-        line = json.dumps(event, ensure_ascii=True) + "\n"
+        kept = {k: v for k, v in detail.items() if v is not None}
+        event = Event(time.monotonic_ns(), self.actor, direction, method, path, status, kept)
+        line = json.dumps(event._asdict(), ensure_ascii=True) + "\n"
         # One small append per event keeps concurrent writers whole.
         with open(self.path, "a", encoding="ascii") as fh:
             fh.write(line)
@@ -95,22 +88,6 @@ def read_events(path: str | os.PathLike) -> list[Event]:
     """Load a transcript file ordered by the shared monotonic clock."""
     import json
 
-    events: list[Event] = []
     text = Path(path).read_text("ascii") if Path(path).exists() else ""
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        events.append(
-            Event(
-                ts=raw["ts"],
-                actor=raw["actor"],
-                direction=raw["direction"],
-                method=raw["method"],
-                path=raw["path"],
-                status=raw["status"],
-                detail=raw.get("detail", {}),
-            )
-        )
-    events.sort(key=lambda e: e.ts)
-    return events
+    events = [Event(**json.loads(line)) for line in text.splitlines() if line.strip()]
+    return sorted(events, key=lambda e: e.ts)

@@ -39,7 +39,7 @@ from psvc.protocol import (
     YellowQuery,
     decode_broker_result,
 )
-from psvc.registry import ServiceDescriptor
+from psvc.registry import ServiceDescriptor, load_catalog
 
 from conftest import (
     echo_service_cmd,
@@ -224,7 +224,7 @@ class TestResolveHandle:
         broker = make_broker(ps_dir)
         handle = self.mint(broker)
         (ps_dir / "cc.psd").unlink()
-        broker.reload_catalog()
+        broker.catalog = load_catalog(ps_dir)
         assert read_313(broker.resolve_handle(handle, SP, "r1")).error == ERR_HANDLE
 
     def test_spawn_failure_reported_as_service(self, ps_dir):
@@ -731,25 +731,23 @@ class TestBrokerHTTP:
 
     def test_unknown_path(self, live_broker):
         assert broker_head(live_broker, "/nope", service="x", callback=CALLBACK)[0] == 404
-        assert http_exchange(live_broker.netloc, "POST", "/nope")[0] == 404
+        assert http_exchange(live_broker.netloc, "POST", "/nope")[0] == 405
 
-    def test_reload_picks_up_new_descriptor(self, live_broker, tmp_path):
-        query = json.dumps({"Purpose": "backup"})
-        _, headers, _ = broker_head(
-            live_broker, "/yellow", service=query, callback=CALLBACK
-        )
-        assert decode_broker_result(header_value(headers, H_SERVICE)).response == []
+    def test_only_head_reaches_the_broker(self, live_broker, tmp_path, monkeypatch):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"Broker.{name} called")
 
         write_echo_descriptor(tmp_path, "vault", {"Purpose": "backup"})
-        status, _, body = http_exchange(live_broker.netloc, "POST", "/reload")
-        assert status == 200
-        assert b"3 services" in body
+        monkeypatch.setattr(live_broker, "broker", Untouchable())
+        for method, target in [("POST", "/reload"), ("POST", "/nope"), ("GET", "/yellow")]:
+            assert http_exchange(live_broker.netloc, method, target)[0] == 405, (method, target)
+        monkeypatch.undo()
 
-        _, headers, _ = broker_head(
-            live_broker, "/yellow", service=query, callback=CALLBACK
-        )
-        names = decode_broker_result(header_value(headers, H_SERVICE)).response
-        assert [n["Purpose"] for n in names] == ["backup"]
+        # The run serves the catalog it read at start.
+        query = json.dumps({"Purpose": "backup"})
+        _, headers, _ = broker_head(live_broker, "/yellow", service=query, callback=CALLBACK)
+        assert decode_broker_result(header_value(headers, H_SERVICE)).response == []
 
 
 # -- fuzzing the HEAD surface --------------------------------------------------

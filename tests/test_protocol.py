@@ -32,7 +32,6 @@ from psvc.protocol import (
     decode_yellow_query,
     encode_broker_result,
     parse_directive,
-    speaks_version,
 )
 from psvc.registry import YellowQuery, json_equal, white_match, yellow_match
 
@@ -420,14 +419,3 @@ class TestParseDirective:
             311, [(H_SERVICE, '{"a": 1, "b": 2}'), (H_CALLBACK, "http://sp/cb")], b""
         )
         assert w.white == {"a": 1, "b": 2}
-
-
-class TestSpeaksVersion:
-    def test_variants(self):
-        assert speaks_version("1")
-        assert speaks_version("1, 2")
-        assert speaks_version(" 2 ,1")
-        assert not speaks_version("2")
-        assert not speaks_version("11")
-        assert not speaks_version("")
-        assert not speaks_version(None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import string
 import sys
@@ -22,7 +23,7 @@ from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
 from psvc.demo.service import MockAuthService
 from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP
-from psvc.kit import KitResponse, ServiceServer, allocate_port
+from psvc.kit import KitResponse, ServiceServer, allocate_port, stop_process
 from psvc.protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -947,6 +948,52 @@ class TestBrokerLink:
         link = BrokerLink(tmp_path)
         with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.endpoint()
+
+    def test_autolaunch_refuses_a_missing_working_directory(self, tmp_path):
+        missing = tmp_path / "gone"
+        write_descriptor(
+            tmp_path,
+            "broker",
+            {"Purpose": "service brokering"},
+            cmd=[sys.executable, "-c", "open('launched', 'w').close()"],
+            workdir=str(missing),
+        )
+        link = BrokerLink(tmp_path)
+        try:
+            with pytest.raises(BrokerUnreachable, match=re.escape(str(missing))):
+                link.endpoint()
+        finally:
+            link.shutdown()
+        assert not (tmp_path / "launched").exists()
+
+    def test_a_launch_that_never_publishes_is_stopped(self, tmp_path, monkeypatch):
+        write_descriptor(
+            tmp_path,
+            "broker",
+            {"Purpose": "service brokering"},
+            cmd=[sys.executable, "-c", "import time; time.sleep(60)"],
+            workdir=str(tmp_path),
+        )
+        launched = []
+        popen = psvc.proxy.subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            launched.append(popen(*args, **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(psvc.proxy.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(psvc.proxy, "BROKER_LAUNCH_TIMEOUT_S", 0.5)
+        link = BrokerLink(tmp_path)
+        try:
+            for _ in range(2):
+                with pytest.raises(BrokerUnreachable, match="never published"):
+                    link.endpoint()
+            assert len(launched) == 2
+            assert [proc.poll() is not None for proc in launched] == [True, True]
+        finally:
+            link.shutdown()
+            for proc in launched:
+                stop_process(proc)
 
     def test_autolaunch_starts_and_finds_broker(self, tmp_path):
         write_descriptor(

@@ -27,6 +27,7 @@ from psvc.protocol import (
     H_ERROR,
     H_INVOCATION,
     H_SERVICE,
+    H_VERSION,
     OP_YELLOW,
     BrokerResult,
     encode_broker_result,
@@ -230,6 +231,33 @@ def test_demo_sp_header_that_breaks_its_line_is_a_500(target, monkeypatch, tmp_p
     assert b"X-Evil" not in reply
     served = [(e.direction, e.path, e.status) for e in transcript.read_events(log)]
     assert served == [(transcript.SERVE, target, 500)]
+
+
+@pytest.mark.parametrize(
+    "versions, status",
+    [
+        (["1"], 311),
+        (["1, 2"], 311),
+        ([" 2 ,1"], 311),
+        (["2", "1"], 311),  # every field line counts, not just the first
+        (["2"], 200),
+        (["11"], 200),
+        ([""], 200),
+        ([], 200),
+    ],
+    ids=["1", "1-2", "spaced", "two-lines", "2", "11", "empty", "absent"],
+)
+def test_demo_sp_asks_for_a_service_only_from_a_client_that_speaks_version_1(versions, status):
+    sp = DemoSP(("127.0.0.1", 0))
+    sp.start()
+    try:
+        headers = [(H_VERSION, value) for value in versions]
+        got, _, body = http_exchange(sp.netloc, "GET", "/login?next=/", headers)
+    finally:
+        sp.shutdown()
+    assert got == status
+    if status == 200:
+        assert b"Sign in" in body
 
 
 def test_tampered_handle_is_still_hex_and_differs_in_one_digit():

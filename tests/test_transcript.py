@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 from psvc.transcript import (
     ENV_VAR,
@@ -38,6 +39,18 @@ class TestEmitAndRead:
         )
         (event,) = read_events(path)
         assert event.detail == {"svc": "handle"}
+
+    def test_line_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "monotonic_ns", lambda: 42)
+        path = tmp_path / "t.jsonl"
+        Transcript(path, "Broker").emit(SERVE, "HEAD", "/white", 313, svc="handle", err=None, n=2)
+        Transcript(path, "Proxy").emit(SEND, "GET", "http://sp.test/\u00e9")
+        assert path.read_bytes() == (
+            b'{"ts": 42, "actor": "Broker", "direction": "=", "method": "HEAD", "path": "/white", '
+            b'"status": 313, "detail": {"svc": "handle", "n": 2}}\n'
+            b'{"ts": 42, "actor": "Proxy", "direction": ">", "method": "GET", '
+            b'"path": "http://sp.test/\\u00e9", "status": null, "detail": {}}\n'
+        )
 
     def test_reading_orders_by_timestamp(self, tmp_path):
         path = tmp_path / "t.jsonl"
