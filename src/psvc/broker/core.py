@@ -29,6 +29,7 @@ from ..protocol import (
     OP_YELLOW,
     YellowQuery,
     encode_broker_result,
+    encode_envelope,
 )
 from ..registry import Catalog, list_matching, list_matching_white, load_catalog
 from .handles import HandleCodec, HandleError
@@ -70,22 +71,15 @@ class Broker:
         self.catalog: Catalog = load_catalog(ps_dir)
 
     def serve_yellow(self, query: YellowQuery, sp_host: str, callback: str) -> KitResponse:
-        """List the names of policy-permitted services matching the query."""
-        names = [
-            d.presentation
-            for d in list_matching(self.catalog, query)
-            if self.policy.allows(sp_host, d.descriptor_id)
-        ]
-        envelope = BrokerResult(OP_YELLOW, query.as_object(), names)
-        return broker_reply(callback, encode_broker_result(envelope), f"names[{len(names)}]")
+        """List policy-permitted services matching the query, joined from their wire forms."""
+        hits = self.policy.visible(sp_host, list_matching(self.catalog, query))
+        names = "[" + ", ".join(self.catalog.wire[d.descriptor_id] for d in hits) + "]"
+        envelope = encode_envelope(OP_YELLOW, query.as_object(), names)
+        return broker_reply(callback, envelope, f"names[{len(hits)}]")
 
     def serve_white(self, query: dict[str, Any], sp_host: str, callback: str) -> KitResponse:
         """Resolve a white query to exactly one service and mint its handle."""
-        hits = [
-            d
-            for d in list_matching_white(self.catalog, query)
-            if self.policy.allows(sp_host, d.descriptor_id)
-        ]
+        hits = self.policy.visible(sp_host, list_matching_white(self.catalog, query))
         if not hits:
             return broker_reply(callback, error=ERR_SERVICE)
         if len(hits) > 1:

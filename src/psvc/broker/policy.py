@@ -20,7 +20,9 @@ import fnmatch
 import json
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
+
+from ..registry import ServiceDescriptor
 
 POLICY_FILE = "policy.json"
 
@@ -63,6 +65,14 @@ class AccessPolicy(NamedTuple):
         """May this SP see and use this service?"""
         rule = self.overrides.get(descriptor_id, self.default)
         return rule.allows(sp_host)
+
+    def visible(self, sp_host: str, descriptors: Iterable[ServiceDescriptor]) -> list:
+        """The descriptors `allows` lets this SP see, in order; the default rule runs once."""
+        default, overrides = self.default.allows(sp_host), self.overrides
+        return [
+            d for d in descriptors
+            if (overrides[d.descriptor_id].allows(sp_host) if d.descriptor_id in overrides else default)
+        ]
 
 
 def _parse_rule(doc: dict, where: str) -> _Rule:

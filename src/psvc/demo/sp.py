@@ -9,7 +9,7 @@ result to /result, where a nonce echo is checked, the session cookie is
 set, and the browser is sent back to the original page.  A sid+nonce
 pair is accepted once: a replayed result gets 403.  Open sign-in
 attempts and issued cookies are each capped at kit.MAX_TABLE_ENTRIES,
-oldest dropped first.
+oldest dropped first, and an attempt expires after SESSION_MAX_AGE_S.
 
 Fault switches let scenarios exercise the error paths: a 311 with no
 query, a tampered handle, or a forged broker-result redirection.
@@ -21,6 +21,7 @@ import json
 import logging
 import secrets
 import threading
+import time
 from html import escape
 from typing import Any, NamedTuple
 from urllib.parse import quote
@@ -52,6 +53,8 @@ from ..protocol import (
 log = logging.getLogger(__name__)
 
 COOKIE_NAME = "psvc_auth"
+# A sign-in attempt outlives no handle minted for it (the broker's HANDLE_MAX_AGE_S).
+SESSION_MAX_AGE_S = 300.0
 
 DEFAULT_WP_QUERY: dict[str, Any] = {
     "Purpose": "authentication",
@@ -69,6 +72,7 @@ class _Session(NamedTuple):
     sid: str
     nonce: str
     next_url: str
+    born: float  # time.monotonic() when the attempt began
 
 
 def _tamper(handle: str) -> str:
@@ -126,19 +130,33 @@ class DemoSP(ServiceServer):
     # -- session helpers ---------------------------------------------------
 
     def new_session(self, next_url: str) -> _Session:
-        session = _Session(secrets.token_urlsafe(8), secrets.token_urlsafe(12), next_url)
+        sid, nonce = secrets.token_urlsafe(8), secrets.token_urlsafe(12)
         with self.lock:
-            put_bounded(self.sessions, session.sid, session)
+            now = time.monotonic()
+            # Attempts are kept in the order they began, so the expired ones lead.
+            while self.sessions:
+                oldest = next(iter(self.sessions.values()))
+                if now - oldest.born <= SESSION_MAX_AGE_S:
+                    break
+                del self.sessions[oldest.sid]
+            session = _Session(sid, nonce, next_url, now)
+            put_bounded(self.sessions, sid, session)
+        return session
+
+    def _live_session(self, sid: str | None) -> _Session | None:  # the lock is held
+        session = self.sessions.get(sid or "")
+        if session is None or time.monotonic() - session.born > SESSION_MAX_AGE_S:
+            return None
         return session
 
     def session(self, sid: str | None) -> _Session | None:
         with self.lock:
-            return self.sessions.get(sid or "")
+            return self._live_session(sid)
 
     def take_session(self, sid: str | None, nonce: str | None) -> _Session | None:
         """End the sign-in attempt `sid` names, but only when `nonce` is its nonce."""
         with self.lock:
-            session = self.sessions.get(sid or "")
+            session = self._live_session(sid)
             if session is None or session.nonce != nonce:
                 return None
             return self.sessions.pop(session.sid)

@@ -159,14 +159,18 @@ def decode_handle_payload(text: str) -> str:
     return parsed
 
 
+def encode_envelope(operation: str, request: dict[str, Any], response: str) -> str:
+    """An envelope whose response is JSON text already, as json.dumps would write it whole."""
+    return (
+        f'{{"operation": {json.dumps(operation, ensure_ascii=True)}, '
+        f'"request": {json.dumps(request, ensure_ascii=True)}, "response": {response}}}'
+    )
+
+
 def encode_broker_result(result: BrokerResult) -> str:
     """Serialize an envelope to one ASCII line, safe for a header value."""
-    payload = {
-        "operation": result.operation,
-        "request": result.request,
-        "response": result.response,
-    }
-    return json.dumps(payload, ensure_ascii=True)
+    response = json.dumps(result.response, ensure_ascii=True)
+    return encode_envelope(result.operation, result.request, response)
 
 
 def decode_broker_result(text: str) -> BrokerResult:

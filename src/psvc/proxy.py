@@ -120,6 +120,7 @@ HOP_BY_HOP = frozenset(
         "upgrade",
     }
 )
+_OWN_FIELDS = frozenset({H_VERSION.lower(), H_INVOCATION.lower()})  # only the proxy sets these
 
 
 class Diagnostic(Exception):
@@ -512,8 +513,9 @@ class PersonalServiceProxy(ServiceServer):
     def _forward(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
     ) -> UpstreamResponse:
-        """Relay the browser's request, announcing redirection capability."""
-        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() != H_VERSION.lower()]
+        """Relay the browser's request, announcing redirection capability; a client's own
+        PSvc-Version and PSvc-Invocation are dropped."""
+        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() not in _OWN_FIELDS]
         if method in ("GET", "POST"):
             out.append((H_VERSION, PROTOCOL_VERSION))
         self.transcript.emit(SEND, method, url)

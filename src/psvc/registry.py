@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -79,7 +80,9 @@ class Catalog:
     ``entries`` on construction: it maps ``(attribute.casefold(),
     value.casefold())`` to the descriptors whose presentation has that
     string value, in entry order, each descriptor at most once per bucket
-    even when two of its attribute names differ only in case.
+    even when two of its attribute names differ only in case.  ``wire``
+    maps each descriptor id to its presentation as envelope JSON (ASCII,
+    default separators), so a listing joins names instead of encoding them.
     ``diagnostics`` holds (file name, reason) for every file skipped.
     """
 
@@ -93,7 +96,9 @@ class Catalog:
         self.entries = entries
         self.diagnostics = diagnostics
         buckets: dict[ValueKey, list[ServiceDescriptor]] = {}
+        self.wire: dict[str, str] = {}
         for desc in self.entries.values():
+            self.wire[desc.descriptor_id] = json.dumps(desc.presentation, ensure_ascii=True)
             for attr, value in desc.presentation.items():
                 if not isinstance(value, str):
                     continue
@@ -240,26 +245,32 @@ def validate_descriptor(
 def load_catalog(directory: Path | str) -> Catalog:
     """Load every usable ``*.psd`` in a directory, ordered by id; skip broken ones."""
     directory = Path(directory)
+    cut = -len(DESCRIPTOR_SUFFIX)
     try:
-        files = sorted(directory.iterdir(), key=lambda path: path.stem)
+        # os.scandir, not Path.iterdir: a 10k directory lists in half the time or less.
+        with os.scandir(directory) as found:
+            files = sorted(
+                (entry.name[:cut], entry.name)  # by id; a file named ".psd" alone has none
+                for entry in found
+                if entry.name.endswith(DESCRIPTOR_SUFFIX) and entry.name[:cut] and entry.is_file()
+            )
     except OSError as exc:
         raise CatalogDirError(f"cannot read {directory}: {exc}") from None
 
     entries: dict[str, ServiceDescriptor] = {}
     diagnostics: list[tuple[str, str]] = []
-    for path in files:
-        if path.suffix != DESCRIPTOR_SUFFIX or not path.is_file():
-            continue
-        descriptor_id = path.stem
+    for descriptor_id, name in files:
         if descriptor_id == BROKER_DESCRIPTOR:
             continue
+        with open(os.path.join(directory, name), "rb") as file:
+            text = file.read()
         try:
             entries[descriptor_id] = validate_descriptor(
-                path.read_bytes(), descriptor_id=descriptor_id, default_dir=directory
+                text, descriptor_id=descriptor_id, default_dir=directory
             )
         except DescriptorError as exc:
-            diagnostics.append((path.name, str(exc)))
-            log.warning("skipping %s: %s", path.name, exc)
+            diagnostics.append((name, str(exc)))
+            log.warning("skipping %s: %s", name, exc)
     return Catalog(source_dir=directory, entries=entries, diagnostics=tuple(diagnostics))
 
 

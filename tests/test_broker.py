@@ -36,10 +36,12 @@ from psvc.protocol import (
     H_SERVICE,
     OP_WHITE,
     OP_YELLOW,
+    BrokerResult,
     YellowQuery,
     decode_broker_result,
+    encode_broker_result,
 )
-from psvc.registry import ServiceDescriptor, load_catalog
+from psvc.registry import Catalog, ServiceDescriptor, list_matching, load_catalog
 
 from conftest import (
     echo_service_cmd,
@@ -365,6 +367,39 @@ class TestPolicyFiltering:
         self.restrict_cc_to_bank(ps_dir)
         broker.policy = load_policy(ps_dir)
         assert read_313(broker.resolve_handle(handle, "shop.test:80", "r1")).error == ERR_HANDLE
+
+    def test_listing_under_a_mixed_policy_agrees_with_allows(self, ps_dir):
+        (ps_dir / "policy.json").write_text(
+            json.dumps(
+                {
+                    "mode": "blacklist",
+                    "hosts": ["ads.test:*"],
+                    "services": {
+                        "cc": {"mode": "whitelist", "hosts": ["bank.test:*", "ads.test"]},
+                        "print": {"mode": "blacklist", "hosts": ["shop.test"]},
+                    },
+                }
+            ),
+            "utf-8",
+        )
+        broker = make_broker(ps_dir)
+        descriptors = list(broker.catalog.entries.values())
+        query = YellowQuery("Purpose", "authentication")
+        seen = {}
+        for host in ["bank.test:443", "shop.test:80", "ads.test:80", "other.test:1"]:
+            visible = broker.policy.visible(host, descriptors)
+            allowed = [d for d in descriptors if broker.policy.allows(host, d.descriptor_id)]
+            assert visible == allowed
+            seen[host] = [d.descriptor_id for d in visible]
+            reply = read_313(broker.serve_yellow(query, host, CALLBACK))
+            listed = decode_broker_result(reply.service).response
+            assert listed == [d.presentation for d in visible if d.presentation["Purpose"] == query.value]
+        assert seen == {
+            "bank.test:443": ["cc", "print", "twin"],
+            "shop.test:80": ["twin"],
+            "ads.test:80": ["cc", "print"],
+            "other.test:1": ["print", "twin"],
+        }
 
 
 class TestServiceLauncher:
@@ -809,3 +844,40 @@ class TestHeadSurface:
         assert status in (BROKER_RESULT, 404)
         if status == BROKER_RESULT:
             assert header_value(headers, "Location") is not None
+
+
+# A service name as a descriptor file can hold it: any text, floats, nested lists and objects.
+PRESENTATIONS = st.dictionaries(
+    st.text(min_size=1, max_size=8), JSON_VALUES, min_size=1, max_size=4
+)
+
+
+@pytest.fixture(scope="module")
+def bare_broker(tmp_path_factory):
+    return make_broker(tmp_path_factory.mktemp("bare"))
+
+
+class TestJoinedListing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(PRESENTATIONS, st.booleans()), max_size=6),
+        st.text(min_size=1, max_size=8),
+        JSON_VALUES,
+    )
+    def test_joined_envelope_is_what_the_encoder_writes(
+        self, bare_broker, named, attribute, value
+    ):
+        entries = {
+            f"d{i}": ServiceDescriptor(
+                f"d{i}", {**p, attribute: value} if hit else p, None, "http://127.0.0.1:9/", Path()
+            )
+            for i, (p, hit) in enumerate(named)
+        }
+        bare_broker.catalog = Catalog(Path(), entries)
+        query = YellowQuery(attribute, value)
+        names = [d.presentation for d in list_matching(bare_broker.catalog, query)]
+        reply = bare_broker.serve_yellow(query, SP, CALLBACK)
+        assert read_313(reply).service == encode_broker_result(
+            BrokerResult(OP_YELLOW, query.as_object(), names)
+        )
+        assert reply.note["svc"] == f"names[{len(names)}]"

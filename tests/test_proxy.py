@@ -146,6 +146,16 @@ class TestPlainRelay:
         assert recorded.body == b"form data"
         assert recorded.header_values(H_VERSION) == ["1"]
 
+    def test_a_client_invocation_marker_is_not_relayed(self, proxy, stub):
+        # With a Referer, the marker would pass for a service call the proxy made.
+        origin = stub()
+        server = proxy()
+        headers = [(H_INVOCATION, "1"), ("Referer", "http://sp.test/")]
+        via(server, "GET", origin.url("/auth"), headers)
+        recorded = origin.requests[0]
+        assert recorded.header(H_INVOCATION) is None
+        assert recorded.header("Referer") == "http://sp.test/"
+
     def test_other_methods_relay_without_version(self, proxy, stub):
         origin = stub()
         server = proxy()

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from urllib.parse import urlencode
 
 import pytest
@@ -203,6 +204,28 @@ def test_demo_sp_tables_stay_bounded(monkeypatch):
         status, body = front_page(cookies[-1])
         assert status == 200 and b"authenticated as user-9" in body
         assert front_page(cookies[0])[0] == 302
+    finally:
+        sp.shutdown()
+
+
+def test_demo_sp_sign_in_attempts_expire(monkeypatch):
+    clock = [1000.0]
+    monkeypatch.setattr(psvc.demo.sp, "time", SimpleNamespace(monotonic=lambda: clock[0]))
+    sp = DemoSP(("127.0.0.1", 0))
+    sp.start()
+    try:
+        old = sp.new_session("/")
+        clock[0] += psvc.demo.sp.SESSION_MAX_AGE_S / 2
+        young = sp.new_session("/")
+        clock[0] += psvc.demo.sp.SESSION_MAX_AGE_S / 2 + 1
+        assert sp.session(old.sid) is None
+        assert sp.take_session(old.sid, old.nonce) is None
+        request = KitRequest("POST", "/wp-callback", "/wp-callback", {"sid": old.sid}, (), b"")
+        assert sp._handle(request).status == 403
+        assert sp.session(young.sid) == young
+        sp.new_session("/")  # drops the expired attempt from the oldest end
+        assert old.sid not in sp.sessions and young.sid in sp.sessions
+        assert sp.take_session(young.sid, young.nonce) == young
     finally:
         sp.shutdown()
 
