@@ -97,16 +97,16 @@ def _cmd_proxy_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .registry import DescriptorError, validate_descriptor
+    from .registry import DescriptorError, read_descriptor, validate_descriptor
 
     path = Path(args.file)
     try:
-        text = path.read_text("utf-8")
+        desc = validate_descriptor(
+            read_descriptor(path), descriptor_id=path.stem, default_dir=path.parent
+        )
     except OSError as exc:
         print(f"{path}: unreadable: {exc}", file=sys.stderr)
         return 1
-    try:
-        desc = validate_descriptor(text, descriptor_id=path.stem, default_dir=path.parent)
     except DescriptorError as exc:
         print(f"{path}: {exc.problem}: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ and runs the broker conversation the browser cannot:
              result naming that same ref, then send the service request:
              the directive's method, the endpoint plus PSvc-Parameters,
              every carried header, the body byte for byte, plus
-             ``Referer`` naming the SP and ``PSvc-Invocation: 1``
+             ``Referer`` naming the SP and ``PSvc-Invocation: 1`` (the
+             SP's own Referer, PSvc-Invocation and PSvc-Version are not
+             carried)
     313      honored only as the broker's answer to the proxy's own
              HEAD; one in the response chain is refused, whoever sent it
 
@@ -84,7 +86,13 @@ from .protocol import (
     encode_broker_result,
     parse_directive,
 )
-from .registry import BROKER_DESCRIPTOR, DESCRIPTOR_SUFFIX, DescriptorError, validate_descriptor
+from .registry import (
+    BROKER_DESCRIPTOR,
+    DESCRIPTOR_SUFFIX,
+    DescriptorError,
+    read_descriptor,
+    validate_descriptor,
+)
 from .transcript import RECV, SEND
 
 log = logging.getLogger(__name__)
@@ -121,6 +129,9 @@ HOP_BY_HOP = frozenset(
     }
 )
 _OWN_FIELDS = frozenset({H_VERSION.lower(), H_INVOCATION.lower()})  # only the proxy sets these
+# Set by the proxy on a service call, never carried from the 312: only the
+# proxy names the SP in Referer, and the request sets its own length.
+_NOT_CARRIED = _OWN_FIELDS | {"referer", "content-length"}
 
 
 class Diagnostic(Exception):
@@ -409,7 +420,7 @@ class BrokerLink:
         path = self.ps_dir / (BROKER_DESCRIPTOR + DESCRIPTOR_SUFFIX)
         try:
             desc = validate_descriptor(
-                path.read_bytes(), descriptor_id=BROKER_DESCRIPTOR, default_dir=self.ps_dir
+                read_descriptor(path), descriptor_id=BROKER_DESCRIPTOR, default_dir=self.ps_dir
             )
         except (OSError, DescriptorError) as exc:
             raise BrokerUnreachable(f"no usable {path.name}: {exc}") from None
@@ -626,7 +637,7 @@ class PersonalServiceProxy(ServiceServer):
         headers = [
             (k, v)
             for k, v in strip_hop_by_hop(directive.carried_headers)
-            if k.lower() != "content-length"
+            if k.lower() not in _NOT_CARRIED
         ]
         headers.append(("Referer", sp_host))
         headers.append((H_INVOCATION, "1"))

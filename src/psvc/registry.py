@@ -42,13 +42,17 @@ BROKER_DESCRIPTOR = "broker"
 # barely decodes may not encode.
 MAX_QUERY_DEPTH = 32
 
+# A descriptor file holds at most this many bytes: kit.MAX_LINE, one header
+# line, so a larger file names a service no white reply could carry.
+MAX_DESCRIPTOR_BYTES = 65536
+
 
 class DescriptorError(ValueError):
     """A descriptor file that cannot be used; .problem says why."""
 
     def __init__(self, problem: str, message: str):
         super().__init__(message)
-        self.problem = problem  # "json" | "shape" | "launcher" | "presentation"
+        self.problem = problem  # "size" | "json" | "shape" | "launcher" | "presentation"
 
 
 class CatalogDirError(OSError):
@@ -72,6 +76,22 @@ class ServiceDescriptor(NamedTuple):
 ValueKey = tuple[str, str]
 
 
+class WireForms(dict):
+    """Descriptor id -> presentation as envelope JSON, encoded at its first listing.
+
+    The catalog never changes, so two threads that miss at once store equal strings.
+    """
+
+    def __init__(self, entries: dict[str, ServiceDescriptor]) -> None:
+        super().__init__()
+        self._entries = entries
+
+    def __missing__(self, descriptor_id: str) -> str:
+        form = json.dumps(self._entries[descriptor_id].presentation, ensure_ascii=True)
+        self[descriptor_id] = form
+        return form
+
+
 class Catalog:
     """Snapshot of one descriptor directory, never changed once built.
 
@@ -82,8 +102,10 @@ class Catalog:
     string value, in entry order, each descriptor at most once per bucket
     even when two of its attribute names differ only in case.  ``wire``
     maps each descriptor id to its presentation as envelope JSON (ASCII,
-    default separators), so a listing joins names instead of encoding them.
-    ``diagnostics`` holds (file name, reason) for every file skipped.
+    default separators), so a listing joins names instead of encoding them;
+    a form is encoded when its id is first listed, so names never listed
+    cost nothing.  ``diagnostics`` holds (file name, reason) for every file
+    skipped.
     """
 
     def __init__(
@@ -95,15 +117,18 @@ class Catalog:
         self.source_dir = source_dir
         self.entries = entries
         self.diagnostics = diagnostics
+        self.wire = WireForms(entries)
         buckets: dict[ValueKey, list[ServiceDescriptor]] = {}
-        self.wire: dict[str, str] = {}
+        # Few attribute names recur across the whole catalog: fold and share each once.
+        folded: dict[str, str] = {}
         for desc in self.entries.values():
-            self.wire[desc.descriptor_id] = json.dumps(desc.presentation, ensure_ascii=True)
             for attr, value in desc.presentation.items():
                 if not isinstance(value, str):
                     continue
-                # Few attribute names recur across the whole catalog: share them.
-                key = (sys.intern(attr.casefold()), value.casefold())
+                fattr = folded.get(attr)
+                if fattr is None:
+                    fattr = folded[attr] = sys.intern(attr.casefold())
+                key = (fattr, value.casefold())
                 bucket = buckets.setdefault(key, [])
                 # Descriptors arrive in order, so a repeat can only be the last one.
                 if not bucket or bucket[-1] is not desc:
@@ -224,9 +249,14 @@ def validate_descriptor(
 
     if not presentation:
         raise DescriptorError("presentation", "presentation must not be empty")
-    if not all(isinstance(k, str) and k for k in presentation):
+    if "" in presentation:  # JSON object keys are always strings
         raise DescriptorError("presentation", "attribute names must be non-empty strings")
-    if _nested_deeper(presentation, MAX_QUERY_DEPTH):
+    # The document's own object takes one bracket, so a text with at most
+    # MAX_QUERY_DEPTH of them cannot nest a presentation too deep; brackets
+    # inside strings only send it to the walk.
+    if text.count("{") + text.count("[") > MAX_QUERY_DEPTH and _nested_deeper(
+        presentation, MAX_QUERY_DEPTH
+    ):
         raise DescriptorError("presentation", f"nested deeper than {MAX_QUERY_DEPTH} levels")
 
     workdir = configuration.get("dir")
@@ -235,11 +265,24 @@ def validate_descriptor(
 
     return ServiceDescriptor(
         descriptor_id=descriptor_id,
-        presentation=dict(presentation),
+        presentation=presentation,
         cmd=cmd,
         url=url,
         workdir=Path(workdir) if workdir else default_dir,
     )
+
+
+def read_descriptor(path: str | os.PathLike[str]) -> bytes:
+    """A descriptor file's bytes, from one read of at most one byte over
+    MAX_DESCRIPTOR_BYTES; DescriptorError("size") past the bound."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO reads as empty, never waits
+    try:
+        data = os.read(fd, MAX_DESCRIPTOR_BYTES + 1)
+    finally:
+        os.close(fd)
+    if len(data) > MAX_DESCRIPTOR_BYTES:
+        raise DescriptorError("size", f"larger than {MAX_DESCRIPTOR_BYTES} bytes")
+    return data
 
 
 def load_catalog(directory: Path | str) -> Catalog:
@@ -250,7 +293,8 @@ def load_catalog(directory: Path | str) -> Catalog:
         # os.scandir, not Path.iterdir: a 10k directory lists in half the time or less.
         with os.scandir(directory) as found:
             files = sorted(
-                (entry.name[:cut], entry.name)  # by id; a file named ".psd" alone has none
+                # by id; a file named ".psd" alone has none
+                (entry.name[:cut], entry.name, entry.path)
                 for entry in found
                 if entry.name.endswith(DESCRIPTOR_SUFFIX) and entry.name[:cut] and entry.is_file()
             )
@@ -259,14 +303,12 @@ def load_catalog(directory: Path | str) -> Catalog:
 
     entries: dict[str, ServiceDescriptor] = {}
     diagnostics: list[tuple[str, str]] = []
-    for descriptor_id, name in files:
+    for descriptor_id, name, path in files:
         if descriptor_id == BROKER_DESCRIPTOR:
             continue
-        with open(os.path.join(directory, name), "rb") as file:
-            text = file.read()
         try:
             entries[descriptor_id] = validate_descriptor(
-                text, descriptor_id=descriptor_id, default_dir=directory
+                read_descriptor(path), descriptor_id=descriptor_id, default_dir=directory
             )
         except DescriptorError as exc:
             diagnostics.append((name, str(exc)))

@@ -881,3 +881,55 @@ class TestJoinedListing:
             BrokerResult(OP_YELLOW, query.as_object(), names)
         )
         assert reply.note["svc"] == f"names[{len(names)}]"
+
+
+class TestWireForms:
+    QUERY = YellowQuery("purpose", "AUTH")
+
+    @pytest.fixture()
+    def broker(self, tmp_path):
+        for i in range(40):
+            presentation = {
+                "Purpose": "auth" if i % 3 else "sign",
+                "Device name": f"Cartão {i}",
+                "Slots": [i, {"free": i % 2 == 0, "note": None}, 0.5],
+            }
+            write_descriptor(tmp_path, f"s{i:02d}", presentation, cmd=["x"])
+        return make_broker(tmp_path)
+
+    def test_a_form_is_made_at_its_first_listing_and_is_the_encoders(self, broker):
+        wire = broker.catalog.wire
+        assert len(wire) == 0
+        listed = [d.descriptor_id for d in list_matching(broker.catalog, self.QUERY)]
+        assert 0 < len(listed) < len(broker.catalog)
+        broker.serve_yellow(self.QUERY, SP, CALLBACK)
+        assert sorted(wire) == listed
+        for descriptor_id in listed:
+            presentation = broker.catalog.entries[descriptor_id].presentation
+            assert wire[descriptor_id] == json.dumps(presentation, ensure_ascii=True)
+        with pytest.raises(KeyError):
+            wire["absent"]
+        assert "absent" not in wire
+
+    def test_concurrent_first_listings_agree_byte_for_byte(self, broker):
+        start = threading.Barrier(8)
+        envelopes: list[str] = []
+
+        def listing() -> None:
+            start.wait(5)
+            envelopes.append(read_313(broker.serve_yellow(self.QUERY, SP, CALLBACK)).service)
+
+        threads = [threading.Thread(target=listing) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside a first encode
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        names = [d.presentation for d in list_matching(broker.catalog, self.QUERY)]
+        expected = encode_broker_result(BrokerResult(OP_YELLOW, self.QUERY.as_object(), names))
+        assert envelopes == [expected] * 8

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import socket
 import string
@@ -639,6 +640,22 @@ class TestServiceInvocation:
         for name in (H_SERVICE, H_METHOD, H_PARAMETERS, H_CALLBACK):
             assert called.header(name) is None
 
+    def test_a_312_cannot_speak_for_the_proxy(self, proxy, stub):
+        # A service reads the first Referer: a carried one would let an SP name another.
+        sp = stub()
+        service = stub()
+        broker = broker_stub(stub, endpoint=service.netloc)
+        directive = self.invoke_response(sp)
+        planted = (("Referer", "bank.test:443"), (H_INVOCATION, "2"), (H_VERSION, "9"))
+        sp.enqueue(Scripted(312, planted + directive.headers, directive.body, directive.reason))
+        server = proxy(broker_port=broker.port)
+        assert via(server, "GET", sp.url("/login"))[0] == 200
+        called = service.requests[0]
+        assert called.header_values("Referer") == [sp.netloc]
+        assert called.header_values(H_INVOCATION) == ["1"]
+        assert called.header_values(H_VERSION) == ["1"]
+        assert called.header("X-Token") == "secret"
+
     def test_resolution_applies_only_to_the_call_that_asked(self, proxy, stub):
         sp = stub()
         service = stub()
@@ -958,6 +975,27 @@ class TestBrokerLink:
         link = BrokerLink(tmp_path)
         with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.endpoint()
+
+    def test_autolaunch_refuses_a_descriptor_over_the_size_bound(self, tmp_path):
+        path = write_descriptor(tmp_path, "broker", {"Purpose": "service brokering"}, cmd=["x"])
+        os.truncate(path, 1 << 24)  # sparse, and never read whole
+        with pytest.raises(BrokerUnreachable, match="broker.psd: larger than 65536 bytes"):
+            BrokerLink(tmp_path).endpoint()
+
+    def test_autolaunch_does_not_wait_on_a_fifo(self, tmp_path):
+        os.mkfifo(tmp_path / "broker.psd")
+        errors: list[BrokerUnreachable] = []
+
+        def launch() -> None:
+            try:
+                BrokerLink(tmp_path).endpoint()
+            except BrokerUnreachable as exc:
+                errors.append(exc)
+
+        launching = threading.Thread(target=launch, daemon=True)
+        launching.start()
+        launching.join(5)
+        assert [str(e).partition(":")[0] for e in errors] == ["no usable broker.psd"]
 
     def test_autolaunch_refuses_a_missing_working_directory(self, tmp_path):
         missing = tmp_path / "gone"

@@ -1,23 +1,29 @@
 """Descriptor validation and catalog behavior."""
 
 import json
+import os
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import psvc.kit
 import psvc.registry
 from psvc import cli
 from psvc.registry import (
     BROKER_DESCRIPTOR,
+    MAX_DESCRIPTOR_BYTES,
     MAX_QUERY_DEPTH,
     Catalog,
     CatalogDirError,
     DescriptorError,
     ServiceDescriptor,
     YellowQuery,
+    _nested_deeper,
     json_equal,
     list_matching,
     list_matching_white,
@@ -176,6 +182,52 @@ class TestLoadCatalog:
         assert list(catalog.entries) == ["fits"]
         assert catalog.diagnostics == (("deep.psd", "nested deeper than 32 levels"),)
 
+    def test_a_file_over_the_size_bound_is_skipped_unread(self, tmp_path):
+        write_descriptor(tmp_path, "good", {"a": 1}, cmd=["x"])
+        huge = tmp_path / "huge.psd"
+        huge.touch()
+        os.truncate(huge, 1 << 30)  # sparse: no disk, and reading it whole would take seconds
+        start = time.monotonic()
+        catalog = load_catalog(tmp_path)
+        assert time.monotonic() - start < 0.5
+        assert list(catalog.entries) == ["good"]
+        assert catalog.diagnostics == (("huge.psd", "larger than 65536 bytes"),)
+
+    def test_the_size_bound_is_one_header_line(self, tmp_path, capsys):
+        assert MAX_DESCRIPTOR_BYTES == psvc.kit.MAX_LINE
+        head = '{"configuration": {"cmd": ["x"]}, "presentation": {"a": "'
+        for name, size in (("fits", MAX_DESCRIPTOR_BYTES), ("over", MAX_DESCRIPTOR_BYTES + 1)):
+            (tmp_path / f"{name}.psd").write_text(head + "x" * (size - len(head) - 3) + '"}}')
+        assert list(load_catalog(tmp_path).entries) == ["fits"]
+        assert cli.main(["lint", str(tmp_path / "over.psd")]) == 1
+        assert capsys.readouterr().err == f"{tmp_path / 'over.psd'}: size: larger than 65536 bytes\n"
+
+    def test_lint_does_not_wait_on_a_fifo(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe.psd"
+        os.mkfifo(fifo)  # opening one for reading would wait for a writer
+        codes: list[int] = []
+        lint = lambda: codes.append(cli.main(["lint", str(fifo)]))  # noqa: E731
+        linting = threading.Thread(target=lint, daemon=True)
+        linting.start()
+        linting.join(5)
+        assert codes == [1]
+        assert capsys.readouterr().err.startswith(f"{fifo}: json: invalid JSON")
+
+    def test_a_shallow_descriptor_is_not_walked(self, tmp_path, monkeypatch):
+        walked: list[dict] = []
+
+        def counting(value, room):
+            if room == MAX_QUERY_DEPTH:  # the walk's own recursion calls this name too
+                walked.append(value)
+            return _nested_deeper(value, room)
+
+        monkeypatch.setattr(psvc.registry, "_nested_deeper", counting)
+        write_descriptor(tmp_path, "plain", {"Purpose": "authentication", "Slots": [1, [2]]}, cmd=["x"])
+        write_descriptor(tmp_path, "bracketed", {"Note": "[" * MAX_QUERY_DEPTH}, cmd=["x"])
+        catalog = load_catalog(tmp_path)
+        assert list(catalog.entries) == ["bracketed", "plain"]
+        assert walked == [{"Note": "[" * MAX_QUERY_DEPTH}]
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CatalogDirError):
             load_catalog(tmp_path / "absent")
@@ -210,6 +262,39 @@ class TestLoadCatalog:
             catalog, {"Purpose": "authentication", "Device": "Portuguese eID"}
         )
         assert [d.descriptor_id for d in hits] == ["cc"]
+
+
+# Brackets in keys and strings count toward the text's brackets, never its depth.
+BRACKETED = st.text(alphabet="{[]}a\"\\", max_size=4)
+PLAIN = st.text(alphabet="a", max_size=2)
+
+
+@st.composite
+def nested_presentations(draw) -> dict:
+    """A presentation whose lists and objects nest 1 to 40 levels, itself the first."""
+    depth = draw(st.integers(1, 40))
+    # Texts with brackets send every deep presentation to the walk; plain ones
+    # try the shortcut right at the bound.
+    texts = draw(st.sampled_from([PLAIN, BRACKETED]))
+    value = draw(texts | st.just([]) | st.just({}))
+    for _ in range(depth - 2 if isinstance(value, (list, dict)) else depth - 1):
+        sibling = draw(texts)
+        value = draw(st.sampled_from([[value], [value, sibling], {sibling: value}]))
+    return {draw(texts.filter(bool)): value, "Purpose": draw(texts)}
+
+
+class TestDepthShortcut:
+    @settings(max_examples=300, deadline=None)
+    @given(nested_presentations())
+    def test_load_catalog_refuses_exactly_what_the_walk_refuses(self, tmp_path_factory, presentation):
+        directory = tmp_path_factory.mktemp("depth")
+        write_descriptor(directory, "d", presentation, cmd=["x"])
+        catalog = load_catalog(directory)
+        parsed = json.loads((directory / "d.psd").read_text("utf-8"))["presentation"]
+        if _nested_deeper(parsed, MAX_QUERY_DEPTH):
+            assert catalog.diagnostics == (("d.psd", "nested deeper than 32 levels"),)
+        else:
+            assert catalog.entries["d"].presentation == parsed
 
 
 class TestMatching:
