@@ -22,9 +22,11 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from ..registry import ServiceDescriptor
+from ..registry import ServiceDescriptor, read_head
 
 POLICY_FILE = "policy.json"
+# policy.json holds at most this many bytes: room for host rules on thousands of services.
+MAX_POLICY_BYTES = 1 << 20
 
 MODE_ALLOW_ALL = "allow_all"
 MODE_WHITELIST = "whitelist"
@@ -88,11 +90,17 @@ def _parse_rule(doc: dict, where: str) -> _Rule:
 def load_policy(ps_dir: Path | str) -> AccessPolicy:
     """Read policy.json from the descriptor directory; absent means allow all."""
     path = Path(ps_dir) / POLICY_FILE
-    if not path.exists():
-        return AccessPolicy()
     try:
-        doc = json.loads(path.read_text("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
+        data = read_head(path, MAX_POLICY_BYTES + 1)  # never waits, as a FIFO would make it
+    except FileNotFoundError:
+        return AccessPolicy()
+    except OSError as exc:
+        raise PolicyError(f"cannot read {path.name}: {exc}") from None
+    if len(data) > MAX_POLICY_BYTES:
+        raise PolicyError(f"{path.name}: larger than {MAX_POLICY_BYTES} bytes")
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise PolicyError(f"cannot read {path.name}: {exc}") from None
     if not isinstance(doc, dict):
         raise PolicyError(f"{path.name}: top level must be an object")

@@ -73,7 +73,7 @@ class ServiceDescriptor(NamedTuple):
         return self.url is not None
 
 
-ValueKey = tuple[str, str]
+Bucket = tuple[ServiceDescriptor, ...]
 
 
 class WireForms(dict):
@@ -97,10 +97,15 @@ class Catalog:
 
     ``entries`` is ordered by descriptor id (load_catalog sorts once), and
     the matchers list hits in that order.  ``by_value`` is derived from
-    ``entries`` on construction: it maps ``(attribute.casefold(),
-    value.casefold())`` to the descriptors whose presentation has that
-    string value, in entry order, each descriptor at most once per bucket
-    even when two of its attribute names differ only in case.  ``wire``
+    ``entries`` on construction, one index per attribute: it maps
+    ``attribute.casefold()`` to a dict from ``value.casefold()`` to the
+    descriptors whose presentation has that string value, in entry order,
+    each descriptor at most once per bucket even when two of its attribute
+    names differ only in case.  A value that casefolding leaves unchanged
+    is its own key.  load_catalog shares what descriptors have in common:
+    equal attribute names, string values, ``cmd`` tuples and work dirs are
+    one object each across the catalog, so 10,000 names that use four
+    attributes hold four key strings, not 40,000.  ``wire``
     maps each descriptor id to its presentation as envelope JSON (ASCII,
     default separators), so a listing joins names instead of encoding them;
     a form is encoded when its id is first listed, so names never listed
@@ -118,29 +123,35 @@ class Catalog:
         self.entries = entries
         self.diagnostics = diagnostics
         self.wire = WireForms(entries)
-        buckets: dict[ValueKey, list[ServiceDescriptor]] = {}
-        # Few attribute names recur across the whole catalog: fold and share each once.
-        folded: dict[str, str] = {}
+        # A bucket stays a tuple until a second descriptor joins it: most values name one.
+        buckets: dict[str, dict[str, Bucket | list[ServiceDescriptor]]] = {}
+        # Few attribute names recur across the whole catalog: find each one's index once.
+        indexes: dict[str, dict[str, Bucket | list[ServiceDescriptor]]] = {}
         for desc in self.entries.values():
             for attr, value in desc.presentation.items():
                 if not isinstance(value, str):
                     continue
-                fattr = folded.get(attr)
-                if fattr is None:
-                    fattr = folded[attr] = sys.intern(attr.casefold())
-                key = (fattr, value.casefold())
-                bucket = buckets.setdefault(key, [])
+                index = indexes.get(attr)
+                if index is None:
+                    index = indexes[attr] = buckets.setdefault(sys.intern(attr.casefold()), {})
+                folded = value.casefold()
+                bucket = index.get(folded)
+                if bucket is None:
+                    index[value if folded == value else folded] = (desc,)
                 # Descriptors arrive in order, so a repeat can only be the last one.
-                if not bucket or bucket[-1] is not desc:
+                elif bucket[-1] is not desc:
+                    if type(bucket) is tuple:
+                        index[folded] = bucket = list(bucket)
                     bucket.append(desc)
-        self.by_value = {key: tuple(bucket) for key, bucket in buckets.items()}
+        self.by_value = {a: {v: tuple(b) for v, b in vs.items()} for a, vs in buckets.items()}
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def bucket(self, attribute: str, value: str) -> tuple[ServiceDescriptor, ...]:
+    def bucket(self, attribute: str, value: str) -> Bucket:
         """Descriptors with this string value under this attribute, both without case."""
-        return self.by_value.get((attribute.casefold(), value.casefold()), ())
+        index = self.by_value.get(attribute.casefold())
+        return index.get(value.casefold(), ()) if index else ()
 
 
 class YellowQuery(NamedTuple):
@@ -211,6 +222,14 @@ def validate_descriptor(
     default_dir: Path,
 ) -> ServiceDescriptor:
     """Check one descriptor document and build its catalog entry."""
+    return _descriptor(text, descriptor_id, default_dir, {})
+
+
+def _descriptor(
+    text: str | bytes, descriptor_id: str, default_dir: Path, shared: dict[Any, Any]
+) -> ServiceDescriptor:
+    """validate_descriptor, with each attribute name, string value, cmd and work dir
+    replaced by the equal object in `shared`, which keeps each new one."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -263,23 +282,30 @@ def validate_descriptor(
     if workdir is not None and not isinstance(workdir, str):
         raise DescriptorError("shape", "dir must be a string when present")
 
+    workdir = Path(workdir) if workdir else default_dir
+    share = shared.setdefault
     return ServiceDescriptor(
-        descriptor_id=descriptor_id,
-        presentation=presentation,
-        cmd=cmd,
-        url=url,
-        workdir=Path(workdir) if workdir else default_dir,
+        descriptor_id,
+        {share(a, a): share(v, v) if isinstance(v, str) else v for a, v in presentation.items()},
+        cmd if cmd is None else share(cmd, cmd),
+        url,
+        share(workdir, workdir),
     )
+
+
+def read_head(path: str | os.PathLike[str], size: int) -> bytes:
+    """At most `size` bytes from the start of a file, in one read."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO reads as empty, never waits
+    try:
+        return os.read(fd, size)
+    finally:
+        os.close(fd)
 
 
 def read_descriptor(path: str | os.PathLike[str]) -> bytes:
     """A descriptor file's bytes, from one read of at most one byte over
     MAX_DESCRIPTOR_BYTES; DescriptorError("size") past the bound."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO reads as empty, never waits
-    try:
-        data = os.read(fd, MAX_DESCRIPTOR_BYTES + 1)
-    finally:
-        os.close(fd)
+    data = read_head(path, MAX_DESCRIPTOR_BYTES + 1)
     if len(data) > MAX_DESCRIPTOR_BYTES:
         raise DescriptorError("size", f"larger than {MAX_DESCRIPTOR_BYTES} bytes")
     return data
@@ -292,9 +318,10 @@ def load_catalog(directory: Path | str) -> Catalog:
     try:
         # os.scandir, not Path.iterdir: a 10k directory lists in half the time or less.
         with os.scandir(directory) as found:
-            files = sorted(
-                # by id; a file named ".psd" alone has none
-                (entry.name[:cut], entry.name, entry.path)
+            # Only the ids, which the entries keep: names and paths freed after the load
+            # would leave holes among live objects.  A file named ".psd" alone has no id.
+            ids = sorted(
+                entry.name[:cut]
                 for entry in found
                 if entry.name.endswith(DESCRIPTOR_SUFFIX) and entry.name[:cut] and entry.is_file()
             )
@@ -303,16 +330,24 @@ def load_catalog(directory: Path | str) -> Catalog:
 
     entries: dict[str, ServiceDescriptor] = {}
     diagnostics: list[tuple[str, str]] = []
-    for descriptor_id, name, path in files:
+    # Shared file by file: a pass after the load would find every duplicate in memory.
+    shared: dict[Any, Any] = {}
+    prefix = os.path.join(directory, "")
+    for descriptor_id in ids:
         if descriptor_id == BROKER_DESCRIPTOR:
             continue
+        name = descriptor_id + DESCRIPTOR_SUFFIX
         try:
-            entries[descriptor_id] = validate_descriptor(
-                read_descriptor(path), descriptor_id=descriptor_id, default_dir=directory
+            entries[descriptor_id] = _descriptor(
+                read_descriptor(prefix + name), descriptor_id, directory, shared
             )
+            continue
         except DescriptorError as exc:
-            diagnostics.append((name, str(exc)))
-            log.warning("skipping %s: %s", name, exc)
+            problem = str(exc)
+        except OSError as exc:  # removed since the listing, or failing to read
+            problem = f"unreadable: {exc}"
+        diagnostics.append((name, problem))
+        log.warning("skipping %s: %s", name, problem)
     return Catalog(source_dir=directory, entries=entries, diagnostics=tuple(diagnostics))
 
 

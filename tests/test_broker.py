@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import psvc.broker.handles
 import psvc.broker.runtime
 from psvc.broker.core import Broker, write_endpoint_file
-from psvc.broker.policy import PolicyError, load_policy
+from psvc.broker.policy import MAX_POLICY_BYTES, PolicyError, load_policy
 from psvc.broker.runtime import ServiceLauncher, SpawnFailure
 from psvc.broker.server import BrokerServer
 from psvc.kit import EndpointFileError, allocate_port, read_endpoint_file, stop_process
@@ -323,6 +323,31 @@ class TestAccessPolicy:
         (tmp_path / "policy.json").write_text(doc, "utf-8")
         with pytest.raises(PolicyError):
             load_policy(tmp_path)
+
+    def test_a_fifo_policy_is_refused_without_waiting(self, tmp_path):
+        os.mkfifo(tmp_path / "policy.json")  # opening one for reading would wait for a writer
+        raised: list[BaseException] = []
+
+        def load() -> None:
+            try:
+                load_policy(tmp_path)
+            except BaseException as exc:
+                raised.append(exc)
+
+        loading = threading.Thread(target=load, daemon=True)
+        loading.start()
+        loading.join(1)
+        assert not loading.is_alive()
+        assert len(raised) == 1 and isinstance(raised[0], PolicyError)
+
+    def test_a_policy_over_the_size_bound_is_refused_unread(self, tmp_path):
+        huge = tmp_path / "policy.json"
+        huge.write_text('{"mode": "allow_all"}', "utf-8")
+        os.truncate(huge, 1 << 30)  # sparse: no disk, and reading it whole would take seconds
+        start = time.monotonic()
+        with pytest.raises(PolicyError, match=f"larger than {MAX_POLICY_BYTES} bytes"):
+            load_policy(tmp_path)
+        assert time.monotonic() - start < 0.5
 
 
 class TestPolicyFiltering:

@@ -193,6 +193,32 @@ class TestLoadCatalog:
         assert list(catalog.entries) == ["good"]
         assert catalog.diagnostics == (("huge.psd", "larger than 65536 bytes"),)
 
+    def test_a_file_that_fails_to_read_is_a_diagnostic(self, tmp_path):
+        write_descriptor(tmp_path, "good", {"a": 1}, cmd=["x"])
+        # A regular file by stat whose first page the loader's own process has not mapped.
+        (tmp_path / "mem.psd").symlink_to("/proc/self/mem")
+        catalog = load_catalog(tmp_path)
+        assert list(catalog.entries) == ["good"]
+        [(name, problem)] = catalog.diagnostics
+        assert (name, problem) == ("mem.psd", "unreadable: [Errno 5] Input/output error")
+
+    def test_a_file_removed_after_the_listing_is_a_diagnostic(self, tmp_path, monkeypatch):
+        write_descriptor(tmp_path, "good", {"a": 1}, cmd=["x"])
+        gone = write_descriptor(tmp_path, "gone", {"a": 2}, cmd=["x"])
+        read = psvc.registry.read_descriptor
+
+        def removing_first(path):
+            if path == str(gone):
+                gone.unlink()
+            return read(path)
+
+        monkeypatch.setattr(psvc.registry, "read_descriptor", removing_first)
+        catalog = load_catalog(tmp_path)
+        assert list(catalog.entries) == ["good"]
+        assert catalog.diagnostics == (
+            ("gone.psd", f"unreadable: [Errno 2] No such file or directory: '{gone}'"),
+        )
+
     def test_the_size_bound_is_one_header_line(self, tmp_path, capsys):
         assert MAX_DESCRIPTOR_BYTES == psvc.kit.MAX_LINE
         head = '{"configuration": {"cmd": ["x"]}, "presentation": {"a": "'
@@ -431,8 +457,9 @@ class TestValueIndex:
         catalog = catalog_of(
             [{"Purpose": "auth", "purpose": "AUTH"}, {"x": 1}, {"PURPOSE": "Auth"}]
         )
-        assert [d.descriptor_id for d in catalog.bucket("purpose", "auth")] == ["s000", "s002"]
-        assert isinstance(catalog.by_value[("purpose", "auth")], tuple)
+        bucket = catalog.bucket("purpose", "auth")
+        assert [d.descriptor_id for d in bucket] == ["s000", "s002"]
+        assert isinstance(bucket, tuple)
 
     def test_narrow_lookups_examine_only_their_bucket(self, monkeypatch):
         rng = random.Random(5)
@@ -471,3 +498,105 @@ class TestValueIndex:
         examined.clear()
         assert list_matching(catalog, YellowQuery("Vendor", 7)) == []
         assert len(examined) == len(presentations)
+
+
+# Case variants whose casefolds meet or part: ß/ẞ fold to "ss", İ to "i̇",
+# final ς to σ.  Each name or value may recur across descriptors.
+CASED = ["Straße", "STRASSE", "straẞe", "İd", "i̇d", "ID", "σοφός", "ΣΟΦΌΣ", "σοφόσ", "auth", "Auth"]
+SHARED_NAMES = st.sampled_from(CASED) | st.text(min_size=1, max_size=3)
+NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.sampled_from(CASED),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(CASED), inner, max_size=3),
+    max_leaves=6,
+)
+# Equal in Python but not in JSON type: sharing must never swap one for another.
+ALIKE = st.sampled_from([0, 1, 0.0, -0.0, 1.0, False, True])
+SHARED_VALUES = st.sampled_from(CASED) | st.text(max_size=3) | ALIKE | NESTED
+
+
+def same(a, b) -> bool:
+    """Equal, with the same types and key order all the way down."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def scanned_bucket(catalog: Catalog, attribute: str, value: str) -> tuple[ServiceDescriptor, ...]:
+    """Brute force: every descriptor with this string value under this attribute, both without case."""
+    return tuple(
+        d
+        for d in catalog.entries.values()
+        if any(
+            a.casefold() == attribute.casefold() and isinstance(v, str) and v.casefold() == value.casefold()
+            for a, v in d.presentation.items()
+        )
+    )
+
+
+class TestSharing:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.lists(
+            st.tuples(
+                st.dictionaries(SHARED_NAMES, SHARED_VALUES, min_size=1, max_size=5),
+                st.sampled_from([["x"], ["x", "-v"], ["y"]]),
+                st.sampled_from([None, "/srv/a", "/srv/b"]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_sharing_changes_no_descriptor(self, tmp_path_factory, descriptors):
+        directory = tmp_path_factory.mktemp("shared")
+        for i, (presentation, cmd, workdir) in enumerate(descriptors):
+            write_descriptor(directory, f"s{i}", presentation, cmd=cmd, workdir=workdir)
+        catalog = load_catalog(directory)
+        assert len(catalog) == len(descriptors) and catalog.diagnostics == ()
+        for i, desc in enumerate(catalog.entries.values()):
+            parsed = json.loads((directory / f"s{i}.psd").read_text("utf-8"))["presentation"]
+            assert same(desc.presentation, parsed)
+            assert json.dumps(desc.presentation, ensure_ascii=True) == json.dumps(parsed, ensure_ascii=True)
+            assert desc.cmd == tuple(descriptors[i][1])
+            for attribute, value in desc.presentation.items():
+                if isinstance(value, str):
+                    for a, v in ((attribute, value), (attribute.upper(), value.upper()), (attribute, value.casefold())):
+                        assert catalog.bucket(a, v) == scanned_bucket(catalog, a, v)
+        for attribute in CASED:
+            for value in CASED:
+                assert catalog.bucket(attribute, value) == scanned_bucket(catalog, attribute, value)
+        # Equal launchers and work dirs are one object each.
+        assert len({id(d.cmd) for d in catalog.entries.values()}) == len({d.cmd for d in catalog.entries.values()})
+        assert len({id(d.workdir) for d in catalog.entries.values()}) == len(
+            {d.workdir for d in catalog.entries.values()}
+        )
+
+    def test_names_values_and_launchers_are_one_object_each(self, tmp_path):
+        rng = random.Random(23)
+        for i in range(2000):
+            presentation = {
+                "Purpose": f"purpose-{rng.randrange(5)}",
+                "Device": f"device-{i:05d}",
+                "Vendor": f"Vendor-{rng.randrange(400):03d}",
+                "Region": f"region-{rng.randrange(40):02d}",
+            }
+            write_descriptor(tmp_path, f"svc-{i:05d}", presentation, cmd=["false"])
+        catalog = load_catalog(tmp_path)
+        entries = list(catalog.entries.values())
+        assert len(entries) == 2000
+        assert len({id(a) for d in entries for a in d.presentation}) == 4
+        assert len({id(d.cmd) for d in entries}) == 1
+        assert len({id(d.workdir) for d in entries}) == 1
+        purposes = {d.presentation["Purpose"] for d in entries}
+        assert len({id(d.presentation["Purpose"]) for d in entries}) == len(purposes) == 5
+        # A value that casefolding leaves unchanged is its own bucket key.
+        keys = {id(value) for index in catalog.by_value.values() for value in index}
+        for d in entries:
+            for attribute in ("Purpose", "Device", "Region"):
+                assert id(d.presentation[attribute]) in keys
+            assert id(d.presentation["Vendor"]) not in keys  # its key is the folded copy
+            assert d in catalog.bucket("vendor", d.presentation["Vendor"])
+        assert all(isinstance(b, tuple) for index in catalog.by_value.values() for b in index.values())
