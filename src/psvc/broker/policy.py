@@ -22,7 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from ..registry import ServiceDescriptor, read_head
+from ..registry import ServiceDescriptor, read_bounded
 
 POLICY_FILE = "policy.json"
 # policy.json holds at most this many bytes: room for host rules on thousands of services.
@@ -91,7 +91,7 @@ def load_policy(ps_dir: Path | str) -> AccessPolicy:
     """Read policy.json from the descriptor directory; absent means allow all."""
     path = Path(ps_dir) / POLICY_FILE
     try:
-        data = read_head(path, MAX_POLICY_BYTES + 1)  # never waits, as a FIFO would make it
+        data = read_bounded(path, MAX_POLICY_BYTES + 1)  # never waits, as a FIFO would make it
     except FileNotFoundError:
         return AccessPolicy()
     except OSError as exc:

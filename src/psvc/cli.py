@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument(
         "--write-golden",
         action="store_true",
-        help="freeze this run's normalized transcript as the golden copy",
+        help="freeze this run's normalized transcript as the golden copy, if the run passed",
     )
     scenario.add_argument(
         "--keep", action="store_true", help="keep the working directory and print where it is"

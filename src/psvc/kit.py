@@ -55,6 +55,7 @@ H_INVOCATION = "PSvc-Invocation"
 
 # The broker publishes its port in this file of the per-user directory.
 ENDPOINT_FILE = "broker.ept"
+MAX_ENDPOINT_BYTES = 8  # a port is at most 5 digits, and a hand-written file may end a line
 ENDPOINT_HOST = "127.0.0.1"
 
 STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
@@ -97,12 +98,18 @@ class EndpointFileError(ValueError):
 
 
 def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
-    """Read the published broker endpoint: (host, port)."""
+    """Read the published broker endpoint: (host, port), from one read of at most
+    MAX_ENDPOINT_BYTES + 1 bytes that never waits, as a FIFO would make it."""
+    from .registry import read_bounded  # the one bounded reader; services never get here
+
     path = Path(ps_dir) / ENDPOINT_FILE
     try:
-        text = path.read_text("ascii").strip()
+        data = read_bounded(path, MAX_ENDPOINT_BYTES + 1)
+        text = data.decode("ascii").strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise EndpointFileError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_ENDPOINT_BYTES:
+        raise EndpointFileError(f"{path} is larger than {MAX_ENDPOINT_BYTES} bytes")
     if not text.isdigit():
         raise EndpointFileError(f"{path} does not hold a decimal port")
     port = int(text)
@@ -255,10 +262,10 @@ LINGER_S = 1.0  # how long a refused request's unread body is drained
 MAX_LINE = 65536  # bytes in a start line or a field line, CRLF included
 MAX_FIELDS = 100  # field lines in one head
 
-_TOKEN = rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+"
-REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % _TOKEN)
+TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2: a method or a field name
+REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % TOKEN.pattern)
 STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9]) ([\t\x20-\x7e\x80-\xff]*)\r\n")
-_FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % _TOKEN)
+_FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % TOKEN.pattern)
 _PHRASES = {**{status.value: status.phrase for status in HTTPStatus}, **REASON_PHRASES}
 _ONESHOT = select.EPOLLIN | select.EPOLLONESHOT
 

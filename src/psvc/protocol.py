@@ -49,6 +49,7 @@ from .kit import (
     WHITE_PAGES,
     YELLOW_PAGES,
 )
+from .kit import TOKEN  # the rule a request line's method follows
 from .registry import MAX_QUERY_DEPTH, YellowQuery, _nested_deeper
 
 H_SERVICE = "PSvc-Service"
@@ -195,10 +196,6 @@ def decode_broker_result(text: str) -> BrokerResult:
     return BrokerResult(operation, request, response)
 
 
-def _method_token_ok(method: str) -> bool:
-    return bool(method) and all(c.isalnum() or c in "-_" for c in method)
-
-
 def parse_directive(
     status: int,
     headers: list[tuple[str, str]],
@@ -230,7 +227,7 @@ def parse_directive(
         raise MalformedDirective("listing directive without a callback")
 
     method = psvc.get(H_METHOD.lower(), "GET").strip()
-    if not _method_token_ok(method):
+    if not TOKEN.fullmatch(method.encode("ascii", "replace")):
         raise MalformedDirective(f"unusable method {method!r}")
 
     parameters = psvc.get(H_PARAMETERS.lower())

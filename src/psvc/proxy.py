@@ -494,8 +494,15 @@ class PersonalServiceProxy(ServiceServer):
     def handle_transaction(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
     ) -> UpstreamResponse:
-        """Run one browser request to completion, chaining redirections."""
-        response = self._forward(method, url, headers, body)
+        """Run one browser request to completion, chaining redirections.
+
+        The request is relayed announcing redirection capability; a client's
+        own PSvc-Version and PSvc-Invocation are dropped.
+        """
+        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() not in _OWN_FIELDS]
+        if method in ("GET", "POST"):
+            out.append((H_VERSION, PROTOCOL_VERSION))
+        response = self._relay(method, url, out, body)
         for _ in range(MAX_CHAIN):
             if response.status == BROKER_RESULT:
                 # The broker answers only the proxy's own HEADs, which
@@ -513,7 +520,7 @@ class PersonalServiceProxy(ServiceServer):
                 directive = parse_directive(response.status, list(response.headers), response.body)
             except MalformedDirective as exc:
                 callback = header_value(response.headers, H_CALLBACK)
-                response = self._report_error(callback, ERR_PARAMETERS, str(exc))
+                response = self._to_callback(callback, error=ERR_PARAMETERS, reason=str(exc))
                 continue
             if directive.kind == SERVICE_CALL:
                 response = self._do_invoke(directive, response.origin)
@@ -521,40 +528,28 @@ class PersonalServiceProxy(ServiceServer):
                 response = self._do_listing(directive, response.origin)
         raise Diagnostic(502, f"redirection chain exceeded {MAX_CHAIN} steps")
 
-    def _forward(
-        self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
+    def _relay(
+        self, method: str, url: str, headers: list[tuple[str, str]], body: bytes, **detail
     ) -> UpstreamResponse:
-        """Relay the browser's request, announcing redirection capability; a client's own
-        PSvc-Version and PSvc-Invocation are dropped."""
-        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() not in _OWN_FIELDS]
-        if method in ("GET", "POST"):
-            out.append((H_VERSION, PROTOCOL_VERSION))
-        self.transcript.emit(SEND, method, url)
-        return send_request(method, url, out, body)
+        """Emit the request's SEND event, with `detail`, and send it: every upstream request
+        but the broker's goes out here."""
+        self.transcript.emit(SEND, method, url, **detail)
+        return send_request(method, url, headers, body)
 
-    def _post_to_sp(
-        self,
-        callback: str,
-        *,
-        service: str | None,
-        error: str | None,
+    def _to_callback(
+        self, callback: str | None, *, service: str | None = None, error: str | None = None,
+        reason: str | None = None,
     ) -> UpstreamResponse:
-        """Deliver a broker result (or failure) to the SP's callback URL."""
-        headers: list[tuple[str, str]] = [(H_VERSION, PROTOCOL_VERSION)]
-        svc_tag = None
-        if service is not None:
-            headers.append((H_SERVICE, service))
-            svc_tag = "result"
-        if error is not None:
-            headers.append((H_ERROR, error))
-        self.transcript.emit(SEND, "POST", callback, svc=svc_tag, err=error)
-        return send_request("POST", callback, headers, b"")
-
-    def _report_error(self, callback: str | None, code: str, reason: str) -> UpstreamResponse:
-        if callback is None:
-            raise Diagnostic(502, reason)
-        log.warning("reporting %r to %s: %s", code, callback, reason)
-        return self._post_to_sp(callback, service=None, error=code)
+        """POST a broker result, or an error code, to the SP's callback URL.  A failure
+        (`reason` given) is logged, or is a 502 when there is no callback to report it to."""
+        if reason is not None:
+            if callback is None:
+                raise Diagnostic(502, reason)
+            log.warning("reporting %r to %s: %s", error, callback, reason)
+        fields = [(H_VERSION, PROTOCOL_VERSION), (H_SERVICE, service), (H_ERROR, error)]
+        headers = [(name, value) for name, value in fields if value is not None]
+        svc = None if service is None else "result"
+        return self._relay("POST", callback, headers, b"", svc=svc, err=error)
 
     def _ask_broker(
         self, path: str, headers: list[tuple[str, str]], tag: str
@@ -595,10 +590,10 @@ class PersonalServiceProxy(ServiceServer):
             self.transcript.emit(RECV, "HEAD", path, None, err="unreachable")
             location, error = None, None
             service = encode_broker_result(BrokerResult(operation, query, empty))
-        return self._post_to_sp(location or directive.callback, service=service, error=error)
+        return self._to_callback(location or directive.callback, service=service, error=error)
 
     def _do_invoke(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
-        """Serve a 312: resolve the handle, then call the service itself."""
+        """Serve a 312: resolve the handle, then send the held request to the service."""
         # The resolution arrives within this request, so the ref only has
         # to be checked against the one just sent.
         ref = os.urandom(12).hex()
@@ -609,44 +604,34 @@ class PersonalServiceProxy(ServiceServer):
                 "handle",
             )
         except BrokerUnreachable as exc:
-            return self._report_error(
-                directive.callback, ERR_SERVICE, f"broker unreachable: {exc}"
+            return self._to_callback(
+                directive.callback, error=ERR_SERVICE, reason=f"broker unreachable: {exc}"
             )
         if error is not None:
             code = error if error in ERROR_CODES else ERR_SERVICE
-            return self._report_error(
-                directive.callback, code, f"broker refused the call: {error}"
+            return self._to_callback(
+                directive.callback, error=code, reason=f"broker refused the call: {error}"
             )
         if location != f":{ref}":
             raise Diagnostic(502, "broker resolution did not name this call's reference")
         if not endpoint:
             raise Diagnostic(502, "broker resolution lacked a service endpoint")
-        try:
-            return self._call_service(directive, sp_host, endpoint)
-        except Diagnostic as exc:
-            return self._report_error(
-                directive.callback, ERR_SERVICE, f"invocation failed: {exc.reason}"
-            )
-
-    def _call_service(
-        self, directive: PsvcDirective, sp_host: str, endpoint: str
-    ) -> UpstreamResponse:
-        """Issue the held request to the now-live personal service."""
         base = endpoint if "://" in endpoint else f"http://{endpoint}"
         url = base.rstrip("/") + (directive.parameters or "/")
-        headers = [
-            (k, v)
-            for k, v in strip_hop_by_hop(directive.carried_headers)
-            if k.lower() not in _NOT_CARRIED
-        ]
-        headers.append(("Referer", sp_host))
-        headers.append((H_INVOCATION, "1"))
+        carried = strip_hop_by_hop(directive.carried_headers)
+        headers = [(k, v) for k, v in carried if k.lower() not in _NOT_CARRIED]
+        headers += [("Referer", sp_host), (H_INVOCATION, "1")]
         if directive.method in ("GET", "POST"):
             headers.append((H_VERSION, PROTOCOL_VERSION))
-        self.transcript.emit(
-            SEND, directive.method, url, referer=sp_host, svc="invocation"
-        )
-        return send_request(directive.method, url, headers, directive.carried_body)
+        try:
+            return self._relay(
+                directive.method, url, headers, directive.carried_body,
+                referer=sp_host, svc="invocation",
+            )
+        except Diagnostic as exc:
+            return self._to_callback(
+                directive.callback, error=ERR_SERVICE, reason=f"invocation failed: {exc.reason}"
+            )
 
     def shutdown(self) -> None:
         super().shutdown()

@@ -293,7 +293,7 @@ def _descriptor(
     )
 
 
-def read_head(path: str | os.PathLike[str], size: int) -> bytes:
+def read_bounded(path: str | os.PathLike[str], size: int) -> bytes:
     """At most `size` bytes from the start of a file, in one read."""
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # a FIFO reads as empty, never waits
     try:
@@ -305,7 +305,7 @@ def read_head(path: str | os.PathLike[str], size: int) -> bytes:
 def read_descriptor(path: str | os.PathLike[str]) -> bytes:
     """A descriptor file's bytes, from one read of at most one byte over
     MAX_DESCRIPTOR_BYTES; DescriptorError("size") past the bound."""
-    data = read_head(path, MAX_DESCRIPTOR_BYTES + 1)
+    data = read_bounded(path, MAX_DESCRIPTOR_BYTES + 1)
     if len(data) > MAX_DESCRIPTOR_BYTES:
         raise DescriptorError("size", f"larger than {MAX_DESCRIPTOR_BYTES} bytes")
     return data

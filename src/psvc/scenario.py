@@ -118,27 +118,22 @@ class Party:
     def stop(self) -> None:
         stop_process(self.proc)
 
-    def output(self) -> str:
-        try:
-            return self.proc.stdout.read().decode("utf-8", "replace")
-        except Exception:
-            return ""
-
     def check_alive(self) -> None:
         """Fail at once if the child has exited, quoting the end of its output."""
         status = self.proc.poll()
         if status is None:
             return
-        tail = "\n".join(self.output().splitlines()[-OUTPUT_TAIL_LINES:])
+        output = self.proc.stdout.read().decode("utf-8", "replace")
+        tail = "\n".join(output.splitlines()[-OUTPUT_TAIL_LINES:])
         raise ScenarioFailure(
             f"{self.name} exited with status {status} before it was ready; "
             f"its output ends:\n{tail}"
         )
 
 
-def wait_for_file(path: Path, party: Party, timeout: float = BOOT_TIMEOUT_S) -> str:
+def wait_for_file(path: Path, party: Party) -> str:
     """The content of a port file; every party writes it once it is listening."""
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + BOOT_TIMEOUT_S
     while time.monotonic() < deadline:
         party.check_alive()
         if path.exists():
@@ -494,21 +489,23 @@ def _assert_313_only_from_broker(ctx: ScenarioContext) -> None:
             )
 
 
-def _run_auth_flow(ctx: ScenarioContext, browser: Browser) -> Page:
-    response = browser.run_flow(ctx.sp_url("/"))
-    check(response.status_code == 200, f"flow ended with {response.status_code}")
-    check(
-        "authenticated as demo-user" in response.text,
-        f"flow did not reach the members area: {response.text[:200]!r}",
-    )
-    return response
+def _run_flow(ctx: ScenarioContext, path: str, *texts: str) -> None:
+    """A fresh browser's flow from an SP path must end in a 200 page showing every text."""
+    response = ctx.browser().run_flow(ctx.sp_url(path))
+    check(response.status_code == 200, f"flow from {path} ended with {response.status_code}")
+    for text in texts:
+        check(text in response.text, f"page lacks {text!r}: {response.text[:200]!r}")
+
+
+def _run_auth_flow(ctx: ScenarioContext) -> None:
+    _run_flow(ctx, "/", "authenticated as demo-user")
 
 
 def scenario_eid_auth_happy(ctx: ScenarioContext) -> None:
     """Cookie-less visit authenticates through the personal service."""
     ctx.write_demo_descriptors()
     ctx.boot_all()
-    _run_auth_flow(ctx, ctx.browser())
+    _run_auth_flow(ctx)
     lines = ctx.lines()
     assert_order(lines, HAPPY_PHASES)
     check(sum("= HEAD /white" in l for l in lines) == 1, "expected exactly one white-pages call")
@@ -522,10 +519,7 @@ def scenario_yellow_pages(ctx: ScenarioContext) -> None:
     """A directory page lists matching services by attribute."""
     ctx.write_demo_descriptors()
     ctx.boot_all()
-    response = ctx.browser().run_flow(ctx.sp_url("/discover"))
-    check(response.status_code == 200, f"discovery ended with {response.status_code}")
-    check("1 service(s) available" in response.text, "expected one listed service")
-    check("Cartão de Cidadão" in response.text, "name lost its non-ASCII value")
+    _run_flow(ctx, "/discover", "1 service(s) available", "Cartão de Cidadão")
     lines = ctx.lines()
     assert_order(
         lines,
@@ -550,15 +544,15 @@ def scenario_launch_on_demand(ctx: ScenarioContext) -> None:
     ctx.write_demo_descriptors()
     ctx.boot_all()
 
-    _run_auth_flow(ctx, ctx.browser())
+    _run_auth_flow(ctx)
     spawns = ctx.spawns()
     check(len(spawns) == 1, f"first flow should spawn once, saw {len(spawns)}")
 
-    _run_auth_flow(ctx, ctx.browser())  # fresh browser: no cookie, full flow again
+    _run_auth_flow(ctx)  # fresh browser: no cookie, full flow again
     check(len(ctx.spawns()) == 1, "second flow must reuse the live process")
 
     kill_and_wait(spawns[0].detail["pid"])
-    _run_auth_flow(ctx, ctx.browser())
+    _run_auth_flow(ctx)
     spawns = ctx.spawns()
     check(len(spawns) == 2, "killed service must be relaunched")
     check(spawns[1].detail["n"] == 2, "relaunch must increment the launch count")
@@ -571,12 +565,7 @@ def scenario_broker_down(ctx: ScenarioContext) -> None:
     (ctx.ps_dir / ENDPOINT_FILE).write_text(str(allocate_port()))  # stale endpoint
     ctx.boot_proxy()
     ctx.boot_sp()
-    response = ctx.browser().run_flow(ctx.sp_url("/"))
-    check(response.status_code == 200, f"flow ended with {response.status_code}")
-    check(
-        "authentication unavailable: no personal service found" in response.text,
-        "SP did not see the empty result",
-    )
+    _run_flow(ctx, "/", "authentication unavailable: no personal service found")
     lines = ctx.lines()
     assert_order(
         lines,
@@ -591,15 +580,10 @@ def scenario_broker_down(ctx: ScenarioContext) -> None:
     check(not any(l.startswith("Broker") for l in lines), "no broker should have spoken")
 
 
-def _error_scenario(ctx: ScenarioContext, expected_code: str, **sp_options) -> None:
+def _error_scenario(ctx: ScenarioContext, page: str, expected_code: str, **sp_options) -> None:
+    """The flow ends on the SP's `page` naming the code, which reached the SP as PSvc-Error."""
     ctx.boot_all(**sp_options)
-    response = ctx.browser().run_flow(ctx.sp_url("/"))
-    check(response.status_code == 200, f"flow ended with {response.status_code}")
-    check(
-        f"authentication unavailable: {expected_code}" in response.text
-        or f"authentication failed: {expected_code}" in response.text,
-        f"SP page does not show the {expected_code!r} failure: {response.text[:200]!r}",
-    )
+    _run_flow(ctx, "/", f"{page}: {expected_code}")
     marker = f"in_err={expected_code}"
     check(
         any(l.startswith("SP") and marker in l for l in ctx.lines()),
@@ -610,7 +594,7 @@ def _error_scenario(ctx: ScenarioContext, expected_code: str, **sp_options) -> N
 def scenario_error_parameters(ctx: ScenarioContext) -> None:
     """A 311 with no query is answered through the callback with 'parameters'."""
     ctx.write_demo_descriptors()
-    _error_scenario(ctx, "parameters", fault="malformed-311")
+    _error_scenario(ctx, "authentication unavailable", "parameters", fault="malformed-311")
     check(
         not any("= HEAD /white" in l for l in ctx.lines()),
         "a malformed directive must not reach the broker",
@@ -620,23 +604,21 @@ def scenario_error_parameters(ctx: ScenarioContext) -> None:
 def scenario_error_ambiguous(ctx: ScenarioContext) -> None:
     """A white query matching two services is refused as 'ambiguous'."""
     ctx.write_demo_descriptors(twin=True)
-    _error_scenario(ctx, "ambiguous", wp_query={"Purpose": "authentication"})
+    query = {"Purpose": "authentication"}
+    _error_scenario(ctx, "authentication unavailable", "ambiguous", wp_query=query)
 
 
 def scenario_error_handle(ctx: ScenarioContext) -> None:
     """A tampered handle is rejected as 'handle'."""
     ctx.write_demo_descriptors()
-    _error_scenario(ctx, "handle", fault="tamper-handle")
+    _error_scenario(ctx, "authentication failed", "handle", fault="tamper-handle")
 
 
 def scenario_error_service(ctx: ScenarioContext) -> None:
     """A service that dies at launch is reported as 'service'."""
     ctx.write_demo_descriptors(broken=True)
-    _error_scenario(
-        ctx,
-        "service",
-        wp_query={"Purpose": "authentication", "Device": "Broken eID"},
-    )
+    query = {"Purpose": "authentication", "Device": "Broken eID"}
+    _error_scenario(ctx, "authentication failed", "service", wp_query=query)
 
 
 def scenario_reject_313(ctx: ScenarioContext) -> None:
@@ -680,7 +662,7 @@ def scenario_header_fidelity(ctx: ScenarioContext) -> None:
     ctx.boot_broker(env={"PSVC_DUMP_DIR": str(dump_dir)})
     ctx.boot_proxy()
     ctx.boot_sp(extras_file=extras_file)
-    _run_auth_flow(ctx, ctx.browser())
+    _run_auth_flow(ctx)
 
     dumps = sorted(dump_dir.glob("invocation-*.json"))
     check(len(dumps) == 1, f"expected one invocation dump, found {len(dumps)}")
@@ -704,7 +686,7 @@ def scenario_broker_autolaunch(ctx: ScenarioContext) -> None:
     ctx.write_demo_descriptors()
     ctx.boot_proxy()  # no boot_broker on purpose
     ctx.boot_sp()
-    _run_auth_flow(ctx, ctx.browser())
+    _run_auth_flow(ctx)
     host, port = read_endpoint_file(ctx.ps_dir)
     ctx.tokens[f"{host}:{port}"] = "broker"
     lines = ctx.lines()
@@ -752,7 +734,9 @@ def run_scenario(name: str, *, write_golden: bool = False, keep: bool = False) -
         failures.append(f"transcript unreadable: {exc!r}")
 
     golden_path = GOLDEN_DIR / f"{name}.txt"
-    if write_golden:
+    if write_golden and failures:
+        failures.append(f"golden {golden_path.name} left unchanged: only a passing run is frozen")
+    elif write_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden_path.write_text("\n".join(lines) + "\n", "utf-8")
     elif golden_path.exists() and not failures:

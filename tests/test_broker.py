@@ -123,6 +123,19 @@ class TestEndpointFile:
         with pytest.raises(EndpointFileError):
             read_endpoint_file(tmp_path)
 
+    def test_a_line_end_fits_the_bound(self, tmp_path):
+        (tmp_path / "broker.ept").write_bytes(b"65535\r\n")
+        assert read_endpoint_file(tmp_path) == ("127.0.0.1", 65535)
+
+    def test_a_file_over_the_bound_is_refused_unread(self, tmp_path):
+        path = tmp_path / "broker.ept"
+        path.touch()
+        os.truncate(path, 1 << 30)  # sparse, and never read whole
+        started = time.monotonic()
+        with pytest.raises(EndpointFileError, match="larger than 8 bytes"):
+            read_endpoint_file(tmp_path)
+        assert time.monotonic() - started < 0.5
+
     def test_contents_that_are_not_ascii(self, tmp_path):
         (tmp_path / "broker.ept").write_bytes(b"\xff12")
         with pytest.raises(EndpointFileError, match="cannot read"):

@@ -378,6 +378,18 @@ class TestParseDirective:
         with pytest.raises(MalformedDirective):
             parse_directive(312, headers, b"")
 
+    @pytest.mark.parametrize("method", ["G\u00c9T", "G\u00b2T", "GET\u0661", ""])
+    def test_a_method_outside_the_token_class_is_rejected(self, method):
+        # str.isalnum accepts each of the first three; the request line does not.
+        headers = [(H_SERVICE, '"h"'), (H_METHOD, method)]
+        with pytest.raises(MalformedDirective, match="unusable method"):
+            parse_directive(312, headers, b"")
+
+    @pytest.mark.parametrize("method", ["M!X", "PROPFIND", "x~y.z"])
+    def test_any_token_method_is_kept(self, method):
+        headers = [(H_SERVICE, '"h"'), (H_METHOD, method)]
+        assert parse_directive(312, headers, b"").method == method
+
     def test_non_directive_status_is_a_programming_error(self):
         with pytest.raises(ValueError):
             parse_directive(200, [], b"")

@@ -774,6 +774,47 @@ class TestServiceInvocation:
         assert sp.requests[1].header(H_ERROR) == ERR_SERVICE
         assert service.requests == []
 
+    def test_a_resolution_without_an_endpoint_is_a_502(self, proxy, stub):
+        sp = stub()
+        broker = broker_stub(stub)  # a 313 naming the ref, with an empty PSvc-Service
+        sp.enqueue(self.invoke_response(sp))
+        server = proxy(broker_port=broker.port)
+        status, _, body = via(server, "GET", sp.url("/login"))
+        assert (status, body) == (502, b"broker resolution lacked a service endpoint\n")
+        assert len(broker.requests) == 1
+        assert len(sp.requests) == 1  # the SP's callback is not told
+
+    def test_a_method_that_is_not_a_token_is_parameters_and_never_resolved(
+        self, proxy, stub, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        write_descriptor(tmp_path, "cc", {"Purpose": "authentication"}, cmd=["false"])
+        broker = BrokerServer(tmp_path)
+        broker.start()
+        sp = stub()
+        try:
+            query = [
+                (H_SERVICE, '{"Purpose": "authentication"}'),
+                (H_CALLBACK, sp.url("/cb")),
+                ("Referer", sp.netloc),
+            ]
+            reply = http_exchange(broker.netloc, "HEAD", "/white", query)[1]
+            handle = decode_broker_result(header_value(reply, H_SERVICE)).response["handle"]
+            directive = ((H_SERVICE, json.dumps(handle)), (H_METHOD, "G\u00c9T"))
+            sp.enqueue(
+                Scripted(312, directive + ((H_CALLBACK, sp.url("/err")),)),
+                Scripted(200, (), b"told the sp\n"),
+            )
+            status, _, body = via(proxy(broker_port=broker.port), "GET", sp.url("/login"))
+        finally:
+            broker.shutdown()
+        assert (status, body) == (200, b"told the sp\n")
+        assert sp.requests[1].header(H_ERROR) == ERR_PARAMETERS
+        events = read_events(log)
+        assert [e.path for e in events if e.actor == "Broker"] == ["/white"]
+        assert [e for e in events if e.direction == transcript.SPAWN] == []
+
     def test_invoke_without_handle_is_parameters(self, proxy, stub):
         sp = stub()
         sp.enqueue(
@@ -975,6 +1016,21 @@ class TestBrokerLink:
         link = BrokerLink(tmp_path)
         with pytest.raises(BrokerUnreachable, match="broker.psd"):
             link.endpoint()
+
+    def test_autolaunch_refuses_a_broker_descriptor_naming_a_url(self, tmp_path):
+        write_descriptor(tmp_path, "broker", {"Purpose": "service brokering"}, url="http://h/")
+        with pytest.raises(BrokerUnreachable, match="broker.psd does not define a launch command"):
+            BrokerLink(tmp_path).endpoint()
+
+    def test_a_fifo_endpoint_file_reads_as_none_without_waiting(self, tmp_path):
+        os.mkfifo(tmp_path / "broker.ept")
+        read: list[tuple[str, int] | None] = []
+        reading = threading.Thread(
+            target=lambda: read.append(BrokerLink(tmp_path).endpoint_or_none()), daemon=True
+        )
+        reading.start()
+        reading.join(1)
+        assert read == [None]
 
     def test_autolaunch_refuses_a_descriptor_over_the_size_bound(self, tmp_path):
         path = write_descriptor(tmp_path, "broker", {"Purpose": "service brokering"}, cmd=["x"])

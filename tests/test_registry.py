@@ -132,6 +132,12 @@ class TestValidateDescriptor:
                 check(doc)
         assert info.value.problem == problem
 
+    def test_an_empty_attribute_name_is_refused(self):
+        doc = {"configuration": {"cmd": ["x"]}, "presentation": {"": 1, "a": 1}}
+        with pytest.raises(DescriptorError, match="attribute names must be non-empty") as info:
+            check(doc)
+        assert info.value.problem == "presentation"
+
     @pytest.mark.parametrize(
         "value", ["[" * 5000 + "]" * 5000, "7" * 5000], ids=["deep", "long-number"]
     )

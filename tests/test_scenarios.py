@@ -19,6 +19,7 @@ import pytest
 import psvc
 import psvc.demo.sp
 import psvc.kit
+import psvc.scenario
 from psvc import transcript
 from psvc.cli import main
 from psvc.demo.service import MockAuthService
@@ -56,6 +57,50 @@ def test_scenario(name):
         report = "\n".join(result.failures)
         transcript = "\n".join(result.lines)
         pytest.fail(f"{name}:\n{report}\n\ntranscript:\n{transcript}")
+
+
+def one_event_scenario(ctx: ScenarioContext) -> None:
+    transcript.Transcript(ctx.transcript_path, "Proxy").emit(transcript.SEND, "GET", "http://x/")
+
+
+def run_cleaned(name: str, **options):
+    result = run_scenario(name, **options)
+    shutil.rmtree(result.workdir, ignore_errors=True)
+    return result
+
+
+def test_a_transcript_that_deviates_from_its_golden_fails_with_the_diff(tmp_path, monkeypatch):
+    monkeypatch.setattr(psvc.scenario, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setitem(SCENARIOS, "one-event", one_event_scenario)
+    assert run_cleaned("one-event", write_golden=True).passed
+    golden = tmp_path / "one-event.txt"
+    assert golden.read_text("utf-8") == "Proxy   > GET http://x/\n"
+    assert run_cleaned("one-event").passed
+    golden.write_text("Proxy   > GET http://y/\n", "utf-8")
+    result = run_cleaned("one-event")
+    assert not result.passed
+    assert result.failures == [
+        "transcript deviates from golden:\n--- golden\n+++ observed\n@@ -1 +1 @@\n"
+        "-Proxy   > GET http://y/\n+Proxy   > GET http://x/"
+    ]
+
+
+def test_write_golden_leaves_the_golden_of_a_failed_run_unchanged(tmp_path, monkeypatch):
+    def failing(ctx: ScenarioContext) -> None:
+        one_event_scenario(ctx)
+        raise ScenarioFailure("flow from / ended with 502")
+
+    monkeypatch.setattr(psvc.scenario, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setitem(SCENARIOS, "failing", failing)
+    golden = tmp_path / "failing.txt"
+    golden.write_text("frozen\n", "utf-8")
+    result = run_cleaned("failing", write_golden=True)
+    assert golden.read_text("utf-8") == "frozen\n"
+    assert not result.passed
+    assert result.failures == [
+        "flow from / ended with 502",
+        "golden failing.txt left unchanged: only a passing run is frozen",
+    ]
 
 
 def test_keep_prints_the_kept_directory(capsys):
