@@ -197,7 +197,8 @@ class DemoSP(ServiceServer):
         return _html(200, "Members area", members)
 
     def _login(self, request: KitRequest) -> KitResponse:
-        next_url = request.query.get("next", "/")
+        next_url = request.query.get("next", "")
+        next_url = next_url if next_url.startswith("/") else "/"  # `@evil/` would leave this host
         if self.user_for_cookie(header_value(request.headers, "Cookie")) is not None:
             return _redirect(self.absolute(next_url))
         if PROTOCOL_VERSION not in field_tokens(request.headers, H_VERSION):

@@ -93,29 +93,19 @@ def write_port_file(path: Path | str, port: int) -> Path:
     return path
 
 
-class EndpointFileError(ValueError):
-    """broker.ept missing or not a decimal port."""
-
-
-def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int]:
-    """Read the published broker endpoint: (host, port), from one read of at most
-    MAX_ENDPOINT_BYTES + 1 bytes that never waits, as a FIFO would make it."""
+def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int] | None:
+    """The published broker endpoint, (host, port), from one read of at most
+    MAX_ENDPOINT_BYTES + 1 bytes that never waits, as a FIFO would make it; None
+    for a file that is missing, unreadable, over the bound or not a port."""
     from .registry import read_bounded  # the one bounded reader; services never get here
 
-    path = Path(ps_dir) / ENDPOINT_FILE
     try:
-        data = read_bounded(path, MAX_ENDPOINT_BYTES + 1)
+        data = read_bounded(Path(ps_dir) / ENDPOINT_FILE, MAX_ENDPOINT_BYTES + 1)
         text = data.decode("ascii").strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EndpointFileError(f"cannot read {path}: {exc}") from None
-    if len(data) > MAX_ENDPOINT_BYTES:
-        raise EndpointFileError(f"{path} is larger than {MAX_ENDPOINT_BYTES} bytes")
-    if not text.isdigit():
-        raise EndpointFileError(f"{path} does not hold a decimal port")
-    port = int(text)
-    if not 0 < port < 65536:
-        raise EndpointFileError(f"{path} holds an out-of-range port {port}")
-    return ENDPOINT_HOST, port
+    except (OSError, UnicodeDecodeError):
+        return None
+    port = int(text) if text.isdigit() else 0
+    return (ENDPOINT_HOST, port) if len(data) <= MAX_ENDPOINT_BYTES and 0 < port < 65536 else None
 
 
 def allocate_port() -> int:
@@ -278,7 +268,12 @@ def _log():
 
 
 class Refusal(Exception):
-    """A head or body that cannot be read: (status, message).  A server answers it, then closes."""
+    """A request that ends in `status` for `reason`.  The server answers a head or body it
+    cannot read with one, then closes; the proxy answers a failed step of its chain with one."""
+
+    def __init__(self, status: int, reason: str):
+        super().__init__(reason)
+        self.status, self.reason = status, reason
 
 
 class Stream:
@@ -317,7 +312,7 @@ class Stream:
                 return None
             self._buf, self._pos = self._buf[self._pos :] + chunk, 0
         if end < 0 or end + 1 - self._pos > MAX_LINE:
-            raise Refusal(too_long, "line too long\n")
+            raise Refusal(too_long, "line too long")
         line, self._pos = self._buf[self._pos : end + 1], end + 1
         return line
 
@@ -344,7 +339,7 @@ def read_head(stream: Stream, start_line: re.Pattern = REQUEST_LINE) -> tuple | 
         return None
     start = start_line.fullmatch(line)
     if start is None:
-        raise Refusal(400, "malformed start line\n")
+        raise Refusal(400, "malformed start line")
     fields = read_fields(stream)
     return None if fields is None else (start, fields)
 
@@ -357,9 +352,9 @@ def read_fields(stream: Stream) -> tuple[tuple[str, str], ...] | None:
             return None
         field = _FIELD_LINE.fullmatch(line)
         if field is None:
-            raise Refusal(400, "malformed header field\n")
+            raise Refusal(400, "malformed header field")
         if len(fields) == MAX_FIELDS:
-            raise Refusal(431, "too many header fields\n")
+            raise Refusal(431, "too many header fields")
         fields.append((field[1].decode("ascii"), field[2].decode("latin-1").strip(" \t")))
     return tuple(fields)
 
@@ -368,7 +363,7 @@ def content_length(fields: Iterable[tuple[str, str]]) -> int | None:
     """The one Content-Length a head gives, or None; Refusal(400) for several or a malformed one."""
     lengths = [value for key, value in fields if key.lower() == "content-length"]
     if len(lengths) > 1 or lengths and not (lengths[0].isascii() and lengths[0].isdigit()):
-        raise Refusal(400, "malformed Content-Length\n")
+        raise Refusal(400, "malformed Content-Length")
     return int(lengths[0]) if lengths else None
 
 
@@ -386,10 +381,10 @@ def encode_head(lines: Sequence[str]) -> bytes | None:
 def _body_length(fields: tuple[tuple[str, str], ...]) -> int:
     """The length of the request body a head announces (RFC 9112 §6.3), or a Refusal."""
     if header_value(fields, "Transfer-Encoding") is not None:
-        raise Refusal(411, "request body needs a Content-Length\n")
+        raise Refusal(411, "request body needs a Content-Length")
     length = content_length(fields) or 0
     if length > MAX_BODY_BYTES:
-        raise Refusal(413, f"request body over {MAX_BODY_BYTES} bytes\n")
+        raise Refusal(413, f"request body over {MAX_BODY_BYTES} bytes")
     return length
 
 
@@ -564,7 +559,7 @@ class ServiceServer:
                 try:
                     parts = urlsplit(target)
                 except ValueError:  # an unbalanced IPv6 bracket
-                    raise Refusal(400, "malformed request target\n") from None
+                    raise Refusal(400, "malformed request target") from None
                 if not http10 and (header_value(fields, "Expect") or "").lower() == "100-continue":
                     sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client waits for it
                 body = stream.take(length)
@@ -583,8 +578,8 @@ class ServiceServer:
                 if close or stream.idle:  # else a pipelined request waits in `stream`
                     return not close
         except Refusal as refusal:
-            status, message = refusal.args
-            self._send(sock, method, target, fields, KitResponse.text(message, status), True)
+            response = KitResponse.text(refusal.reason + "\n", refusal.status)
+            self._send(sock, method, target, fields, response, True)
         # Closing on unread bytes resets the connection, and a client still
         # sending its body would lose the reply: send EOF, then read and drop
         # what arrives for a moment.

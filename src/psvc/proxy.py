@@ -49,7 +49,6 @@ from .kit import (
     MAX_BODY_BYTES,
     REQUEST_LINE,
     STATUS_LINE,
-    EndpointFileError,
     KitRequest,
     KitResponse,
     Refusal,
@@ -134,25 +133,12 @@ _OWN_FIELDS = frozenset({H_VERSION.lower(), H_INVOCATION.lower()})  # only the p
 _NOT_CARRIED = _OWN_FIELDS | {"referer", "content-length"}
 
 
-class Diagnostic(Exception):
-    """Transaction failure surfaced to the browser as a plain response."""
+class Unreachable(Refusal):
+    """No reply: the connection was refused, timed out or broke, or no broker could be launched."""
 
-    def __init__(self, status: int, reason: str):
-        super().__init__(reason)
-        self.status = status
-        self.reason = reason
-
-
-class Unreachable(Diagnostic):
-    """No reply: the connection was refused, timed out or broke."""
-
-    def __init__(self, origin: str, cause: OSError):
-        super().__init__(502, f"upstream {origin} unreachable: {cause}")
-        self.refused = isinstance(cause, ConnectionRefusedError)
-
-
-class BrokerUnreachable(Exception):
-    """No broker answered, and none could be launched."""
+    def __init__(self, reason: str, refused: bool = False):
+        super().__init__(502, reason)
+        self.refused = refused
 
 
 class UpstreamResponse(NamedTuple):
@@ -238,7 +224,7 @@ _POOL = _Pool()
 def _encode_request(
     method: str, target: str, origin: str, headers: list[tuple[str, str]], body: bytes
 ) -> bytes:
-    """The request's bytes, or a Diagnostic for what would not reach the wire intact."""
+    """The request's bytes, or a Refusal for what would not reach the wire intact."""
     lines = [f"{method} {target} HTTP/1.1"]
     if header_value(headers, "Host") is None:
         lines.append(f"Host: {origin}")
@@ -247,7 +233,7 @@ def _encode_request(
         lines.append(f"Content-Length: {len(body)}")
     head = encode_head(lines)
     if head is None or not REQUEST_LINE.match(head):
-        raise Diagnostic(502, f"cannot send {method} {target!r} to {origin}: not a valid head")
+        raise Refusal(502, f"cannot send {method} {target!r} to {origin}: not a valid head")
     return head + body
 
 
@@ -326,7 +312,7 @@ def send_request(
     parts = urlsplit(url)
     port = _port(parts)
     if parts.scheme != "http" or not parts.hostname or port is None:
-        raise Diagnostic(400, f"cannot forward to {url!r}: only plain http URLs with a valid port")
+        raise Refusal(400, f"cannot forward to {url!r}: only plain http URLs with a valid port")
     origin = parts.netloc
     target = parts.path or "/"
     if parts.query:
@@ -346,10 +332,10 @@ def send_request(
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             reply = _exchange(sock, request, method, timeout)
     except OSError as exc:
-        raise Unreachable(origin, exc) from None
-    except Refusal as refusal:
-        reason = refusal.args[1].strip()
-        raise Diagnostic(502, f"upstream {origin} sent an unreadable reply: {reason}") from None
+        refused = isinstance(exc, ConnectionRefusedError)
+        raise Unreachable(f"upstream {origin} unreachable: {exc}", refused) from None
+    except Refusal as exc:
+        raise Refusal(502, f"upstream {origin} sent an unreadable reply: {exc.reason}") from None
     finally:
         if sock is not None and (reply is None or not reply[3]):
             sock.close()
@@ -387,10 +373,7 @@ class BrokerLink:
 
     def endpoint_or_none(self) -> tuple[str, int] | None:
         """The endpoint broker.ept names, unchecked; None without a usable file."""
-        try:
-            return read_endpoint_file(self.ps_dir)
-        except EndpointFileError:
-            return None
+        return read_endpoint_file(self.ps_dir)
 
     def endpoint(self) -> tuple[str, int]:
         """The published broker endpoint; launches a broker when none is published."""
@@ -409,12 +392,10 @@ class BrokerLink:
                 if published is not None and self._connectable(*published):
                     return published
                 if self._proc.poll() is not None:
-                    raise BrokerUnreachable(
-                        f"broker exited with status {self._proc.returncode}"
-                    )
+                    raise Unreachable(f"broker exited with status {self._proc.returncode}")
                 time.sleep(0.05)
             stop_process(self._proc)  # else each failed call would leave one more broker
-        raise BrokerUnreachable("launched broker but it never published an endpoint")
+        raise Unreachable("launched broker but it never published an endpoint")
 
     def _launch(self) -> None:
         path = self.ps_dir / (BROKER_DESCRIPTOR + DESCRIPTOR_SUFFIX)
@@ -423,11 +404,11 @@ class BrokerLink:
                 read_descriptor(path), descriptor_id=BROKER_DESCRIPTOR, default_dir=self.ps_dir
             )
         except (OSError, DescriptorError) as exc:
-            raise BrokerUnreachable(f"no usable {path.name}: {exc}") from None
+            raise Unreachable(f"no usable {path.name}: {exc}") from None
         if desc.cmd is None:
-            raise BrokerUnreachable(f"{path.name} does not define a launch command")
+            raise Unreachable(f"{path.name} does not define a launch command")
         if not desc.workdir.is_dir():
-            raise BrokerUnreachable(f"broker working directory {desc.workdir} does not exist")
+            raise Unreachable(f"broker working directory {desc.workdir} does not exist")
         log.info("launching broker: %s", list(desc.cmd))
         try:
             # Unlike services, the broker picks its own port and
@@ -440,12 +421,12 @@ class BrokerLink:
                 stderr=subprocess.DEVNULL,
             )
         except OSError as exc:
-            raise BrokerUnreachable(f"cannot launch broker: {exc}") from None
+            raise Unreachable(f"cannot launch broker: {exc}") from None
 
     def call(self, path_and_query: str, headers: list[tuple[str, str]]) -> UpstreamResponse:
-        """HEAD the broker; BrokerUnreachable when no broker answers.
+        """HEAD the broker; Unreachable when no broker answers.
 
-        A reply that arrives but cannot be read stays a 502 Diagnostic:
+        A reply that arrives but cannot be read stays a plain 502 Refusal:
         the broker is there, so it must not pass for an absent one.
         """
         host, port = self.endpoint()
@@ -455,7 +436,7 @@ class BrokerLink:
                 return send_request("HEAD", url, headers, b"", timeout=BROKER_CALL_TIMEOUT_S)
             except Unreachable as exc:
                 if not (retry and exc.refused):
-                    raise BrokerUnreachable(exc.reason) from None
+                    raise
             host, port = self._recover((host, port))
 
     def shutdown(self) -> None:
@@ -486,8 +467,8 @@ class PersonalServiceProxy(ServiceServer):
             return KitResponse.text("refusing to forward to this proxy itself\n", 508)
         try:
             final = self.handle_transaction(request.method, url, list(request.headers), request.body)
-        except Diagnostic as diag:
-            return KitResponse.text(diag.reason + "\n", diag.status, diag=diag.reason)
+        except Refusal as exc:
+            return KitResponse.text(exc.reason + "\n", exc.status, diag=exc.reason)
         headers = tuple(strip_hop_by_hop(final.headers))  # the scaffold sets Content-Length
         return KitResponse(final.status, headers, final.body, final.reason)
 
@@ -511,9 +492,7 @@ class PersonalServiceProxy(ServiceServer):
                     RECV, "?", "313", response.status, origin=response.origin, action="rejected"
                 )
                 log.warning("refusing 313 from %s", response.origin)
-                raise Diagnostic(
-                    502, "refused a broker-result redirection from a non-broker source"
-                )
+                raise Refusal(502, "refused a broker-result redirection from a non-broker source")
             if response.status not in (YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL):
                 return response
             try:
@@ -526,7 +505,7 @@ class PersonalServiceProxy(ServiceServer):
                 response = self._do_invoke(directive, response.origin)
             else:
                 response = self._do_listing(directive, response.origin)
-        raise Diagnostic(502, f"redirection chain exceeded {MAX_CHAIN} steps")
+        raise Refusal(502, f"redirection chain exceeded {MAX_CHAIN} steps")
 
     def _relay(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes, **detail
@@ -544,7 +523,7 @@ class PersonalServiceProxy(ServiceServer):
         (`reason` given) is logged, or is a 502 when there is no callback to report it to."""
         if reason is not None:
             if callback is None:
-                raise Diagnostic(502, reason)
+                raise Refusal(502, reason)
             log.warning("reporting %r to %s: %s", error, callback, reason)
         fields = [(H_VERSION, PROTOCOL_VERSION), (H_SERVICE, service), (H_ERROR, error)]
         headers = [(name, value) for name, value in fields if value is not None]
@@ -556,7 +535,7 @@ class PersonalServiceProxy(ServiceServer):
     ) -> tuple[str | None, str | None, str | None]:
         """HEAD the broker and read its 313: (Location, PSvc-Service, PSvc-Error).
 
-        BrokerUnreachable passes through; any other status is a 502.
+        Unreachable passes through; any other status is a 502.
         """
         self.transcript.emit(SEND, "HEAD", path, svc=tag)
         reply = self.broker.call(path, headers)
@@ -568,7 +547,7 @@ class PersonalServiceProxy(ServiceServer):
             origin=reply.origin, loc=location, err=error,
         )
         if reply.status != BROKER_RESULT:
-            raise Diagnostic(502, f"broker answered {reply.status} instead of a result")
+            raise Refusal(502, f"broker answered {reply.status} instead of a result")
         return location, service, error
 
     def _do_listing(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
@@ -584,7 +563,7 @@ class PersonalServiceProxy(ServiceServer):
         ]
         try:
             location, service, error = self._ask_broker(path, headers, "query")
-        except BrokerUnreachable as exc:
+        except Unreachable as exc:
             # The SP still gets an answer: an empty result envelope.
             log.warning("broker unreachable for listing: %s", exc)
             self.transcript.emit(RECV, "HEAD", path, None, err="unreachable")
@@ -603,7 +582,7 @@ class PersonalServiceProxy(ServiceServer):
                 [(H_SERVICE, directive.handle), ("Referer", sp_host)],
                 "handle",
             )
-        except BrokerUnreachable as exc:
+        except Unreachable as exc:
             return self._to_callback(
                 directive.callback, error=ERR_SERVICE, reason=f"broker unreachable: {exc}"
             )
@@ -613,9 +592,9 @@ class PersonalServiceProxy(ServiceServer):
                 directive.callback, error=code, reason=f"broker refused the call: {error}"
             )
         if location != f":{ref}":
-            raise Diagnostic(502, "broker resolution did not name this call's reference")
+            raise Refusal(502, "broker resolution did not name this call's reference")
         if not endpoint:
-            raise Diagnostic(502, "broker resolution lacked a service endpoint")
+            raise Refusal(502, "broker resolution lacked a service endpoint")
         base = endpoint if "://" in endpoint else f"http://{endpoint}"
         url = base.rstrip("/") + (directive.parameters or "/")
         carried = strip_hop_by_hop(directive.carried_headers)
@@ -628,7 +607,7 @@ class PersonalServiceProxy(ServiceServer):
                 directive.method, url, headers, directive.carried_body,
                 referer=sp_host, svc="invocation",
             )
-        except Diagnostic as exc:
+        except Refusal as exc:
             return self._to_callback(
                 directive.callback, error=ERR_SERVICE, reason=f"invocation failed: {exc.reason}"
             )

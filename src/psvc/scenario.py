@@ -102,18 +102,21 @@ def assert_order(lines: list[str], patterns: list[str]) -> None:
 
 
 class Party:
-    """One child process with polite teardown."""
+    """One child process with polite teardown.  Its output goes to ``<cwd>/<name>.log``:
+    no pipe can fill up and stall it, and a kept directory holds what it wrote."""
 
     def __init__(self, name: str, argv: list[str], env: dict[str, str], cwd: Path):
         self.name = name
-        self.proc = subprocess.Popen(
-            argv,
-            cwd=cwd,
-            env=env,
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-        )
+        self.log = cwd / f"{name}.log"
+        with open(self.log, "wb") as output:
+            self.proc = subprocess.Popen(
+                argv,
+                cwd=cwd,
+                env=env,
+                stdin=subprocess.DEVNULL,
+                stdout=output,
+                stderr=subprocess.STDOUT,
+            )
 
     def stop(self) -> None:
         stop_process(self.proc)
@@ -123,7 +126,7 @@ class Party:
         status = self.proc.poll()
         if status is None:
             return
-        output = self.proc.stdout.read().decode("utf-8", "replace")
+        output = self.log.read_text("utf-8", "replace")
         tail = "\n".join(output.splitlines()[-OUTPUT_TAIL_LINES:])
         raise ScenarioFailure(
             f"{self.name} exited with status {status} before it was ready; "
@@ -738,7 +741,7 @@ def run_scenario(name: str, *, write_golden: bool = False, keep: bool = False) -
         failures.append(f"golden {golden_path.name} left unchanged: only a passing run is frozen")
     elif write_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        golden_path.write_text("\n".join(lines) + "\n", "utf-8")
+        golden_path.write_text("".join(line + "\n" for line in lines), "utf-8")
     elif golden_path.exists() and not failures:
         expected = golden_path.read_text("utf-8").splitlines()
         if expected != lines:

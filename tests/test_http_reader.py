@@ -370,7 +370,7 @@ MALFORMED_REPLIES = {
 @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(), ids=MALFORMED_REPLIES.keys())
 def test_malformed_reply_is_a_502_and_never_pooled(reply):
     netloc = held_origin(reply)
-    with pytest.raises(psvc.proxy.Diagnostic) as refused:
+    with pytest.raises(Refusal) as refused:
         psvc.proxy.send_request("GET", f"http://{netloc}/", [], b"", timeout=5)
     assert refused.value.status == 502
     assert "unreadable reply" in refused.value.reason

@@ -45,8 +45,8 @@ from psvc.protocol import (
 )
 from psvc.proxy import (
     BrokerLink,
-    BrokerUnreachable,
     PersonalServiceProxy,
+    Unreachable,
     strip_hop_by_hop,
 )
 from psvc.scenario import Browser
@@ -961,7 +961,7 @@ class TestBrokerLink:
         # No broker.ept and no broker.psd: nothing to read and nothing to launch.
         link = BrokerLink(tmp_path)
         assert link.endpoint_or_none() is None
-        with pytest.raises(BrokerUnreachable):
+        with pytest.raises(Unreachable):
             link.endpoint()
         assert not (tmp_path / "broker.ept").exists()
 
@@ -970,7 +970,7 @@ class TestBrokerLink:
         write_endpoint_file(tmp_path, port)
         link = BrokerLink(tmp_path)
         assert link.endpoint_or_none() == ("127.0.0.1", port)  # read, not probed
-        with pytest.raises(BrokerUnreachable, match="broker.psd"):
+        with pytest.raises(Unreachable, match="broker.psd"):
             link.call("/white", [])
 
     def test_slow_broker_is_not_launched_twice(self, tmp_path, monkeypatch):
@@ -984,7 +984,7 @@ class TestBrokerLink:
         monkeypatch.setattr(psvc.proxy, "BROKER_CALL_TIMEOUT_S", 0.5)
         link = BrokerLink(tmp_path)
         try:
-            with pytest.raises(BrokerUnreachable):
+            with pytest.raises(Unreachable):
                 link.call("/white", [])
         finally:
             link.shutdown()
@@ -1014,12 +1014,12 @@ class TestBrokerLink:
 
     def test_autolaunch_needs_a_descriptor(self, tmp_path):
         link = BrokerLink(tmp_path)
-        with pytest.raises(BrokerUnreachable, match="broker.psd"):
+        with pytest.raises(Unreachable, match="broker.psd"):
             link.endpoint()
 
     def test_autolaunch_refuses_a_broker_descriptor_naming_a_url(self, tmp_path):
         write_descriptor(tmp_path, "broker", {"Purpose": "service brokering"}, url="http://h/")
-        with pytest.raises(BrokerUnreachable, match="broker.psd does not define a launch command"):
+        with pytest.raises(Unreachable, match="broker.psd does not define a launch command"):
             BrokerLink(tmp_path).endpoint()
 
     def test_a_fifo_endpoint_file_reads_as_none_without_waiting(self, tmp_path):
@@ -1035,17 +1035,17 @@ class TestBrokerLink:
     def test_autolaunch_refuses_a_descriptor_over_the_size_bound(self, tmp_path):
         path = write_descriptor(tmp_path, "broker", {"Purpose": "service brokering"}, cmd=["x"])
         os.truncate(path, 1 << 24)  # sparse, and never read whole
-        with pytest.raises(BrokerUnreachable, match="broker.psd: larger than 65536 bytes"):
+        with pytest.raises(Unreachable, match="broker.psd: larger than 65536 bytes"):
             BrokerLink(tmp_path).endpoint()
 
     def test_autolaunch_does_not_wait_on_a_fifo(self, tmp_path):
         os.mkfifo(tmp_path / "broker.psd")
-        errors: list[BrokerUnreachable] = []
+        errors: list[Unreachable] = []
 
         def launch() -> None:
             try:
                 BrokerLink(tmp_path).endpoint()
-            except BrokerUnreachable as exc:
+            except Unreachable as exc:
                 errors.append(exc)
 
         launching = threading.Thread(target=launch, daemon=True)
@@ -1064,7 +1064,7 @@ class TestBrokerLink:
         )
         link = BrokerLink(tmp_path)
         try:
-            with pytest.raises(BrokerUnreachable, match=re.escape(str(missing))):
+            with pytest.raises(Unreachable, match=re.escape(str(missing))):
                 link.endpoint()
         finally:
             link.shutdown()
@@ -1090,7 +1090,7 @@ class TestBrokerLink:
         link = BrokerLink(tmp_path)
         try:
             for _ in range(2):
-                with pytest.raises(BrokerUnreachable, match="never published"):
+                with pytest.raises(Unreachable, match="never published"):
                     link.endpoint()
             assert len(launched) == 2
             assert [proc.poll() is not None for proc in launched] == [True, True]

@@ -85,6 +85,20 @@ def test_a_transcript_that_deviates_from_its_golden_fails_with_the_diff(tmp_path
     ]
 
 
+def test_a_frozen_empty_transcript_passes_its_next_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(psvc.scenario, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setitem(SCENARIOS, "no-op", lambda ctx: None)
+    assert run_cleaned("no-op", write_golden=True).passed
+    assert (tmp_path / "no-op.txt").read_text("utf-8") == ""
+    assert run_cleaned("no-op").passed
+
+
+def test_every_scenario_has_a_golden_and_every_golden_a_scenario():
+    # A scenario without a golden skips the comparison, so a deleted golden must fail here.
+    goldens = sorted(path.stem for path in psvc.scenario.GOLDEN_DIR.glob("*.txt"))
+    assert goldens == sorted(SCENARIOS)
+
+
 def test_write_golden_leaves_the_golden_of_a_failed_run_unchanged(tmp_path, monkeypatch):
     def failing(ctx: ScenarioContext) -> None:
         one_event_scenario(ctx)
@@ -150,6 +164,24 @@ def test_boot_wait_reports_a_child_that_died(tmp_path):
     message = str(failure.value)
     assert "doomed exited with status 7" in message
     assert "doomed-marker" in message
+
+
+def test_a_party_that_writes_much_before_its_port_file_boots(tmp_path):
+    port_file = tmp_path / "chatty.port"
+    script = (
+        "import pathlib, sys, time; sys.stdout.write('x' * 200_000); sys.stdout.flush(); "
+        f"pathlib.Path({str(port_file)!r}).write_text('1234'); time.sleep(60)"
+    )
+    ctx = ScenarioContext("chatty", tmp_path)
+    party = Party("chatty", [sys.executable, "-c", script], ctx.child_env(), tmp_path)
+    ctx.parties.append(party)
+    started = time.monotonic()
+    try:
+        assert wait_for_file(port_file, party) == "1234"
+        assert time.monotonic() - started < 5
+    finally:
+        ctx.teardown()
+    assert (tmp_path / "chatty.log").stat().st_size == 200_000
 
 
 def test_concurrent_sign_ins_all_succeed_with_one_spawn(tmp_path):
@@ -224,6 +256,26 @@ def test_demo_sp_accepts_a_result_once():
         sp.shutdown()
 
 
+def test_demo_sp_redirects_after_sign_in_stay_on_its_host():
+    sp = DemoSP(("127.0.0.1", 0))
+    sp.start()
+    try:
+        target = "/login?next=@evil.example/"  # joined to the SP's netloc, it names evil.example
+        cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie('demo-user')}"
+        signed_in = http_exchange(sp.netloc, "GET", target, [("Cookie", cookie)])
+        # Without a cookie the attempt keeps `next` and redirects there from /result.
+        assert http_exchange(sp.netloc, "GET", target, [(H_VERSION, "1")])[0] == 311
+        (session,) = sp.sessions.values()
+        form = urlencode({"sid": session.sid, "nonce": session.nonce, "user": "demo-user"})
+        form_headers = [("Content-Type", "application/x-www-form-urlencoded")]
+        result = http_exchange(sp.netloc, "POST", "/result", form_headers, form.encode())
+    finally:
+        sp.shutdown()
+    for status, headers, _ in (signed_in, result):
+        assert status == 302
+        assert header_value(headers, "Location") == f"http://{sp.netloc}/"
+
+
 def test_demo_sp_tables_stay_bounded(monkeypatch):
     monkeypatch.setattr(psvc.kit, "MAX_TABLE_ENTRIES", 4)
     sp = DemoSP(("127.0.0.1", 0))
@@ -276,7 +328,7 @@ def test_demo_sp_sign_in_attempts_expire(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "target", ["/evil313?to=%0D%0AX-Evil:%201", "/login?next=%0D%0AX-Evil:%201"]
+    "target", ["/evil313?to=%0D%0AX-Evil:%201", "/login?next=/%0D%0AX-Evil:%201"]
 )
 def test_demo_sp_header_that_breaks_its_line_is_a_500(target, monkeypatch, tmp_path):
     log = tmp_path / "transcript.jsonl"
