@@ -22,7 +22,6 @@ import logging
 import secrets
 import threading
 import time
-from html import escape
 from typing import Any, NamedTuple
 from urllib.parse import quote
 
@@ -30,6 +29,7 @@ from ..kit import (
     KitRequest,
     KitResponse,
     ServiceServer,
+    escape,
     field_tokens,
     header_value,
     html_page,

@@ -18,7 +18,6 @@ the broker package.
 
 from __future__ import annotations
 
-import html
 import os
 import re
 import select
@@ -142,11 +141,20 @@ def detect_psvc_invocation(headers: Sequence[tuple[str, str]]) -> bool:
     return bool(header_value(headers, "Referer")) and header_value(headers, H_INVOCATION) == "1"
 
 
+def escape(text: str) -> str:
+    """`text` as html.escape(text, quote=True) gives it, without loading html's entity table."""
+    # Five replaces, `&` first: a str.translate table takes ten times as long on a listed name.
+    return (
+        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        .replace('"', "&quot;").replace("'", "&#x27;")
+    )
+
+
 def html_page(title: str, body: str, onload: str = "") -> bytes:
     """A whole HTML document in UTF-8: `title` is escaped, `body` is markup as given."""
     handler = f' onload="{onload}"' if onload else ""
     return (
-        f'<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>{html.escape(title)}'
+        f'<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>{escape(title)}'
         f"</title></head>\n<body{handler}>\n{body}</body></html>\n"
     ).encode("utf-8")
 
@@ -164,16 +172,15 @@ def sp_return_page(
     response to an SP URL.  With an empty callback there is nowhere to
     return to, so a plain terminal page is produced instead.
     """
-    paragraph = f"<p>{html.escape(message)}</p>\n"
+    paragraph = f"<p>{escape(message)}</p>\n"
     if not sp_callback:
         return html_page(title, paragraph)
     inputs = "".join(
-        f'<input type="hidden" name="{html.escape(k, quote=True)}" '
-        f'value="{html.escape(str(v), quote=True)}">\n'
+        f'<input type="hidden" name="{escape(k)}" value="{escape(str(v))}">\n'
         for k, v in fields.items()
     )
     form = (
-        f'<form method="POST" action="{html.escape(sp_callback, quote=True)}" '
+        f'<form method="POST" action="{escape(sp_callback)}" '
         f'data-autosubmit="1">\n{inputs}'
         '<noscript><button type="submit">Continue</button></noscript>\n</form>\n'
     )
@@ -556,17 +563,21 @@ class ServiceServer:
                 method, target = request[1].decode("ascii"), request[2].decode("ascii")
                 http10 = request[3] == b"0"
                 length = _body_length(fields)
-                try:
-                    parts = urlsplit(target)
-                except ValueError:  # an unbalanced IPv6 bracket
-                    raise Refusal(400, "malformed request target") from None
+                if target.startswith("/"):  # origin-form: a leading `//` names no host
+                    path, _, raw_query = target.partition("?")
+                else:  # absolute-form, as a proxy receives
+                    try:
+                        parts = urlsplit(target)
+                    except ValueError:  # an unbalanced IPv6 bracket
+                        raise Refusal(400, "malformed request target") from None
+                    path, raw_query = parts.path, parts.query
                 if not http10 and (header_value(fields, "Expect") or "").lower() == "100-continue":
                     sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")  # the client waits for it
                 body = stream.take(length)
                 if len(body) < length:
                     return False
-                query = {k: v[0] for k, v in parse_qs(parts.query).items()}
-                request = KitRequest(method, target, parts.path, query, fields, body)
+                query = {k: v[0] for k, v in parse_qs(raw_query).items()}
+                request = KitRequest(method, target, path, query, fields, body)
                 try:
                     response = self._handler(request)
                 except Exception:

@@ -37,11 +37,10 @@ import os
 import re
 import select
 import socket
-import subprocess
 import threading
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, urlsplit
 
 from .kit import (
@@ -93,6 +92,9 @@ from .registry import (
     validate_descriptor,
 )
 from .transcript import RECV, SEND
+
+if TYPE_CHECKING:
+    import subprocess
 
 log = logging.getLogger(__name__)
 
@@ -410,6 +412,8 @@ class BrokerLink:
         if not desc.workdir.is_dir():
             raise Unreachable(f"broker working directory {desc.workdir} does not exist")
         log.info("launching broker: %s", list(desc.cmd))
+        import subprocess  # most runs find a broker already up
+
         try:
             # Unlike services, the broker picks its own port and
             # publishes it, so the vector runs unchanged.

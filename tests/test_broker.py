@@ -15,7 +15,7 @@ from pathlib import Path
 from urllib.parse import quote
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psvc.broker.handles
@@ -870,13 +870,17 @@ class TestHeadSurface:
         st.none() | HEADER_TEXT,
         st.none() | HEADER_TEXT,
     )
+    # An origin-form target is a path: `//x/yellow` is not `/yellow`, and `//[` names no host.
+    @example(target="//[", service=None, callback=None, referer=None)
+    @example(target="//x/yellow", service=None, callback=None, referer=None)
     def test_every_head_gets_a_313_or_a_404(
         self, fuzzed_broker, target, service, callback, referer
     ):
         status, headers, _ = broker_head(
             fuzzed_broker, target, service=service, callback=callback, referer=referer
         )
-        assert status in (BROKER_RESULT, 404)
+        served = target.partition("?")[0] in ("/yellow", "/white", "/resolve")
+        assert status == (BROKER_RESULT if served else 404)
         if status == BROKER_RESULT:
             assert header_value(headers, "Location") is not None
 

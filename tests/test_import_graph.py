@@ -68,6 +68,25 @@ def test_a_kit_service_loads_nothing_the_other_parties_need():
     assert unwanted == set()
 
 
+def test_a_service_launched_by_module_loads_no_cli_and_no_html():
+    # The launch route the descriptors name: `python -m psvc demo service PORT`.
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['psvc', 'demo', 'service', 'nope']\n"
+        "before = set(sys.modules)\n"
+        "try:\n"
+        "    runpy.run_module('psvc', run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    print('exit', stop.code)\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    refusal, _, modules = fresh_python(script).stdout.partition("exit 2\n")
+    assert refusal == "cannot start: last argument 'nope' is not a port number\n"
+    added = set(modules.split())
+    assert {"psvc.demo.service", "psvc.kit"} <= added
+    assert within(added, "psvc.cli", "html", "argparse", "logging", "json") == set()
+
+
 def test_a_raising_handler_gets_a_500_and_a_traceback_with_no_logging_configured():
     script = (
         "import socket, sys\n"
@@ -107,7 +126,10 @@ def test_the_proxy_loads_no_http_library():
 def test_the_proxy_loads_no_broker():
     added = added_modules("psvc.proxy")
     assert {"psvc.proxy", "psvc.kit", "psvc.protocol"} <= added
-    unwanted = within(added, "psvc.broker", "cryptography", "secrets", "hmac", "hashlib")
+    # subprocess loads only when the proxy launches a broker.
+    unwanted = within(
+        added, "psvc.broker", "cryptography", "secrets", "hmac", "hashlib", "subprocess"
+    )
     assert unwanted == set()
 
 
@@ -139,3 +161,12 @@ def test_no_party_loads_dataclasses():
     )
     assert "psvc.broker.server" in added
     assert within(added, "dataclasses", "inspect", "ast", "dis") == set()
+
+
+def test_no_party_loads_html():
+    # kit.escape does what html.escape does; only the scenario browser parses HTML.
+    added = added_modules(
+        "psvc.cli", "psvc.broker.server", "psvc.proxy", "psvc.demo.sp", "psvc.demo.service"
+    )
+    assert {"psvc.broker.server", "psvc.proxy", "psvc.demo.sp", "psvc.demo.service"} <= added
+    assert within(added, "html") == set()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import html
 import re
 import select
 import socket
@@ -12,6 +13,8 @@ from html.parser import HTMLParser
 from http.client import HTTPConnection
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from psvc import kit, transcript
 from psvc.kit import (
@@ -128,6 +131,13 @@ class TestReturnPage:
         assert b"</html>" in page
 
 
+class TestEscape:
+    @given(st.text())
+    @example("& < > \" '")
+    def test_escapes_as_html_escape_does(self, text):
+        assert kit.escape(text) == html.escape(text, quote=True)
+
+
 class TestKitRequest:
     def make(self, body: bytes = b"") -> KitRequest:
         return KitRequest(
@@ -207,6 +217,15 @@ class TestServiceServer:
         assert request.query == {"sid": "7", "mode": "fast"}
         assert kit.header_value(request.headers, "X-Probe") == "yes"
         assert request.body == b""
+
+    @pytest.mark.parametrize(
+        "target, path, query",
+        [("//x/yellow?a=1", "//x/yellow", {"a": "1"}), ("//", "//", {}), ("//[", "//[", {})],
+    )
+    def test_an_origin_form_path_reaches_the_handler_verbatim(self, service, target, path, query):
+        server, seen = service
+        assert http_exchange(server.netloc, "GET", target)[0] == 200
+        assert (seen[0].target, seen[0].path, seen[0].query) == (target, path, query)
 
     def test_post_body_reaches_handler(self, service):
         server, seen = service

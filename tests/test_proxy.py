@@ -7,6 +7,7 @@ import os
 import re
 import socket
 import string
+import subprocess
 import sys
 import threading
 from http.client import HTTPConnection
@@ -656,6 +657,38 @@ class TestServiceInvocation:
         assert called.header_values(H_VERSION) == ["1"]
         assert called.header("X-Token") == "secret"
 
+    def test_a_chunked_312_carries_no_hop_by_hop_field_to_the_service(self, proxy, stub):
+        service = stub()
+        broker = broker_stub(stub, endpoint=service.netloc)
+        end_to_end = [
+            ("X-Token", "secret"),
+            ("Cookie", "tray=full; a=b"),
+            ("Accept-Language", "pt-PT, en;q=0.5"),
+            ("X-Latin", "caf\xe9"),
+        ]
+        head = "".join(
+            f"{line}\r\n"
+            for line in [
+                "HTTP/1.1 312 Personal Service Call",
+                f'{H_SERVICE}: "h-abc"',
+                f"{H_METHOD}: POST",
+                f"{H_PARAMETERS}: /auth",
+                f"{H_CALLBACK}: http://127.0.0.1:9/err",
+                "Connection: x-a",
+                "X-A: 1",
+                "Upgrade: h2c",
+                "Transfer-Encoding: chunked",
+                *(f"{k}: {v}" for k, v in end_to_end),
+            ]
+        )
+        sp_url = one_reply_origin(head.encode("latin-1"), b"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n")
+        server = proxy(broker_port=broker.port)
+        assert via(server, "GET", sp_url)[0] == 200
+        called = service.requests[0]
+        assert called.body == b"hello world"
+        own = {"host", "referer", "content-length", H_INVOCATION.lower(), H_VERSION.lower()}
+        assert [(k, v) for k, v in called.headers if k.lower() not in own] == end_to_end
+
     def test_resolution_applies_only_to_the_call_that_asked(self, proxy, stub):
         sp = stub()
         service = stub()
@@ -1079,13 +1112,13 @@ class TestBrokerLink:
             workdir=str(tmp_path),
         )
         launched = []
-        popen = psvc.proxy.subprocess.Popen
+        popen = subprocess.Popen
 
         def recording_popen(*args, **kwargs):
             launched.append(popen(*args, **kwargs))
             return launched[-1]
 
-        monkeypatch.setattr(psvc.proxy.subprocess, "Popen", recording_popen)
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)  # what _launch imports
         monkeypatch.setattr(psvc.proxy, "BROKER_LAUNCH_TIMEOUT_S", 0.5)
         link = BrokerLink(tmp_path)
         try:
