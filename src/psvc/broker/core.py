@@ -12,11 +12,10 @@ descriptor directory; the IP is implicitly 127.0.0.1.
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 from typing import Any
 
-from ..kit import ENDPOINT_FILE, KitResponse, write_port_file
+from ..kit import ENDPOINT_FILE, KitResponse, Log, write_port_file
 from ..protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -36,7 +35,7 @@ from .handles import HandleCodec, HandleError
 from .policy import load_policy
 from .runtime import ServiceLauncher, SpawnFailure
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 
 def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:

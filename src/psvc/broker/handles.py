@@ -11,9 +11,9 @@ HANDLE_MAX_AGE_S old.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
-from collections import OrderedDict
 from typing import NamedTuple
 
 MAX_LIVE_HANDLES = 4096  # past this many, minting forgets the oldest handle
@@ -40,17 +40,18 @@ class HandleCodec:
     """
 
     def __init__(self) -> None:
-        self._live: OrderedDict[str, HandlePlaintext] = OrderedDict()
+        self._live: dict[str, HandlePlaintext] = {}  # oldest first
         self._lock = threading.Lock()
 
     def mint(self, requester_host: str, descriptor_id: str) -> str:
         """Issue handle text binding a descriptor to the requesting SP."""
         text = os.urandom(16).hex()
-        entry = HandlePlaintext(requester_host, descriptor_id, time.time())
+        # One copy of each SP's host, however many of its handles are live.
+        entry = HandlePlaintext(sys.intern(requester_host), descriptor_id, time.time())
         with self._lock:
             self._live[text] = entry
             if len(self._live) > MAX_LIVE_HANDLES:
-                self._live.popitem(last=False)
+                del self._live[next(iter(self._live))]
         return text
 
     def open(self, handle_text: str) -> HandlePlaintext:

@@ -11,17 +11,18 @@ reach one fails at the proxy, which reports ``service`` to the SP.
 
 from __future__ import annotations
 
-import logging
 import socket
-import subprocess
 import threading
 import time
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..kit import allocate_port, stop_process
+from ..kit import Log, allocate_port, stop_process
 from ..registry import ServiceDescriptor
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    import subprocess
+
+log = Log(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
 _POLL_INTERVAL_S = 0.02
@@ -90,6 +91,8 @@ class ServiceLauncher:
             return self._spawn(desc, rec)
 
     def _spawn(self, desc: ServiceDescriptor, rec: RuntimeRecord) -> str:
+        import subprocess  # a broker that only answers discovery never gets here
+
         if not desc.workdir.is_dir():
             raise SpawnFailure(f"working directory {desc.workdir} does not exist")
         port = allocate_port()

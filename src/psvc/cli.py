@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import sys
 import threading
-from base64 import b64decode
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# argparse, json, logging and signal are imported where they are used: a
+# argparse, base64, json, logging and signal are imported where they are used: a
 # launched demo service needs none of them, and each launch pays for what it loads.
 if TYPE_CHECKING:
     import argparse
+
+LOG_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
 
 
 def _serve_until_signal(server, port_file: str | None) -> int:
@@ -66,6 +67,7 @@ def _invoke_extras(path: str) -> tuple[tuple[tuple[str, str], ...], bytes]:
     """The headers and body a JSON file {"headers": [[k, v], ...], "body_b64": ...} names."""
     import argparse
     import json
+    from base64 import b64decode
 
     try:
         record = json.loads(Path(path).read_text("utf-8"))
@@ -271,13 +273,15 @@ def main(argv: list[str] | None = None) -> int:
         from .demo.service import main as service_main
 
         return service_main(argv[2:])
-    import logging
-
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    if args.verbose:
+        import logging
+
+        logging.basicConfig(level=logging.DEBUG, format=LOG_FORMAT)
+    else:  # a party that keeps no record never loads logging
+        from .kit import Log
+
+        Log.cli_format = LOG_FORMAT
     return args.func(args)
 
 

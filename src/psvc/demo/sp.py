@@ -18,7 +18,6 @@ query, a tampered handle, or a forged broker-result redirection.
 from __future__ import annotations
 
 import json
-import logging
 import secrets
 import threading
 import time
@@ -28,6 +27,7 @@ from urllib.parse import quote
 from ..kit import (
     KitRequest,
     KitResponse,
+    Log,
     ServiceServer,
     escape,
     field_tokens,
@@ -50,7 +50,7 @@ from ..protocol import (
     decode_broker_result,
 )
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 COOKIE_NAME = "psvc_auth"
 # A sign-in attempt outlives no handle minted for it (the broker's HANDLE_MAX_AGE_S).

@@ -22,9 +22,11 @@ import os
 import re
 import select
 import socket
+import sys
 import threading
 import time
 from contextlib import suppress
+from functools import partialmethod
 from http import HTTPStatus
 from pathlib import Path
 from types import MappingProxyType
@@ -262,16 +264,40 @@ MAX_FIELDS = 100  # field lines in one head
 TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # RFC 9110 §5.6.2: a method or a field name
 REQUEST_LINE = re.compile(rb"(%s) ([\x21-\x7e]+) HTTP/1\.([0-9])\r\n" % TOKEN.pattern)
 STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9]) ([\t\x20-\x7e\x80-\xff]*)\r\n")
-_FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % TOKEN.pattern)
+_FIELD_VALUE = bytes([9, *range(0x20, 0x7F), *range(0x80, 0x100)])  # HTAB, SP, VCHAR, obs-text
 _PHRASES = {**{status.value: status.phrase for status in HTTPStatus}, **REASON_PHRASES}
 _ONESHOT = select.EPOLLIN | select.EPOLLONESHOT
 
 
-def _log():
-    """The kit's logger, imported on first use, since only failures log."""
-    import logging
+class Log:
+    """A module's logger that loads `logging` only for a record it keeps.
 
-    return logging.getLogger(__name__)
+    Once `logging` is loaded (by -v, a test or an embedding program), every
+    record goes to it.  Until then a record below WARNING is dropped, and one
+    at WARNING or above loads it, first applying the CLI's `cli_format`.
+    """
+
+    cli_format: str | None = None  # the line format psvc.cli asks for without -v
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def log(self, level: int, msg: str, *args: Any, exc_info: bool = False) -> None:
+        if level < 30 and "logging" not in sys.modules:  # 30: logging.WARNING
+            return
+        import logging
+
+        if Log.cli_format is not None:
+            logging.basicConfig(format=Log.cli_format)
+            Log.cli_format = None
+        # stacklevel 2: the record names the caller of info(), warning() or exception().
+        logging.getLogger(self.name).log(level, msg, *args, exc_info=exc_info, stacklevel=2)
+
+    info, warning = partialmethod(log, 20), partialmethod(log, 30)
+    exception = partialmethod(log, 40, exc_info=True)  # with the exception being handled
+
+
+log = Log(__name__)
 
 
 class Refusal(Exception):
@@ -357,13 +383,23 @@ def read_fields(stream: Stream) -> tuple[tuple[str, str], ...] | None:
     while (line := stream.line()) != b"\r\n":
         if line is None:
             return None
-        field = _FIELD_LINE.fullmatch(line)
+        field = parse_field(line)
         if field is None:
             raise Refusal(400, "malformed header field")
         if len(fields) == MAX_FIELDS:
             raise Refusal(431, "too many header fields")
-        fields.append((field[1].decode("ascii"), field[2].decode("latin-1").strip(" \t")))
+        fields.append(field)
     return tuple(fields)
+
+
+def parse_field(line: bytes) -> tuple[str, str] | None:
+    """A field line's (name, value), the value trimmed of SP and HTAB; None if malformed."""
+    name, colon, value = line[:-2].partition(b":")
+    # Deleting the allowed bytes checks a long value at memory speed, not a regex step per byte.
+    if colon and line.endswith(b"\r\n") and TOKEN.fullmatch(name):
+        if not value.translate(None, _FIELD_VALUE):
+            return name.decode("ascii"), value.decode("latin-1").strip(" \t")
+    return None
 
 
 def content_length(fields: Iterable[tuple[str, str]]) -> int | None:
@@ -536,7 +572,7 @@ class ServiceServer:
         except OSError:
             keep = False  # timed out, reset or gone
         except Exception:
-            _log().exception("%s: serving a connection failed", self.netloc)
+            log.exception("%s: serving a connection failed", self.netloc)
             keep = False
         with self._lock:
             self._waiting += 1
@@ -581,7 +617,7 @@ class ServiceServer:
                 try:
                     response = self._handler(request)
                 except Exception:
-                    _log().exception("%s %s: the handler raised", method, target)
+                    log.exception("%s %s: the handler raised", method, target)
                     response = KitResponse.text("internal error\n", 500)
                 close = http10 or "close" in field_tokens(fields, "Connection")
                 close = close or len(self._open) > KEEPALIVE_MAX
@@ -624,7 +660,7 @@ class ServiceServer:
             lines.append("Connection: close")
         head = encode_head(lines)
         if head is None:
-            _log().warning("%s %s: a response header breaks its line", method, target)
+            log.warning("%s %s: a response header breaks its line", method, target)
             response = KitResponse.text("response header breaks its line\n", 500)
             return self._send(sock, method, target, fields, response, close)
         in_err = header_value(fields, H_ERROR)

@@ -32,7 +32,6 @@ connections pooled by origin.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import select
@@ -50,6 +49,7 @@ from .kit import (
     STATUS_LINE,
     KitRequest,
     KitResponse,
+    Log,
     Refusal,
     ServiceServer,
     Stream,
@@ -96,7 +96,7 @@ from .transcript import RECV, SEND
 if TYPE_CHECKING:
     import subprocess
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 MAX_CHAIN = 8  # redirections one browser request may run through
 

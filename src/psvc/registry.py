@@ -26,13 +26,10 @@ listing comes out in descriptor id order.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import sys
 from pathlib import Path
 from typing import Any, NamedTuple
-
-log = logging.getLogger(__name__)
 
 DESCRIPTOR_SUFFIX = ".psd"
 BROKER_DESCRIPTOR = "broker"
@@ -347,7 +344,9 @@ def load_catalog(directory: Path | str) -> Catalog:
         except OSError as exc:  # removed since the listing, or failing to read
             problem = f"unreadable: {exc}"
         diagnostics.append((name, problem))
-        log.warning("skipping %s: %s", name, problem)
+        from .kit import Log  # here, not at the top: the catalog alone loads no kit
+
+        Log(__name__).warning("skipping %s: %s", name, problem)
     return Catalog(source_dir=directory, entries=entries, diagnostics=tuple(diagnostics))
 
 

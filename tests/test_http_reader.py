@@ -24,6 +24,7 @@ the same trailing whitespace) and body, under every framing.
 from __future__ import annotations
 
 import io
+import re
 import socket
 import threading
 from contextlib import suppress
@@ -31,7 +32,7 @@ from http.client import HTTPException, HTTPResponse
 from http.server import BaseHTTPRequestHandler
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import psvc.proxy
@@ -132,6 +133,35 @@ def test_arbitrary_bytes_never_disagree_where_both_accept(noise):
 def test_inner_whitespace_is_kept():
     head = read_head(Stream(Bytes(b"GET / HTTP/1.1\r\nX-A: \t a \t b \t \r\n\r\n"), 10))
     assert head[1] == (("X-A", "a \t b"),)
+
+
+# The field-line rule as one regex: RFC 9110 §5.6.2's token, a colon, then
+# HTAB, SP, VCHAR and obs-text up to the CRLF.  kit.parse_field checks the
+# value by deleting the allowed bytes instead.
+FIELD_LINE = re.compile(rb"(%s):([\t\x20-\x7e\x80-\xff]*)\r\n" % kit.TOKEN.pattern)
+FIELD_PIECES = [b"X-a", b"~", b":", b" ", b"\t", b"v", b"\r", b"\n", b"\r\n", b"\0", b"\x7f",
+                b"\x80", b"\xff", b"(", b"@"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.sampled_from(FIELD_PIECES)).map(b"".join),
+        st.lists(st.sampled_from(FIELD_PIECES)).map(lambda p: b"X-A:" + b"".join(p) + b"\r\n"),
+    )
+)
+@example(b"X-A: a\r\n")
+@example(b"X-A:\r\n")
+@example(b"X-A: a\n")
+@example(b": a\r\n")
+@example(b"X-A: a\r\r\n")
+@example(b"X-A: \xff\x80\r\n")
+@example(b"X-A: \x7f\r\n")
+def test_a_field_line_is_read_as_the_regex_reads_it(line):
+    field = FIELD_LINE.fullmatch(line)
+    expected = field and (field[1].decode("ascii"), field[2].decode("latin-1").strip(" \t"))
+    assert kit.parse_field(line) == expected
 
 
 # -- over the wire: refusals never reach the handler --------------------------

@@ -1,6 +1,7 @@
 """A spawned service, the proxy, the catalog and the scenarios import only what they run,
 no party needs a package from outside the standard library, and none loads
-``dataclasses``.
+``dataclasses``.  A party loads ``logging`` only for a record it keeps, and
+its records read as the CLI formats them.
 
 Every launch on demand starts a fresh interpreter for the service, so
 each module on its import path is paid for once per launch.  Each check
@@ -10,10 +11,16 @@ own starting sys.modules, so modules the site hook loads do not count.
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import write_echo_descriptor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -170,3 +177,115 @@ def test_no_party_loads_html():
     )
     assert {"psvc.broker.server", "psvc.proxy", "psvc.demo.sp", "psvc.demo.service"} <= added
     assert within(added, "html") == set()
+
+
+# -- parties started through cli.main, and what they log ----------------------
+
+# Runs `cli.main(argv[2:])` with the per-user directory argv[1].  Once the party
+# serves, it prints which of WATCHED it has loaded, as JSON; with LAUNCH set it then
+# has the broker launch the `auth` service (a /white, then a /resolve) and prints
+# them again.  Then it stops the party with SIGTERM.
+PARTY_SCRIPT = r"""
+import json, os, signal, socket, sys, threading, time
+START = set(sys.modules)
+from psvc import cli
+
+WATCHED = ("logging", "traceback", "subprocess")
+
+def loaded():
+    return [m for m in WATCHED if m in sys.modules and m not in START]
+
+def head(target, service):
+    from psvc.kit import STATUS_LINE, Stream, header_value, read_endpoint_file, read_head
+
+    with socket.create_connection(read_endpoint_file(sys.argv[1]), timeout=10) as sock:
+        sock.sendall(
+            f"HEAD {target} HTTP/1.1\r\nPSvc-Service: {service}\r\n"
+            "PSvc-Callback: http://sp.test/cb\r\nReferer: sp.test\r\n\r\n".encode()
+        )
+        return header_value(read_head(Stream(sock, 10), STATUS_LINE)[1], "PSvc-Service")
+
+def drive():
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:  # set once the party serves
+        time.sleep(0.01)
+    seen = {"serving": loaded()}
+    if os.environ.get("LAUNCH"):
+        from psvc.protocol import decode_broker_result
+
+        handle = decode_broker_result(head("/white", '{"Purpose": "authentication"}'))
+        assert head("/resolve?ref=r", handle.response["handle"]).startswith("127.0.0.1:")
+        seen["launched"] = loaded()
+    print(json.dumps(seen), flush=True)
+    os.kill(os.getpid(), signal.SIGTERM)
+
+threading.Thread(target=drive, daemon=True).start()
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+CLI_PARTIES = {
+    "broker": ["broker", "run", "--ps-dir", "{ps_dir}"],
+    "proxy": ["proxy", "run", "--listen", "127.0.0.1:0", "--ps-dir", "{ps_dir}"],
+    "sp": ["demo", "sp", "--listen", "127.0.0.1:0"],
+}
+
+# The line format cli.main gives a record: asctime, name, levelname, message.
+CLI_LINE = r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} %s %s %s"
+
+
+def run_cli_party(ps_dir: Path, *argv: str, launch: bool = False) -> tuple[dict, str]:
+    """What PARTY_SCRIPT prints for `psvc <argv>` (the modules it saw), and the party's stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LAUNCH": "1" if launch else ""}
+    done = subprocess.run(
+        [sys.executable, "-c", PARTY_SCRIPT, str(ps_dir), *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+
+
+@pytest.mark.parametrize("party", CLI_PARTIES)
+def test_a_cli_run_party_that_keeps_no_record_loads_no_logging(tmp_path, party):
+    argv = [arg.format(ps_dir=tmp_path) for arg in CLI_PARTIES[party]]
+    seen, stderr = run_cli_party(tmp_path, *argv)
+    assert stderr == ""
+    # Nor subprocess: the broker loads it at its first launch, the proxy at a broker's.
+    assert seen["serving"] == []
+
+
+def test_the_broker_loads_subprocess_at_its_first_launch_and_drops_its_info_record(tmp_path):
+    write_echo_descriptor(tmp_path, "auth", {"Purpose": "authentication"})
+    seen, stderr = run_cli_party(tmp_path, "broker", "run", "--ps-dir", str(tmp_path), launch=True)
+    assert seen == {"serving": [], "launched": ["subprocess"]}
+    assert stderr == ""  # the INFO line `launching auth ...` is kept only under -v
+
+
+def test_verbose_prints_the_launch_line(tmp_path):
+    write_echo_descriptor(tmp_path, "auth", {"Purpose": "authentication"})
+    seen, stderr = run_cli_party(
+        tmp_path, "-v", "broker", "run", "--ps-dir", str(tmp_path), launch=True
+    )
+    assert "logging" in seen["serving"]
+    line = CLI_LINE % (r"psvc\.broker\.runtime", "INFO", r"launching auth on port \d+: \[")
+    assert re.match(line, stderr), stderr
+
+
+def test_a_warning_reaches_stderr_in_the_cli_format(tmp_path):
+    (tmp_path / "bad.psd").write_text("{")
+    seen, stderr = run_cli_party(tmp_path, "broker", "run", "--ps-dir", str(tmp_path))
+    assert "logging" in seen["serving"]  # loaded for the warning
+    line = CLI_LINE % (r"psvc\.registry", "WARNING", r"skipping bad\.psd: invalid JSON: .*\n")
+    assert re.fullmatch(line, stderr), stderr
+
+
+def test_logging_a_caller_configured_gets_psvc_info_records(tmp_path):
+    script = (
+        "import logging, sys\n"
+        "logging.basicConfig(level=logging.INFO, stream=sys.stdout,\n"
+        "                    format='%(name)s %(levelname)s %(funcName)s %(message)s')\n"
+        "from psvc.broker.core import Broker\n"
+        f"Broker({str(tmp_path)!r}).resolve_handle('nope', 'sp.test', 'r')\n"
+    )
+    assert fresh_python(script).stdout == (
+        "psvc.broker.core INFO resolve_handle rejected handle from sp.test: no such handle\n"
+    )
