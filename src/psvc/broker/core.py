@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..kit import ENDPOINT_FILE, KitResponse, Log, write_port_file
+from ..kit import ENDPOINT_FILE, KitResponse, Log, Refusal, write_port_file
 from ..protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -33,7 +33,7 @@ from ..protocol import (
 from ..registry import Catalog, list_matching, list_matching_white, load_catalog
 from .handles import HandleCodec, HandleError
 from .policy import load_policy
-from .runtime import ServiceLauncher, SpawnFailure
+from .runtime import ServiceLauncher
 
 log = Log(__name__)
 
@@ -108,7 +108,7 @@ class Broker:
             return broker_reply(location, error=ERR_HANDLE)
         try:
             endpoint = self.launcher.ensure_live(desc)
-        except SpawnFailure as exc:
+        except Refusal as exc:
             log.warning("cannot activate %s: %s", desc.descriptor_id, exc)
             return broker_reply(location, error=ERR_SERVICE)
         return broker_reply(location, endpoint, "endpoint")

@@ -16,7 +16,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
-from ..kit import Log, allocate_port, stop_process
+from ..kit import Log, allocate_port, launch, stop_process, wait_until
 from ..registry import ServiceDescriptor
 
 if TYPE_CHECKING:
@@ -25,27 +25,22 @@ if TYPE_CHECKING:
 log = Log(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
-_POLL_INTERVAL_S = 0.02
 
 LOOPBACK = "127.0.0.1"
 
 
-class SpawnFailure(RuntimeError):
-    """The service could not be started."""
+def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Popen) -> None:
+    """Poll until a TCP connect succeeds; a Refusal if `proc` exits or `deadline` passes first."""
 
-
-def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Popen | None = None) -> None:
-    """Poll until a TCP connect succeeds; SpawnFailure on timeout or child death."""
-    while True:
-        if proc is not None and proc.poll() is not None:
-            raise SpawnFailure(f"service exited with status {proc.returncode} before listening")
+    def listening() -> bool:
         try:
             with socket.create_connection((host, port), timeout=0.25):
-                return
+                return True
         except OSError:
-            if time.monotonic() >= deadline:
-                raise SpawnFailure(f"service not listening on {host}:{port}") from None
-            time.sleep(_POLL_INTERVAL_S)
+            return False
+
+    exited = "service exited with status %d before listening"
+    wait_until(proc, listening, deadline, exited, f"service not listening on {host}:{port}")
 
 
 class RuntimeRecord:
@@ -77,7 +72,7 @@ class ServiceLauncher:
         """Return a live endpoint for the descriptor, launching if needed.
 
         Local services yield "host:port"; remote ones yield their URL,
-        unchecked.  Raises SpawnFailure when a local service cannot be
+        unchecked.  Raises a Refusal when a local service cannot be
         brought up.
         """
         if desc.is_remote:
@@ -91,30 +86,11 @@ class ServiceLauncher:
             return self._spawn(desc, rec)
 
     def _spawn(self, desc: ServiceDescriptor, rec: RuntimeRecord) -> str:
-        import subprocess  # a broker that only answers discovery never gets here
-
-        if not desc.workdir.is_dir():
-            raise SpawnFailure(f"working directory {desc.workdir} does not exist")
         port = allocate_port()
         argv = list(desc.cmd) + [str(port)]
         log.info("launching %s on port %d: %s", desc.descriptor_id, port, argv)
-        try:
-            proc = subprocess.Popen(
-                argv,
-                cwd=desc.workdir,
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-        except OSError as exc:
-            raise SpawnFailure(f"cannot launch {desc.descriptor_id}: {exc}") from None
-        try:
-            wait_connectable(LOOPBACK, port, time.monotonic() + LAUNCH_TIMEOUT_S, proc)
-        except SpawnFailure:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            raise
+        proc = launch(argv, desc.workdir, desc.descriptor_id)
+        wait_connectable(LOOPBACK, port, time.monotonic() + LAUNCH_TIMEOUT_S, proc)
         rec.proc, rec.port = proc, port
         rec.launch_count += 1
         if self.on_spawn is not None:

@@ -11,9 +11,11 @@ it serves to the transcript.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
-also holds the broker endpoint-file reader, ``allocate_port`` and
-``stop_process``, which the proxy and the scenarios use without loading
-the broker package.
+also holds the port-file readers (``read_port_file`` and, on it, the
+broker's ``read_endpoint_file``), ``allocate_port`` and the one launcher:
+``launch`` starts a child, ``wait_until`` awaits it, ``stop_process``
+stops it.  The broker, the proxy and the scenarios start every child
+with these, and the proxy and the scenarios never load the broker package.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ MAX_ENDPOINT_BYTES = 8  # a port is at most 5 digits, and a hand-written file ma
 ENDPOINT_HOST = "127.0.0.1"
 
 STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
+LAUNCH_POLL_S = 0.02  # how often wait_until asks whether a launched child is ready
 
 
 class BootstrapError(ValueError):
@@ -94,19 +97,25 @@ def write_port_file(path: Path | str, port: int) -> Path:
     return path
 
 
-def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int] | None:
-    """The published broker endpoint, (host, port), from one read of at most
-    MAX_ENDPOINT_BYTES + 1 bytes that never waits, as a FIFO would make it; None
-    for a file that is missing, unreadable, over the bound or not a port."""
+def read_port_file(path: Path | str) -> int | None:
+    """The port a file publishes, from one read of at most MAX_ENDPOINT_BYTES + 1
+    bytes that never waits, as a FIFO would make it; None for a file that is
+    missing, unreadable, over the bound or not a port."""
     from .registry import read_bounded  # the one bounded reader; services never get here
 
     try:
-        data = read_bounded(Path(ps_dir) / ENDPOINT_FILE, MAX_ENDPOINT_BYTES + 1)
+        data = read_bounded(path, MAX_ENDPOINT_BYTES + 1)
         text = data.decode("ascii").strip()
     except (OSError, UnicodeDecodeError):
         return None
     port = int(text) if text.isdigit() else 0
-    return (ENDPOINT_HOST, port) if len(data) <= MAX_ENDPOINT_BYTES and 0 < port < 65536 else None
+    return port if len(data) <= MAX_ENDPOINT_BYTES and 0 < port < 65536 else None
+
+
+def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int] | None:
+    """The published broker endpoint, (host, port); None without a usable broker.ept."""
+    port = read_port_file(Path(ps_dir) / ENDPOINT_FILE)
+    return None if port is None else (ENDPOINT_HOST, port)
 
 
 def allocate_port() -> int:
@@ -132,6 +141,36 @@ def stop_process(proc: subprocess.Popen) -> None:
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
+
+
+def launch(cmd: Sequence[str], workdir: Path, name: str, **popen: Any) -> subprocess.Popen:
+    """Start `cmd` in `workdir`, its stdin, stdout and stderr on DEVNULL unless `popen`
+    names others; a Refusal if `workdir` is missing or `cmd` cannot be run."""
+    import subprocess  # only parties that start children get here
+
+    if not workdir.is_dir():
+        raise Refusal(502, f"working directory {workdir} does not exist")
+    streams = dict.fromkeys(("stdin", "stdout", "stderr"), subprocess.DEVNULL)
+    try:
+        return subprocess.Popen(cmd, cwd=workdir, **(streams | popen))
+    except OSError as exc:
+        raise Refusal(502, f"cannot launch {name}: {exc}") from None
+
+
+def wait_until(
+    proc: subprocess.Popen, ready: Callable[[], Any], deadline: float, exited: str, late: str
+) -> Any:
+    """The first true value ready() gives, asked every LAUNCH_POLL_S.  If `proc` exits
+    first, a Refusal with reason `exited % status`; at `deadline` (time.monotonic()),
+    `proc` is stopped and the Refusal's reason is `late`."""
+    while proc.poll() is None:
+        if found := ready():
+            return found
+        if time.monotonic() >= deadline:
+            stop_process(proc)
+            raise Refusal(502, late)
+        time.sleep(LAUNCH_POLL_S)
+    raise Refusal(502, exited % proc.returncode)
 
 
 def detect_psvc_invocation(headers: Sequence[tuple[str, str]]) -> bool:

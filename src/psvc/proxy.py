@@ -57,10 +57,12 @@ from .kit import (
     encode_head,
     field_tokens,
     header_value,
+    launch,
     read_endpoint_file,
     read_fields,
     read_head,
     stop_process,
+    wait_until,
 )
 from .protocol import (
     BROKER_RESULT,
@@ -355,9 +357,10 @@ class BrokerLink:
     HEAD.  Only a refused connection (or no endpoint file) starts
     recovery, under one lock: re-read broker.ept and retry at a port it
     newly names, else launch a broker from broker.psd once, when that
-    file exists, and retry once.  A timeout or a reset means a broker
-    may be there, so it never launches a second one, whose empty handle
-    table would void every handle the first one minted.
+    file exists, and retry once; a broker this link launched before is
+    stopped first, since broker.ept no longer names it.  A timeout or a
+    reset means a broker may be there, so it never launches a second one,
+    whose empty handle table would void every handle the first one minted.
     """
 
     def __init__(self, ps_dir: Path | str):
@@ -387,45 +390,34 @@ class BrokerLink:
             published = self.endpoint_or_none()
             if published is not None and published != refused:
                 return published  # another thread or process got there first
-            self._launch()
-            deadline = time.monotonic() + BROKER_LAUNCH_TIMEOUT_S
-            while time.monotonic() < deadline:
-                published = self.endpoint_or_none()
-                if published is not None and self._connectable(*published):
-                    return published
-                if self._proc.poll() is not None:
-                    raise Unreachable(f"broker exited with status {self._proc.returncode}")
-                time.sleep(0.05)
-            stop_process(self._proc)  # else each failed call would leave one more broker
-        raise Unreachable("launched broker but it never published an endpoint")
+            path = self.ps_dir / (BROKER_DESCRIPTOR + DESCRIPTOR_SUFFIX)
+            try:
+                desc = validate_descriptor(
+                    read_descriptor(path), descriptor_id=BROKER_DESCRIPTOR, default_dir=self.ps_dir
+                )
+            except (OSError, DescriptorError) as exc:
+                raise Unreachable(f"no usable {path.name}: {exc}") from None
+            if desc.cmd is None:
+                raise Unreachable(f"{path.name} does not define a launch command")
+            if self._proc is not None:
+                stop_process(self._proc)  # a broker launched before no longer owns broker.ept
 
-    def _launch(self) -> None:
-        path = self.ps_dir / (BROKER_DESCRIPTOR + DESCRIPTOR_SUFFIX)
-        try:
-            desc = validate_descriptor(
-                read_descriptor(path), descriptor_id=BROKER_DESCRIPTOR, default_dir=self.ps_dir
-            )
-        except (OSError, DescriptorError) as exc:
-            raise Unreachable(f"no usable {path.name}: {exc}") from None
-        if desc.cmd is None:
-            raise Unreachable(f"{path.name} does not define a launch command")
-        if not desc.workdir.is_dir():
-            raise Unreachable(f"broker working directory {desc.workdir} does not exist")
-        log.info("launching broker: %s", list(desc.cmd))
-        import subprocess  # most runs find a broker already up
+            def answering() -> tuple[str, int] | None:
+                found = self.endpoint_or_none()
+                return found if found and self._connectable(*found) else None
 
-        try:
-            # Unlike services, the broker picks its own port and
-            # publishes it, so the vector runs unchanged.
-            self._proc = subprocess.Popen(
-                list(desc.cmd),
-                cwd=desc.workdir,
-                stdin=subprocess.DEVNULL,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            )
-        except OSError as exc:
-            raise Unreachable(f"cannot launch broker: {exc}") from None
+            log.info("launching broker: %s", list(desc.cmd))
+            try:
+                # Unlike services, the broker picks its own port and
+                # publishes it, so the vector runs unchanged.
+                self._proc = launch(desc.cmd, desc.workdir, "broker")
+                return wait_until(
+                    self._proc, answering, time.monotonic() + BROKER_LAUNCH_TIMEOUT_S,
+                    "broker exited with status %d",
+                    "launched broker but it never published an endpoint",
+                )
+            except Refusal as exc:
+                raise Unreachable(exc.reason) from None
 
     def call(self, path_and_query: str, headers: list[tuple[str, str]]) -> UpstreamResponse:
         """HEAD the broker; Unreachable when no broker answers.

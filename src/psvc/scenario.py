@@ -20,7 +20,6 @@ import re
 import select
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
 import time
@@ -30,20 +29,27 @@ from difflib import unified_diff
 from html.parser import HTMLParser
 from http.client import HTTPConnection
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from urllib.parse import quote, urlencode, urljoin, urlsplit
 
 from .kit import (
     ENDPOINT_FILE,
     KitRequest,
     KitResponse,
+    Refusal,
     ServiceServer,
     allocate_port,
+    launch,
     read_endpoint_file,
+    read_port_file,
     stop_process,
+    wait_until,
 )
 from .transcript import ENV_VAR as TRANSCRIPT_ENV
 from .transcript import Event, SPAWN, read_events
+
+if TYPE_CHECKING:
+    import subprocess
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 # The directory holding the running psvc package; children import it from here.
@@ -99,52 +105,6 @@ def assert_order(lines: list[str], patterns: list[str]) -> None:
 
 
 # -- parties --------------------------------------------------------------
-
-
-class Party:
-    """One child process with polite teardown.  Its output goes to ``<cwd>/<name>.log``:
-    no pipe can fill up and stall it, and a kept directory holds what it wrote."""
-
-    def __init__(self, name: str, argv: list[str], env: dict[str, str], cwd: Path):
-        self.name = name
-        self.log = cwd / f"{name}.log"
-        with open(self.log, "wb") as output:
-            self.proc = subprocess.Popen(
-                argv,
-                cwd=cwd,
-                env=env,
-                stdin=subprocess.DEVNULL,
-                stdout=output,
-                stderr=subprocess.STDOUT,
-            )
-
-    def stop(self) -> None:
-        stop_process(self.proc)
-
-    def check_alive(self) -> None:
-        """Fail at once if the child has exited, quoting the end of its output."""
-        status = self.proc.poll()
-        if status is None:
-            return
-        output = self.log.read_text("utf-8", "replace")
-        tail = "\n".join(output.splitlines()[-OUTPUT_TAIL_LINES:])
-        raise ScenarioFailure(
-            f"{self.name} exited with status {status} before it was ready; "
-            f"its output ends:\n{tail}"
-        )
-
-
-def wait_for_file(path: Path, party: Party) -> str:
-    """The content of a port file; every party writes it once it is listening."""
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    while time.monotonic() < deadline:
-        party.check_alive()
-        if path.exists():
-            text = path.read_text().strip()
-            if text:
-                return text
-        time.sleep(0.02)
-    raise ScenarioFailure(f"{path} never appeared")
 
 
 def kill_and_wait(pid: int) -> None:
@@ -306,7 +266,7 @@ class ScenarioContext:
         self.ps_dir.mkdir(parents=True)
         self.transcript_path = workdir / "transcript.jsonl"
         self.broker_argv = [*PSVC, "broker", "run", "--ps-dir", str(self.ps_dir)]
-        self.parties: list[Party] = []
+        self.parties: list[subprocess.Popen] = []
         self.victim: Victim | None = None
         self.tokens: dict[str, str] = {}  # netloc -> token
         self.notes: dict[str, Any] = {}
@@ -355,10 +315,24 @@ class ScenarioContext:
     # -- booting parties ----------------------------------------------------
 
     def _boot(self, name: str, argv: list[str], port_file: Path, env: dict | None = None) -> str:
-        """Start a party, wait for the port it publishes, and name its netloc."""
-        party = Party(name, argv, self.child_env(**(env or {})), self.workdir)
-        self.parties.append(party)
-        netloc = f"127.0.0.1:{int(wait_for_file(port_file, party))}"
+        """Start a party, wait for the port it publishes, and name its netloc.  Its output
+        goes to ``<workdir>/<name>.log``: no pipe can fill up and stall it, a kept
+        directory holds what it wrote, and a failed boot quotes its end."""
+        output = self.workdir / f"{name}.log"
+        env = self.child_env(**(env or {}))
+        with open(output, "wb") as sink:
+            proc = launch(argv, self.workdir, name, env=env, stdout=sink, stderr=sink)
+        self.parties.append(proc)
+        try:
+            port = wait_until(
+                proc, lambda: read_port_file(port_file), time.monotonic() + BOOT_TIMEOUT_S,
+                f"{name} exited with status %d before it was ready",
+                f"{name} wrote no port to {port_file}",
+            )
+        except Refusal as exc:
+            tail = output.read_text("utf-8", "replace").splitlines()[-OUTPUT_TAIL_LINES:]
+            raise ScenarioFailure(f"{exc.reason}; its output ends:\n" + "\n".join(tail)) from None
+        netloc = f"127.0.0.1:{port}"
         self.tokens[netloc] = name
         return netloc
 
@@ -435,7 +409,7 @@ class ScenarioContext:
 
     def teardown(self) -> None:
         for party in reversed(self.parties):
-            party.stop()
+            stop_process(party)
         # Services are the broker's children; reap any that outlived it.
         for spawn in self.spawns():
             try:

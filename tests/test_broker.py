@@ -22,9 +22,9 @@ import psvc.broker.handles
 import psvc.broker.runtime
 from psvc.broker.core import Broker, write_endpoint_file
 from psvc.broker.policy import MAX_POLICY_BYTES, PolicyError, load_policy
-from psvc.broker.runtime import ServiceLauncher, SpawnFailure
+from psvc.broker.runtime import ServiceLauncher
 from psvc.broker.server import BrokerServer
-from psvc.kit import allocate_port, read_endpoint_file, stop_process
+from psvc.kit import Refusal, allocate_port, read_endpoint_file, stop_process
 from psvc.protocol import (
     BROKER_RESULT,
     ERR_AMBIGUOUS,
@@ -67,7 +67,7 @@ class FakeLauncher:
     def ensure_live(self, desc: ServiceDescriptor) -> str:
         self.calls.append(desc.descriptor_id)
         if self.fail:
-            raise SpawnFailure("refused by test double")
+            raise Refusal(502, "refused by test double")
         return self.endpoint
 
     def shutdown(self) -> None:
@@ -518,7 +518,7 @@ class TestServiceLauncher:
             "dud", {}, (sys.executable, "-c", "pass"), None, tmp_path
         )
         started = time.monotonic()
-        with pytest.raises(SpawnFailure, match="exited"):
+        with pytest.raises(Refusal, match="exited"):
             launcher.ensure_live(desc)
         assert time.monotonic() - started < 4
 
@@ -527,7 +527,7 @@ class TestServiceLauncher:
         desc = ServiceDescriptor(
             "ghost", {}, ("/no/such/binary-here",), None, tmp_path
         )
-        with pytest.raises(SpawnFailure, match="cannot launch"):
+        with pytest.raises(Refusal, match="cannot launch"):
             launcher.ensure_live(desc)
 
     def test_missing_working_directory(self, tmp_path):
@@ -535,21 +535,35 @@ class TestServiceLauncher:
         desc = ServiceDescriptor(
             "lost", {}, tuple(echo_service_cmd()), None, tmp_path / "gone"
         )
-        with pytest.raises(SpawnFailure, match="working directory"):
+        with pytest.raises(Refusal, match="working directory"):
             launcher.ensure_live(desc)
 
     def test_never_listening_service_times_out(self, tmp_path, monkeypatch):
         import sys
 
+        launched = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            launched.append(popen(*args, **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)  # what kit.launch imports
         monkeypatch.setattr(psvc.broker.runtime, "LAUNCH_TIMEOUT_S", 0.5)
         launcher = ServiceLauncher()
         desc = ServiceDescriptor(
             "mute", {}, (sys.executable, "-c", "import time; time.sleep(30)"), None, tmp_path
         )
-        with pytest.raises(SpawnFailure, match="not listening"):
-            launcher.ensure_live(desc)
-        # the stuck child must not be leaked
-        assert launcher.record("mute") is None or launcher.record("mute").proc is None
+        try:
+            with pytest.raises(Refusal, match="not listening"):
+                launcher.ensure_live(desc)
+            # the stuck child must not be leaked
+            assert launcher.record("mute") is None or launcher.record("mute").proc is None
+            assert len(launched) == 1
+            assert launched[0].poll() is not None
+        finally:
+            for proc in launched:
+                stop_process(proc)
 
     def test_remote_service_is_not_contacted(self, tmp_path, stub):
         # An unreachable remote service fails at invocation time instead:

@@ -1045,6 +1045,29 @@ class TestBrokerLink:
         finally:
             link.shutdown()
 
+    def test_a_relaunch_stops_the_broker_launched_before(self, tmp_path):
+        write_descriptor(
+            tmp_path,
+            "broker",
+            {"Purpose": "service brokering"},
+            cmd=[sys.executable, "-c", MINI_BROKER],
+            workdir=str(tmp_path),
+        )
+        link = BrokerLink(tmp_path)
+        launched = []
+        try:
+            link.endpoint()
+            launched.append(link._proc)
+            write_endpoint_file(tmp_path, allocate_port())  # broker.ept now names a dead port
+            assert link.call("/white", []).status == 501
+            launched.append(link._proc)
+            assert launched[1] is not launched[0]
+            assert launched[0].poll() is not None  # it no longer owns broker.ept
+        finally:
+            link.shutdown()
+            for proc in launched:
+                stop_process(proc)
+
     def test_autolaunch_needs_a_descriptor(self, tmp_path):
         link = BrokerLink(tmp_path)
         with pytest.raises(Unreachable, match="broker.psd"):

@@ -37,12 +37,10 @@ from psvc.protocol import (
 from psvc.scenario import (
     SCENARIOS,
     Browser,
-    Party,
     ScenarioContext,
     ScenarioFailure,
     kill_and_wait,
     run_scenario,
-    wait_for_file,
 )
 
 from conftest import Scripted, header_value, http_exchange
@@ -149,16 +147,10 @@ def test_child_env_imports_the_running_package_from_any_cwd(tmp_path, monkeypatc
 
 def test_boot_wait_reports_a_child_that_died(tmp_path):
     ctx = ScenarioContext("early-exit", tmp_path)
-    party = Party(
-        "doomed",
-        [sys.executable, "-c", "print('doomed-marker', flush=True); raise SystemExit(7)"],
-        ctx.child_env(),
-        tmp_path,
-    )
-    ctx.parties.append(party)
+    argv = [sys.executable, "-c", "print('doomed-marker', flush=True); raise SystemExit(7)"]
     try:
         with pytest.raises(ScenarioFailure) as failure:
-            wait_for_file(tmp_path / "never.port", party)
+            ctx._boot("doomed", argv, tmp_path / "never.port")
     finally:
         ctx.teardown()
     message = str(failure.value)
@@ -173,15 +165,33 @@ def test_a_party_that_writes_much_before_its_port_file_boots(tmp_path):
         f"pathlib.Path({str(port_file)!r}).write_text('1234'); time.sleep(60)"
     )
     ctx = ScenarioContext("chatty", tmp_path)
-    party = Party("chatty", [sys.executable, "-c", script], ctx.child_env(), tmp_path)
-    ctx.parties.append(party)
     started = time.monotonic()
     try:
-        assert wait_for_file(port_file, party) == "1234"
+        assert ctx._boot("chatty", [sys.executable, "-c", script], port_file) == "127.0.0.1:1234"
         assert time.monotonic() - started < 5
     finally:
         ctx.teardown()
     assert (tmp_path / "chatty.log").stat().st_size == 200_000
+
+
+def test_a_party_whose_port_file_holds_no_port_fails_its_boot(tmp_path, monkeypatch):
+    # A party that stays up but writes no port: the boot gives up at its deadline.
+    port_file = tmp_path / "garbled.port"
+    script = (
+        "import pathlib, time; print('garbled-marker', flush=True); "
+        f"pathlib.Path({str(port_file)!r}).write_text('abc'); time.sleep(60)"
+    )
+    monkeypatch.setattr(psvc.scenario, "BOOT_TIMEOUT_S", 1.0)
+    ctx = ScenarioContext("garbled", tmp_path)
+    try:
+        with pytest.raises(ScenarioFailure) as failure:
+            ctx._boot("garbled", [sys.executable, "-c", script], port_file)
+        assert ctx.parties[0].poll() is not None  # stopped at the deadline
+    finally:
+        ctx.teardown()
+    message = str(failure.value)
+    assert message.startswith("garbled wrote no port to")
+    assert "garbled-marker" in message
 
 
 def test_concurrent_sign_ins_all_succeed_with_one_spawn(tmp_path):
