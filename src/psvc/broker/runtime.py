@@ -98,7 +98,10 @@ class ServiceLauncher:
         return f"{LOOPBACK}:{port}"
 
     def shutdown(self) -> None:
-        """Terminate every child this launcher started."""
-        for rec in self._records.values():
-            if rec.proc is not None:
-                stop_process(rec.proc)
+        """Terminate every child this launcher started, after any launch under way."""
+        with self._table_lock:
+            records = list(self._records.values())
+        for rec in records:
+            with rec.lock:
+                if rec.proc is not None:
+                    stop_process(rec.proc)

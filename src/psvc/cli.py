@@ -15,33 +15,15 @@ broker binds a free loopback port and publishes it in broker.ept there;
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# argparse, base64, json, logging and signal are imported where they are used: a
+# argparse, base64, json and logging are imported where they are used: a
 # launched demo service needs none of them, and each launch pays for what it loads.
 if TYPE_CHECKING:
     import argparse
 
 LOG_FORMAT = "%(asctime)s %(name)s %(levelname)s %(message)s"
-
-
-def _serve_until_signal(server, port_file: str | None) -> int:
-    """Publish the bound port if asked, serve until SIGINT/SIGTERM, tear down."""
-    import signal
-
-    from .kit import write_port_file
-
-    if port_file:
-        write_port_file(port_file, server.port)
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    server.start()
-    stop.wait()
-    server.shutdown()
-    return 0
 
 
 def _parse_listen(text: str) -> tuple[str, int]:
@@ -87,7 +69,7 @@ def _cmd_broker_run(args: argparse.Namespace) -> int:
     ps_dir.mkdir(parents=True, exist_ok=True)
     server = BrokerServer(ps_dir)
     print(f"broker at {server.netloc} serving {ps_dir}", flush=True)
-    return _serve_until_signal(server, args.port_file)
+    return server.run(args.port_file)
 
 
 def _cmd_proxy_run(args: argparse.Namespace) -> int:
@@ -95,7 +77,7 @@ def _cmd_proxy_run(args: argparse.Namespace) -> int:
 
     server = PersonalServiceProxy(args.ps_dir, args.listen)
     print(f"proxy at {server.netloc} (per-user dir {args.ps_dir})", flush=True)
-    return _serve_until_signal(server, args.port_file)
+    return server.run(args.port_file)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -131,7 +113,7 @@ def _cmd_demo_sp(args: argparse.Namespace) -> int:
         invoke_extras=args.invoke_extras,
     )
     print(f"demo SP at {sp.netloc}", flush=True)
-    return _serve_until_signal(sp, args.port_file)
+    return sp.run(args.port_file)
 
 
 def _cmd_demo_service(args: argparse.Namespace) -> int:

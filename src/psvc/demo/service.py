@@ -116,10 +116,10 @@ def main(argv: list[str]) -> int:
         print(f"cannot start: {exc}", flush=True)
         return 2
     server = ServiceServer(("127.0.0.1", port), MockAuthService(port).handle, "Service")
+    server.start()
+    # Until SIGINT; SIGTERM keeps its default action, and a launched service ends at once.
     try:
-        server.serve_forever()
+        threading.Event().wait()
     except KeyboardInterrupt:
-        pass
-    finally:
         server.shutdown()
     return 0

@@ -6,8 +6,8 @@ it at launch).  The kit reads that port from argv, spots proxy-built
 invocations, renders every party's HTML pages (among them the one that
 hands results back to the SP via an auto-submitting POST form) and
 bounds the parties' per-user tables.  Its one-handler-function server is
-also what broker, proxy and demo SP serve on, and it logs every request
-it serves to the transcript.
+also what broker, proxy and demo SP serve on (``ServiceServer.run``, until
+SIGINT or SIGTERM), and it logs every request it serves to the transcript.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
@@ -90,10 +90,12 @@ def write_port_file(path: Path | str, port: int) -> Path:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
     try:
-        os.write(fd, str(port).encode("ascii"))
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+        with open(fd, "wb") as fh:
+            fh.write(str(port).encode("ascii"))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
@@ -523,10 +525,22 @@ class ServiceServer:
         with self._lock:
             self._spawn()
 
-    def serve_forever(self) -> None:
-        """Serve until shutdown()."""
+    def run(self, port_file: Path | str | None = None) -> int:
+        """From the main thread: serve until SIGINT or SIGTERM, then shut down.  The
+        handlers are set before `port_file` is written, and only let the signal wake os.read."""
+        import signal  # a launched service never gets here
+
+        wake, signalled = os.pipe()  # neither end is inherited by a launched child
+        os.set_blocking(signalled, False)
+        signal.set_wakeup_fd(signalled)
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(signum, lambda *_: None)
+        if port_file:
+            write_port_file(port_file, self.port)
         self.start()
-        self._closed.wait()
+        os.read(wake, 1)
+        self.shutdown()
+        return 0
 
     def shutdown(self) -> None:
         """Close the listener and every connection, and wait for the workers to end."""

@@ -87,6 +87,14 @@ def write_echo_descriptor(directory: Path, stem: str, presentation: dict[str, An
     )
 
 
+# The parties that serve until a signal, as `psvc` arguments; {ps_dir} is the per-user dir.
+CLI_PARTIES = {
+    "broker": ["broker", "run", "--ps-dir", "{ps_dir}"],
+    "proxy": ["proxy", "run", "--listen", "127.0.0.1:0", "--ps-dir", "{ps_dir}"],
+    "sp": ["demo", "sp", "--listen", "127.0.0.1:0"],
+}
+
+
 # -- scripted HTTP stub -------------------------------------------------------
 
 

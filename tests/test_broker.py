@@ -44,6 +44,7 @@ from psvc.protocol import (
 from psvc.registry import Catalog, ServiceDescriptor, list_matching, load_catalog
 
 from conftest import (
+    ECHO_SERVICE_SCRIPT,
     echo_service_cmd,
     header_value,
     http_exchange,
@@ -581,6 +582,22 @@ class TestServiceLauncher:
         proc = launcher.record("svc").proc
         launcher.shutdown()
         assert proc.poll() is not None
+
+    def test_shutdown_stops_a_launch_under_way(self, tmp_path):
+        # The child listens after 1 s; shutdown() comes while its launch waits for that.
+        script = "import time; time.sleep(1)\n" + ECHO_SERVICE_SCRIPT
+        desc = ServiceDescriptor("slow", {}, (sys.executable, "-c", script), None, tmp_path)
+        launcher = ServiceLauncher()
+        launching = threading.Thread(target=launcher.ensure_live, args=(desc,))
+        launching.start()
+        while (record := launcher.record("slow")) is None or not record.lock.locked():
+            time.sleep(0.005)
+        launcher.shutdown()
+        launching.join()
+        try:
+            assert record.proc.poll() is not None
+        finally:
+            stop_process(record.proc)
 
     def test_allocate_port_in_range(self):
         seen = {allocate_port() for _ in range(5)}

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import write_echo_descriptor
+from conftest import CLI_PARTIES, write_echo_descriptor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -184,7 +185,7 @@ def test_no_party_loads_html():
 # Runs `cli.main(argv[2:])` with the per-user directory argv[1].  Once the party
 # serves, it prints which of WATCHED it has loaded, as JSON; with LAUNCH set it then
 # has the broker launch the `auth` service (a /white, then a /resolve) and prints
-# them again.  Then it stops the party with SIGTERM.
+# them again, with the service's endpoint.  Then it stops the party with SIGTERM.
 PARTY_SCRIPT = r"""
 import json, os, signal, socket, sys, threading, time
 START = set(sys.modules)
@@ -206,14 +207,14 @@ def head(target, service):
         return header_value(read_head(Stream(sock, 10), STATUS_LINE)[1], "PSvc-Service")
 
 def drive():
-    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:  # set once the party serves
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:  # set just before it serves
         time.sleep(0.01)
     seen = {"serving": loaded()}
     if os.environ.get("LAUNCH"):
         from psvc.protocol import decode_broker_result
 
         handle = decode_broker_result(head("/white", '{"Purpose": "authentication"}'))
-        assert head("/resolve?ref=r", handle.response["handle"]).startswith("127.0.0.1:")
+        seen["service"] = head("/resolve?ref=r", handle.response["handle"])
         seen["launched"] = loaded()
     print(json.dumps(seen), flush=True)
     os.kill(os.getpid(), signal.SIGTERM)
@@ -221,12 +222,6 @@ def drive():
 threading.Thread(target=drive, daemon=True).start()
 sys.exit(cli.main(sys.argv[2:]))
 """
-
-CLI_PARTIES = {
-    "broker": ["broker", "run", "--ps-dir", "{ps_dir}"],
-    "proxy": ["proxy", "run", "--listen", "127.0.0.1:0", "--ps-dir", "{ps_dir}"],
-    "sp": ["demo", "sp", "--listen", "127.0.0.1:0"],
-}
 
 # The line format cli.main gives a record: asctime, name, levelname, message.
 CLI_LINE = r"\d{4}-\d\d-\d\d \d\d:\d\d:\d\d,\d{3} %s %s %s"
@@ -241,7 +236,13 @@ def run_cli_party(ps_dir: Path, *argv: str, launch: bool = False) -> tuple[dict,
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1]), done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    if launch:  # the broker stopped the service it launched before it exited
+        host, port = seen.pop("service").split(":")
+        assert host == "127.0.0.1"
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=5).close()
+    return seen, done.stderr
 
 
 @pytest.mark.parametrize("party", CLI_PARTIES)

@@ -26,6 +26,7 @@ from psvc.kit import (
     bootstrap,
     detect_psvc_invocation,
     sp_return_page,
+    write_port_file,
 )
 from psvc.protocol import H_ERROR, H_INVOCATION
 from psvc.transcript import SERVE, read_events
@@ -52,6 +53,15 @@ class TestBootstrap:
     def test_port_out_of_range(self, port):
         with pytest.raises(BootstrapError, match="out of range"):
             bootstrap(["service", str(port)])
+
+
+def test_a_port_file_that_cannot_be_written_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "port"
+    target.mkdir()  # the rename onto a directory fails
+    with pytest.raises(IsADirectoryError):
+        write_port_file(target, 8080)
+    assert list(tmp_path.iterdir()) == [target]
+    assert write_port_file(tmp_path / "ok", 8080).read_text() == "8080"
 
 
 class TestDetectInvocation:
