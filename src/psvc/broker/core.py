@@ -6,8 +6,8 @@ handle resolution the Location is ``:<ref>`` (the caller's internal
 reference) and PSvc-Service carries the service endpoint.  Failures
 set PSvc-Error instead.
 
-The broker publishes its own TCP port in ``broker.ept`` inside the
-descriptor directory; the IP is implicitly 127.0.0.1.
+The broker publishes its TCP port in ``broker.ept`` inside the descriptor
+directory once it listens (``BrokerServer.start``); the IP is 127.0.0.1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from ..kit import ENDPOINT_FILE, KitResponse, Log, Refusal, write_port_file
+from ..kit import KitResponse, Log, Refusal
 from ..protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -36,11 +36,6 @@ from .policy import load_policy
 from .runtime import ServiceLauncher
 
 log = Log(__name__)
-
-
-def write_endpoint_file(ps_dir: Path | str, port: int) -> Path:
-    """Atomically publish the broker port for proxies to find."""
-    return write_port_file(Path(ps_dir) / ENDPOINT_FILE, port)
 
 
 def broker_reply(

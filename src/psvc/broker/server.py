@@ -21,6 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..kit import KitRequest, KitResponse, ServiceServer, header_value
+from ..kit import ENDPOINT_FILE, write_port_file  # broker.ept, written by start()
 from ..protocol import (
     ERR_PARAMETERS,
     H_CALLBACK,
@@ -30,18 +31,21 @@ from ..protocol import (
     decode_yellow_query,
 )
 from ..transcript import SPAWN
-from .core import Broker, broker_reply, write_endpoint_file
+from .core import Broker, broker_reply
 from .runtime import ServiceLauncher
 
 
 class BrokerServer(ServiceServer):
-    """Runs a Broker behind a loopback HTTP endpoint and publishes it."""
+    """Runs a Broker behind a loopback HTTP endpoint; ``start()`` publishes it in broker.ept."""
 
     def __init__(self, ps_dir: Path | str):
         self.broker = Broker(ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
-        # Bound and listening by now, so a reader of broker.ept can connect.
+        self.endpoint_file = Path(ps_dir) / ENDPOINT_FILE
         super().__init__(("127.0.0.1", 0), self._handle, "Broker")
-        write_endpoint_file(ps_dir, self.port)
+
+    def start(self) -> None:
+        super().start()  # listening by now, so a reader of broker.ept can connect
+        write_port_file(self.endpoint_file, self.port)
 
     def _on_spawn(self, descriptor_id: str, port: int, pid: int, count: int) -> None:
         self.transcript.emit(SPAWN, "spawn", descriptor_id, port=port, pid=pid, n=count)

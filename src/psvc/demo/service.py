@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -116,10 +117,5 @@ def main(argv: list[str]) -> int:
         print(f"cannot start: {exc}", flush=True)
         return 2
     server = ServiceServer(("127.0.0.1", port), MockAuthService(port).handle, "Service")
-    server.start()
     # Until SIGINT; SIGTERM keeps its default action, and a launched service ends at once.
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        server.shutdown()
-    return 0
+    return server.run(signals=(signal.SIGINT,))

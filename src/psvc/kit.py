@@ -5,9 +5,9 @@ port arrives as the final command-line argument (the broker allocates
 it at launch).  The kit reads that port from argv, spots proxy-built
 invocations, renders every party's HTML pages (among them the one that
 hands results back to the SP via an auto-submitting POST form) and
-bounds the parties' per-user tables.  Its one-handler-function server is
-also what broker, proxy and demo SP serve on (``ServiceServer.run``, until
-SIGINT or SIGTERM), and it logs every request it serves to the transcript.
+bounds the parties' per-user tables.  Every party serves on its
+one-handler-function server (``ServiceServer.run``, until SIGINT or
+SIGTERM, or the signals given), which logs every request to the transcript.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import re
 import select
+import signal
 import socket
 import sys
 import threading
@@ -62,6 +63,7 @@ MAX_ENDPOINT_BYTES = 8  # a port is at most 5 digits, and a hand-written file ma
 ENDPOINT_HOST = "127.0.0.1"
 
 STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)  # ServiceServer.run serves until one, by default
 LAUNCH_POLL_S = 0.02  # how often wait_until asks whether a launched child is ready
 
 
@@ -475,11 +477,12 @@ def _body_length(fields: tuple[tuple[str, str], ...]) -> int:
 class ServiceServer:
     """HTTP/1.1 server driven by one handler function; every psvc party runs on it.
 
-    It binds in the constructor, so the port is known (and can be
-    published) before serving starts.  Every method reaches the handler,
-    whose response leaves in one write, with Content-Length.  A handler
-    that raises, or a response header holding CR, LF or NUL, gets a 500.
-    Every response, refusals included, is logged as one SERVE event of
+    It binds in the constructor, so the port is known (and can be published)
+    before serving starts.  ``run()`` sets the signal handlers, listens
+    (``start()``) and only then publishes.  Every method reaches the
+    handler, whose response leaves in one write, with Content-Length.  A
+    handler that raises, or a response header holding CR, LF or NUL, gets a
+    500.  Every response, refusals included, is logged as one SERVE event of
     ``actor`` before its bytes leave, so transcript order follows
     causality.  The party's own events go to ``self.transcript`` too.
 
@@ -503,15 +506,14 @@ class ServiceServer:
     ):
         self.transcript = Transcript.from_env(actor)
         self._handler = handler
-        # The default backlog holds fewer connections than a burst of
-        # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
-        self._sock = socket.create_server(address, backlog=64)
+        self._sock = socket.socket()  # bound, not yet listening: a connect is refused
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(address)
         self._sock.setblocking(False)
         self.host, self.port = self._sock.getsockname()[:2]
         self.netloc = f"{self.host}:{self.port}"  # the form Referer, Host and the transcript use
         self._wake = os.eventfd(0)  # readable once shutdown() writes it
         self._epoll = select.epoll()
-        self._epoll.register(self._sock, _ONESHOT)
         self._epoll.register(self._wake, select.EPOLLIN)
         self._lock = threading.Lock()
         self._open: dict[int, socket.socket] = {}  # every accepted connection, by fd
@@ -521,23 +523,25 @@ class ServiceServer:
         self._closed = threading.Event()
 
     def start(self) -> None:
-        """Serve on worker threads."""
+        """Listen, and serve on worker threads."""
+        # The default backlog holds fewer connections than a burst of
+        # concurrent flows opens, and a dropped SYN costs a 1 s retransmit.
+        self._sock.listen(64)
+        self._epoll.register(self._sock, _ONESHOT)
         with self._lock:
             self._spawn()
 
-    def run(self, port_file: Path | str | None = None) -> int:
-        """From the main thread: serve until SIGINT or SIGTERM, then shut down.  The
-        handlers are set before `port_file` is written, and only let the signal wake os.read."""
-        import signal  # a launched service never gets here
-
+    def run(self, port_file: Path | str | None = None, signals=STOP_SIGNALS) -> int:
+        """From the main thread: serve until one of `signals`, then shut down.  Their handlers
+        only let it wake os.read, and are set before the server listens and writes `port_file`."""
         wake, signalled = os.pipe()  # neither end is inherited by a launched child
         os.set_blocking(signalled, False)
         signal.set_wakeup_fd(signalled)
-        for signum in (signal.SIGINT, signal.SIGTERM):
+        for signum in signals:
             signal.signal(signum, lambda *_: None)
+        self.start()
         if port_file:
             write_port_file(port_file, self.port)
-        self.start()
         os.read(wake, 1)
         self.shutdown()
         return 0

@@ -17,8 +17,8 @@ from conftest import (
     read_313,
     write_descriptor,
 )
-from psvc.broker.core import Broker, write_endpoint_file
-from psvc.kit import read_endpoint_file
+from psvc.broker.core import Broker
+from psvc.kit import ENDPOINT_FILE, read_endpoint_file, write_port_file
 from psvc.protocol import YellowQuery, decode_broker_result
 from psvc.registry import Catalog, ServiceDescriptor, load_catalog
 from psvc.scenario import run_scenario
@@ -309,7 +309,7 @@ def test_criterion_7_header_and_body_fidelity():
 @criterion(8, "endpoint file round-trips and a verbatim descriptor resolves")
 def test_criterion_8_config_file_conformance(tmp_path):
     for port in (1, 4321, 65535):
-        write_endpoint_file(tmp_path, port)
+        write_port_file(tmp_path / ENDPOINT_FILE, port)
         host, read_back = read_endpoint_file(tmp_path)
         assert (host, read_back) == ("127.0.0.1", port)
 

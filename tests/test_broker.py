@@ -20,11 +20,18 @@ from hypothesis import strategies as st
 
 import psvc.broker.handles
 import psvc.broker.runtime
-from psvc.broker.core import Broker, write_endpoint_file
+from psvc.broker.core import Broker
 from psvc.broker.policy import MAX_POLICY_BYTES, PolicyError, load_policy
 from psvc.broker.runtime import ServiceLauncher
 from psvc.broker.server import BrokerServer
-from psvc.kit import Refusal, allocate_port, read_endpoint_file, stop_process
+from psvc.kit import (
+    ENDPOINT_FILE,
+    Refusal,
+    allocate_port,
+    read_endpoint_file,
+    stop_process,
+    write_port_file,
+)
 from psvc.protocol import (
     BROKER_RESULT,
     ERR_AMBIGUOUS,
@@ -105,13 +112,13 @@ def make_broker(ps_dir: Path, **kwargs) -> Broker:
 
 class TestEndpointFile:
     def test_round_trip(self, tmp_path):
-        path = write_endpoint_file(tmp_path, 4321)
+        path = write_port_file(tmp_path / ENDPOINT_FILE, 4321)
         assert path.name == "broker.ept"
         assert read_endpoint_file(tmp_path) == ("127.0.0.1", 4321)
 
     def test_rewrite_wins(self, tmp_path):
-        write_endpoint_file(tmp_path, 1000)
-        write_endpoint_file(tmp_path, 2000)
+        write_port_file(tmp_path / ENDPOINT_FILE, 1000)
+        write_port_file(tmp_path / ENDPOINT_FILE, 2000)
         assert read_endpoint_file(tmp_path)[1] == 2000
 
     def test_missing_file(self, tmp_path):
@@ -614,6 +621,16 @@ def live_broker(tmp_path: Path):
     server.start()
     try:
         yield server
+    finally:
+        server.shutdown()
+
+
+def test_the_broker_publishes_broker_ept_only_once_it_listens(tmp_path):
+    server = BrokerServer(tmp_path)
+    try:
+        assert not (tmp_path / ENDPOINT_FILE).exists()  # run() has yet to set its handlers
+        server.start()
+        assert read_endpoint_file(tmp_path) == ("127.0.0.1", server.port)
     finally:
         server.shutdown()
 

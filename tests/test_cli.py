@@ -2,7 +2,8 @@
 
 The demo service starts by every route, with or without the parser.  A party
 run from the command line stops cleanly on SIGTERM, even one sent as its port
-appears; a launched demo service ends by the signal itself.
+appears, and the demo service on SIGINT, even one sent as its port first
+accepts; a launched demo service ends by SIGTERM itself.
 """
 
 from __future__ import annotations
@@ -20,7 +21,14 @@ from pathlib import Path
 import pytest
 
 from psvc import cli
-from psvc.kit import STOP_TIMEOUT_S, allocate_port, launch, stop_process, wait_until
+from psvc.kit import (
+    ENDPOINT_FILE,
+    STOP_TIMEOUT_S,
+    allocate_port,
+    launch,
+    stop_process,
+    wait_until,
+)
 from psvc.scenario import PSVC, ScenarioContext
 
 from conftest import CLI_PARTIES, http_exchange
@@ -168,17 +176,44 @@ def test_demo_service_serves_by_every_route(route):
     assert (status, body) == (403, b"only proxy-built invocations are served here\n")
 
 
-@pytest.mark.parametrize("party", CLI_PARTIES)
+@pytest.mark.parametrize("party", [*CLI_PARTIES, "broker-ept"])
 def test_a_party_sent_sigterm_as_its_port_appears_exits_0(party, tmp_path):
-    # Its handlers are set before the port file is written, so it still shuts down.
-    argv = [arg.format(ps_dir=tmp_path) for arg in CLI_PARTIES[party]]
+    # Its handlers are set before it listens and publishes, so it still shuts down.
+    # The broker-ept case watches the broker's own broker.ept, with no --port-file.
     for trial in range(3):
-        port_file = str(tmp_path / f"port-{trial}")
-        proc = run_psvc("python-m", *argv, "--port-file", port_file, stdout=subprocess.DEVNULL)
+        ps_dir = tmp_path / f"ps-{trial}"
+        ps_dir.mkdir()
+        if party == "broker-ept":
+            argv, port_file = CLI_PARTIES["broker"], ps_dir / ENDPOINT_FILE
+        else:
+            port_file = tmp_path / f"port-{trial}"
+            argv = [*CLI_PARTIES[party], "--port-file", str(port_file)]
+        argv = [arg.format(ps_dir=ps_dir) for arg in argv]
+        proc = run_psvc("python-m", *argv, stdout=subprocess.DEVNULL)
         try:
             while not os.path.exists(port_file):  # no sleep: SIGTERM follows at once
                 assert proc.poll() is None, f"{party} exited {proc.returncode} unpublished"
             proc.terminate()
+            assert proc.wait(timeout=STOP_TIMEOUT_S) == 0
+        finally:
+            stop_process(proc)
+
+
+def test_a_demo_service_sent_sigint_as_its_port_first_accepts_exits_0(tmp_path):
+    # Its SIGINT handler is set before it listens, so the first connection a launcher's
+    # readiness probe gets already finds a service that can shut down.
+    for _ in range(5):
+        port = allocate_port()
+        proc = launch([*PSVC, "demo", "service", str(port)], tmp_path, "demo", env=psvc_env())
+        try:
+            while True:  # no sleep: SIGINT follows the first accepted connect at once
+                assert proc.poll() is None, f"the service exited {proc.returncode}"
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                    break
+                except OSError:
+                    pass
+            proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=STOP_TIMEOUT_S) == 0
         finally:
             stop_process(proc)

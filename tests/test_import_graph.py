@@ -192,6 +192,7 @@ START = set(sys.modules)
 from psvc import cli
 
 WATCHED = ("logging", "traceback", "subprocess")
+LAUNCH = os.environ.get("LAUNCH")
 
 def loaded():
     return [m for m in WATCHED if m in sys.modules and m not in START]
@@ -207,10 +208,12 @@ def head(target, service):
         return header_value(read_head(Stream(sock, 10), STATUS_LINE)[1], "PSvc-Service")
 
 def drive():
-    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:  # set just before it serves
+    # The handler is set just before it listens, and the broker writes broker.ept after.
+    ept = os.path.join(sys.argv[1], "broker.ept")
+    while signal.getsignal(signal.SIGTERM) is signal.SIG_DFL or LAUNCH and not os.path.exists(ept):
         time.sleep(0.01)
     seen = {"serving": loaded()}
-    if os.environ.get("LAUNCH"):
+    if LAUNCH:
         from psvc.protocol import decode_broker_result
 
         handle = decode_broker_result(head("/white", '{"Purpose": "authentication"}'))

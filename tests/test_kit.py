@@ -197,6 +197,19 @@ class TestKitResponse:
         assert dict(response.headers)["Content-Type"].startswith("text/plain")
 
 
+def test_a_server_refuses_connections_until_it_starts():
+    # Bound in the constructor, so the port is known, but not listening: run() sets
+    # its signal handlers before start(), and nothing may connect before that.
+    server = ServiceServer(("127.0.0.1", 0), lambda request: KitResponse.text("ok\n"), "Test")
+    try:
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+        server.start()
+        assert http_exchange(server.netloc, "GET", "/")[0] == 200
+    finally:
+        server.shutdown()
+
+
 class TestServiceServer:
     @pytest.fixture()
     def service(self):

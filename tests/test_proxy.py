@@ -21,11 +21,17 @@ from hypothesis import strategies as st
 import psvc.kit
 import psvc.proxy
 from psvc import transcript
-from psvc.broker.core import write_endpoint_file
 from psvc.broker.server import BrokerServer
 from psvc.demo.service import MockAuthService
 from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP
-from psvc.kit import KitResponse, ServiceServer, allocate_port, stop_process
+from psvc.kit import (
+    ENDPOINT_FILE,
+    KitResponse,
+    ServiceServer,
+    allocate_port,
+    stop_process,
+    write_port_file,
+)
 from psvc.protocol import (
     BROKER_RESULT,
     BrokerResult,
@@ -70,7 +76,7 @@ def proxy(tmp_path):
 
     def make(*, broker_port: int | None = None) -> PersonalServiceProxy:
         if broker_port is not None:
-            write_endpoint_file(tmp_path, broker_port)
+            write_port_file(tmp_path / ENDPOINT_FILE, broker_port)
         server = PersonalServiceProxy(tmp_path, ("127.0.0.1", 0))
         server.start()
         servers.append(server)
@@ -1000,7 +1006,7 @@ class TestBrokerLink:
 
     def test_stale_endpoint_without_a_descriptor_is_unreachable(self, tmp_path):
         port = allocate_port()
-        write_endpoint_file(tmp_path, port)
+        write_port_file(tmp_path / ENDPOINT_FILE, port)
         link = BrokerLink(tmp_path)
         assert link.endpoint_or_none() == ("127.0.0.1", port)  # read, not probed
         with pytest.raises(Unreachable, match="broker.psd"):
@@ -1012,7 +1018,7 @@ class TestBrokerLink:
         listener.bind(("127.0.0.1", 0))
         listener.listen(0)
         queued = socket.create_connection(listener.getsockname())
-        write_endpoint_file(tmp_path, listener.getsockname()[1])
+        write_port_file(tmp_path / ENDPOINT_FILE, listener.getsockname()[1])
         write_marker_broker(tmp_path)
         monkeypatch.setattr(psvc.proxy, "BROKER_CALL_TIMEOUT_S", 0.5)
         link = BrokerLink(tmp_path)
@@ -1027,7 +1033,7 @@ class TestBrokerLink:
 
     def test_refused_endpoint_relaunches_and_retries(self, tmp_path):
         stale = allocate_port()
-        write_endpoint_file(tmp_path, stale)
+        write_port_file(tmp_path / ENDPOINT_FILE, stale)
         write_descriptor(
             tmp_path,
             "broker",
@@ -1058,7 +1064,7 @@ class TestBrokerLink:
         try:
             link.endpoint()
             launched.append(link._proc)
-            write_endpoint_file(tmp_path, allocate_port())  # broker.ept now names a dead port
+            write_port_file(tmp_path / ENDPOINT_FILE, allocate_port())  # broker.ept now names a dead port
             assert link.call("/white", []).status == 501
             launched.append(link._proc)
             assert launched[1] is not launched[0]
