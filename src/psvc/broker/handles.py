@@ -5,7 +5,8 @@ run's own table: {requester host, descriptor id, mint time}.  The text
 carries nothing, so SPs and browsers can neither read one nor forge
 one: any other text is simply not in the table.  The table lives in
 memory only, so handles die with the broker process, and sooner once
-HANDLE_MAX_AGE_S old.
+HANDLE_MAX_AGE_S old: age runs on CLOCK_BOOTTIME, which no wall-clock
+step moves and which counts time spent suspended.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import os
 import sys
 import threading
 import time
+from functools import partial
 from typing import NamedTuple
+
+from ..kit import put_bounded
 
 MAX_LIVE_HANDLES = 4096  # past this many, minting forgets the oldest handle
 HANDLE_MAX_AGE_S = 300.0  # a handle older than this no longer opens
+_now = partial(time.clock_gettime, time.CLOCK_BOOTTIME)
 
 
 class HandleError(ValueError):
@@ -29,7 +34,7 @@ class HandlePlaintext(NamedTuple):
 
     requester_host: str
     descriptor_id: str
-    mint_time: float
+    mint_time: float  # CLOCK_BOOTTIME seconds
 
 
 class HandleCodec:
@@ -47,11 +52,9 @@ class HandleCodec:
         """Issue handle text binding a descriptor to the requesting SP."""
         text = os.urandom(16).hex()
         # One copy of each SP's host, however many of its handles are live.
-        entry = HandlePlaintext(sys.intern(requester_host), descriptor_id, time.time())
+        entry = HandlePlaintext(sys.intern(requester_host), descriptor_id, _now())
         with self._lock:
-            self._live[text] = entry
-            if len(self._live) > MAX_LIVE_HANDLES:
-                del self._live[next(iter(self._live))]
+            put_bounded(self._live, text, entry, MAX_LIVE_HANDLES)
         return text
 
     def open(self, handle_text: str) -> HandlePlaintext:
@@ -60,6 +63,6 @@ class HandleCodec:
             opened = self._live.get(handle_text)
         if opened is None:
             raise HandleError("no such handle")
-        if time.time() - opened.mint_time > HANDLE_MAX_AGE_S:
+        if _now() - opened.mint_time > HANDLE_MAX_AGE_S:
             raise HandleError("handle expired")
         return opened

@@ -252,11 +252,13 @@ def field_tokens(headers: Iterable[tuple[str, str]], name: str) -> list[str]:
 MAX_TABLE_ENTRIES = 4096
 
 
-def put_bounded(table: dict, key: str, value: Any) -> None:
-    """Insert, then drop the oldest entry past MAX_TABLE_ENTRIES."""
+def put_bounded(table: dict, key: Any, value: Any, limit: int | None = None) -> Any:
+    """Insert; past `limit` (MAX_TABLE_ENTRIES by default) drop the oldest key and return it."""
     table[key] = value
-    if len(table) > MAX_TABLE_ENTRIES:
-        del table[next(iter(table))]
+    if len(table) <= (MAX_TABLE_ENTRIES if limit is None else limit):
+        return None
+    del table[oldest := next(iter(table))]
+    return oldest
 
 
 class KitRequest(NamedTuple):

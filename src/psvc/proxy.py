@@ -38,6 +38,7 @@ import select
 import socket
 import threading
 import time
+from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, urlsplit
@@ -58,6 +59,7 @@ from .kit import (
     field_tokens,
     header_value,
     launch,
+    put_bounded,
     read_endpoint_file,
     read_fields,
     read_head,
@@ -174,45 +176,33 @@ def _port(parts: SplitResult) -> int | None:
 
 
 class _Pool:
-    """Idle upstream connections by origin, shared by the proxy's threads.
-
-    At most POOL_MAX wait, across all origins; past that the oldest goes.
-    """
+    """Idle upstream connections, one table for every origin; past POOL_MAX the oldest goes."""
 
     def __init__(self) -> None:
-        # origin: [(idle since, connection)], oldest first; no list is empty
-        self._idle: dict[str, list[tuple[float, socket.socket]]] = {}
+        self._idle: dict[socket.socket, tuple[str, float]] = {}  # (origin, since), oldest first
         self._lock = threading.Lock()
 
     def take(self, origin: str) -> socket.socket | None:
-        """The newest idle connection to `origin` that is still open, if any."""
+        """The newest open idle connection to `origin`, if any; every stale one is closed."""
         with self._lock:
-            idle = self._idle.get(origin)
-            if not idle:
-                return None
-            since, sock = idle.pop()
-            dropped = []
-            if since < time.monotonic() - POOL_IDLE_S:  # then the older ones are stale too
-                dropped = [sock, *(older for _, older in idle)]
-                idle.clear()
-            if not idle:
-                del self._idle[origin]
-        if not dropped and _alive(sock):
-            return sock
-        for conn in dropped or [sock]:
+            stale = time.monotonic() - POOL_IDLE_S
+            dropped = list(takewhile(lambda conn: self._idle[conn][1] < stale, self._idle))
+            for conn in dropped:
+                del self._idle[conn]
+            sock = next((c for c in reversed(self._idle) if self._idle[c][0] == origin), None)
+            self._idle.pop(sock, None)
+        if sock is not None and not _alive(sock):
+            dropped.append(sock)
+            sock = None
+        for conn in dropped:
             conn.close()
-        return None
+        return sock
 
     def give(self, origin: str, sock: socket.socket) -> None:
         with self._lock:
-            self._idle.setdefault(origin, []).append((time.monotonic(), sock))
-            if sum(map(len, self._idle.values())) <= POOL_MAX:
-                return
-            oldest = min(self._idle, key=lambda key: self._idle[key][0][0])
-            evicted = self._idle[oldest].pop(0)[1]
-            if not self._idle[oldest]:
-                del self._idle[oldest]
-        evicted.close()
+            evicted = put_bounded(self._idle, sock, (origin, time.monotonic()), POOL_MAX)
+        if evicted is not None:
+            evicted.close()
 
 
 def _alive(sock: socket.socket) -> bool:
@@ -308,15 +298,18 @@ def send_request(
     It runs on an idle pooled connection to the origin when there is
     one.  A HEAD or GET whose pooled connection breaks before the reply
     (the server closed it meanwhile) is sent once more on a fresh
-    connection; any other method is never sent twice.  A request that
-    would not reach the wire intact is a 502 before any byte is sent,
-    and so is a reply that cannot be read or whose body is over
+    connection; any other method is never sent twice.  A URL that is not
+    plain http, or whose authority holds userinfo, is a 400 before any
+    byte is sent; a request that would not reach the wire intact is a
+    502, and so is a reply that cannot be read or whose body is over
     MAX_BODY_BYTES; its connection is closed.
     """
     parts = urlsplit(url)
     port = _port(parts)
     if parts.scheme != "http" or not parts.hostname or port is None:
         raise Refusal(400, f"cannot forward to {url!r}: only plain http URLs with a valid port")
+    if "@" in parts.netloc:  # RFC 9110 §4.2.4: never sent, an error when received
+        raise Refusal(400, f"cannot forward to {url!r}: the authority holds userinfo")
     origin = parts.netloc
     target = parts.path or "/"
     if parts.query:

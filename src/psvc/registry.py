@@ -279,7 +279,7 @@ def _descriptor(
     if workdir is not None and not isinstance(workdir, str):
         raise DescriptorError("shape", "dir must be a string when present")
 
-    workdir = Path(workdir) if workdir else default_dir
+    workdir = default_dir / workdir if workdir else default_dir  # relative: to the .psd's dir
     share = shared.setdefault
     return ServiceDescriptor(
         descriptor_id,

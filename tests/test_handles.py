@@ -19,7 +19,7 @@ class TestRoundTrip:
         opened = codec.open(handle)
         assert opened.requester_host == "sp.example.org:8080"
         assert opened.descriptor_id == "cc-personal-service"
-        assert abs(opened.mint_time - time.time()) < 5
+        assert abs(opened.mint_time - time.clock_gettime(time.CLOCK_BOOTTIME)) < 5
 
     def test_text_is_transport_safe(self):
         codec = HandleCodec()
@@ -136,4 +136,38 @@ class TestExpiry:
         handle = codec.mint("sp:80", "svc")
         time.sleep(0.1)
         with pytest.raises(HandleError):
+            codec.open(handle)
+
+    @pytest.fixture
+    def step_wall_clock(self, monkeypatch):
+        """Step the handle module's wall clock by the seconds given."""
+
+        class SteppedTime:
+            offset = 0.0
+
+            def time(self) -> float:
+                return time.time() + self.offset
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+        stepped = SteppedTime()
+        monkeypatch.setattr(psvc.broker.handles, "time", stepped)
+        return lambda seconds: setattr(stepped, "offset", stepped.offset + seconds)
+
+    def test_a_forward_wall_clock_step_keeps_a_live_handle(self, step_wall_clock):
+        codec = HandleCodec()
+        handle = codec.mint("sp:80", "svc")
+        step_wall_clock(1000.0)
+        assert codec.open(handle).descriptor_id == "svc"
+
+    def test_a_backward_wall_clock_step_revives_no_expired_handle(
+        self, monkeypatch, step_wall_clock
+    ):
+        monkeypatch.setattr(psvc.broker.handles, "HANDLE_MAX_AGE_S", 0.05)
+        codec = HandleCodec()
+        handle = codec.mint("sp:80", "svc")
+        time.sleep(0.1)
+        step_wall_clock(-1000.0)
+        with pytest.raises(HandleError, match="expired"):
             codec.open(handle)

@@ -10,6 +10,7 @@ import string
 import subprocess
 import sys
 import threading
+import time
 from http.client import HTTPConnection
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
@@ -47,6 +48,8 @@ from psvc.protocol import (
     H_VERSION,
     OP_WHITE,
     OP_YELLOW,
+    SERVICE_CALL,
+    WHITE_PAGES,
     decode_broker_result,
     encode_broker_result,
 )
@@ -66,6 +69,7 @@ from conftest import (
     header_value,
     http_exchange,
     write_descriptor,
+    write_echo_descriptor,
 )
 
 
@@ -935,6 +939,59 @@ class TestBrokerResultGate:
         assert status == 502
 
 
+class TestUserinfo:
+    def test_a_callback_with_userinfo_cannot_pose_as_a_whitelisted_site(self, proxy, tmp_path):
+        # The proxy names the site by the authority of the response carrying a
+        # directive; `bank.example:1@127.0.0.1:P` would match `bank.example:*`.
+        write_echo_descriptor(tmp_path, "cc", dict(DEFAULT_WP_QUERY))
+        policy = {"services": {"cc": {"mode": "whitelist", "hosts": ["bank.example:*"]}}}
+        (tmp_path / "policy.json").write_text(json.dumps(policy), "utf-8")
+        broker = BrokerServer(tmp_path)
+        broker_saw = []  # (path, Referer) of every broker request
+        serve_broker = broker._handler
+
+        def recording(request):
+            broker_saw.append((request.path, header_value(request.headers, "Referer")))
+            return serve_broker(request)
+
+        broker._handler = recording
+        sp_saw = []
+
+        def white(callback: str) -> KitResponse:
+            return KitResponse(
+                WHITE_PAGES, ((H_SERVICE, json.dumps(DEFAULT_WP_QUERY)), (H_CALLBACK, callback))
+            )
+
+        def sp_pages(request) -> KitResponse:
+            sp_saw.append(request.path)
+            posing = f"http://bank.example:1@{sp.netloc}"
+            if request.path == "/login":
+                return white(f"http://{sp.netloc}/refused")
+            if request.path == "/refused":  # policy said `service`: pose as the bank
+                return white(f"{posing}/posing")
+            if request.path == "/posing":
+                return white(f"{posing}/granted")
+            if request.path == "/granted":
+                handle = decode_broker_result(header_value(request.headers, H_SERVICE)).response
+                call = json.dumps({"handle": handle["handle"]})
+                return KitResponse(SERVICE_CALL, ((H_SERVICE, call), (H_CALLBACK, f"{posing}/x")))
+            return KitResponse.text("unexpected\n")
+
+        sp = ServiceServer(("127.0.0.1", 0), sp_pages, "SP")
+        for server in (broker, sp):
+            server.start()
+        try:
+            status, headers, body = via(proxy(), "GET", f"http://{sp.netloc}/login")
+        finally:
+            for server in (sp, broker):
+                server.shutdown()
+        assert status == 400 and b"userinfo" in body
+        assert header_value(headers, "X-Echo") is None
+        assert sp_saw == ["/login", "/refused"]
+        assert [path for path, _ in broker_saw] == ["/white", "/white"]
+        assert not any("@" in referer for _, referer in broker_saw)
+
+
 class TestChaining:
     def test_chain_limit_enforced(self, proxy, stub, monkeypatch):
         monkeypatch.setattr(psvc.proxy, "MAX_CHAIN", 2)
@@ -1298,6 +1355,22 @@ class TestConnectionPool:
             assert pool.take("b") is None
             assert pool.take("a") is conns[2]
             assert [pool.take("c"), pool.take("c"), pool.take("c")] == [conns[4], conns[3], None]
+        finally:
+            for pair in pairs:
+                for sock in pair:
+                    sock.close()
+
+    def test_a_take_for_one_origin_closes_a_stale_connection_to_another(self, monkeypatch):
+        monkeypatch.setattr(psvc.proxy, "POOL_IDLE_S", 0.05)
+        pool = psvc.proxy._Pool()
+        pairs = [socket.socketpair() for _ in range(2)]
+        stale, fresh = (mine for mine, _ in pairs)
+        try:
+            pool.give("a", stale)
+            time.sleep(0.1)
+            pool.give("b", fresh)
+            assert pool.take("b") is fresh
+            assert stale.fileno() == -1  # closed now, not at a's own take or at eviction
         finally:
             for pair in pairs:
                 for sock in pair:

@@ -85,6 +85,17 @@ class TestValidateDescriptor:
         doc = {"configuration": {"cmd": ["x"]}, "presentation": {"a": 1}}
         assert check(doc).workdir == Path("/fallback")
 
+    def test_a_relative_dir_resolves_against_the_descriptor_directory(
+        self, tmp_path, monkeypatch
+    ):
+        catalog_dir = tmp_path / "ps"
+        catalog_dir.mkdir()
+        write_descriptor(catalog_dir, "cc", {"Purpose": "x"}, cmd=["x"], workdir="sub")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)  # never the broker's working directory
+        assert load_catalog(catalog_dir).entries["cc"].workdir == catalog_dir / "sub"
+
     def test_bytes_input_decoded_as_utf8(self):
         text = json.dumps(
             {"configuration": {"cmd": ["x"]}, "presentation": {"Device name": "Cartão"}},
