@@ -16,7 +16,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable
 
-from ..kit import Log, allocate_port, launch, stop_process, wait_until
+from ..kit import LOOPBACK, Log, allocate_port, launch, stop_process, wait_until
 from ..registry import ServiceDescriptor
 
 if TYPE_CHECKING:
@@ -25,8 +25,6 @@ if TYPE_CHECKING:
 log = Log(__name__)
 
 LAUNCH_TIMEOUT_S = 5.0
-
-LOOPBACK = "127.0.0.1"
 
 
 def wait_connectable(host: str, port: int, deadline: float, proc: subprocess.Popen) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..kit import KitRequest, KitResponse, ServiceServer, header_value
+from ..kit import LOOPBACK, KitRequest, KitResponse, ServiceServer, header_value
 from ..kit import ENDPOINT_FILE, write_port_file  # broker.ept, written by start()
 from ..protocol import (
     ERR_PARAMETERS,
@@ -41,7 +41,7 @@ class BrokerServer(ServiceServer):
     def __init__(self, ps_dir: Path | str):
         self.broker = Broker(ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
         self.endpoint_file = Path(ps_dir) / ENDPOINT_FILE
-        super().__init__(("127.0.0.1", 0), self._handle, "Broker")
+        super().__init__((LOOPBACK, 0), self._handle, "Broker")
 
     def start(self) -> None:
         super().start()  # listening by now, so a reader of broker.ept can connect

@@ -66,7 +66,7 @@ def _cmd_broker_run(args: argparse.Namespace) -> int:
     from .broker import BrokerServer
 
     ps_dir = Path(args.ps_dir)
-    ps_dir.mkdir(parents=True, exist_ok=True)
+    ps_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
     server = BrokerServer(ps_dir)
     print(f"broker at {server.netloc} serving {ps_dir}", flush=True)
     return server.run(args.port_file)

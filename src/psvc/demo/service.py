@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from ..kit import (
+    LOOPBACK,
     BootstrapError,
     KitRequest,
     KitResponse,
@@ -90,7 +91,7 @@ class MockAuthService:
             put_bounded(self._dialogs, sid, dialog)
         page = sp_return_page(
             {"sid": sid, "confirm": "yes"},
-            f"http://127.0.0.1:{self.port}/confirm",
+            f"http://{LOOPBACK}:{self.port}/confirm",
             title="eID authentication",
             message="The service provider asks you to sign a challenge.",
         )
@@ -116,6 +117,6 @@ def main(argv: list[str]) -> int:
     except BootstrapError as exc:
         print(f"cannot start: {exc}", flush=True)
         return 2
-    server = ServiceServer(("127.0.0.1", port), MockAuthService(port).handle, "Service")
+    server = ServiceServer((LOOPBACK, port), MockAuthService(port).handle, "Service")
     # Until SIGINT; SIGTERM keeps its default action, and a launched service ends at once.
     return server.run(signals=(signal.SIGINT,))

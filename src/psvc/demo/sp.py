@@ -29,6 +29,7 @@ from ..kit import (
     KitResponse,
     Log,
     ServiceServer,
+    drop_stale,
     escape,
     field_tokens,
     header_value,
@@ -133,12 +134,7 @@ class DemoSP(ServiceServer):
         sid, nonce = secrets.token_urlsafe(8), secrets.token_urlsafe(12)
         with self.lock:
             now = time.monotonic()
-            # Attempts are kept in the order they began, so the expired ones lead.
-            while self.sessions:
-                oldest = next(iter(self.sessions.values()))
-                if now - oldest.born <= SESSION_MAX_AGE_S:
-                    break
-                del self.sessions[oldest.sid]
+            drop_stale(self.sessions, lambda old: now - old.born > SESSION_MAX_AGE_S)
             session = _Session(sid, nonce, next_url, now)
             put_bounded(self.sessions, sid, session)
         return session

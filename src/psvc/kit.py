@@ -31,6 +31,7 @@ import time
 from contextlib import suppress
 from functools import partialmethod
 from http import HTTPStatus
+from itertools import takewhile
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -60,7 +61,7 @@ H_INVOCATION = "PSvc-Invocation"
 # The broker publishes its port in this file of the per-user directory.
 ENDPOINT_FILE = "broker.ept"
 MAX_ENDPOINT_BYTES = 8  # a port is at most 5 digits, and a hand-written file may end a line
-ENDPOINT_HOST = "127.0.0.1"
+LOOPBACK = "127.0.0.1"  # the broker and its services listen here; broker.ept names only a port
 
 STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
 STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)  # ServiceServer.run serves until one, by default
@@ -119,7 +120,7 @@ def read_port_file(path: Path | str) -> int | None:
 def read_endpoint_file(ps_dir: Path | str) -> tuple[str, int] | None:
     """The published broker endpoint, (host, port); None without a usable broker.ept."""
     port = read_port_file(Path(ps_dir) / ENDPOINT_FILE)
-    return None if port is None else (ENDPOINT_HOST, port)
+    return None if port is None else (LOOPBACK, port)
 
 
 def allocate_port() -> int:
@@ -129,7 +130,7 @@ def allocate_port() -> int:
     """
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
+        sock.bind((LOOPBACK, 0))
         return sock.getsockname()[1]
 
 
@@ -259,6 +260,15 @@ def put_bounded(table: dict, key: Any, value: Any, limit: int | None = None) -> 
         return None
     del table[oldest := next(iter(table))]
     return oldest
+
+
+def drop_stale(table: dict, stale: Callable[[Any], bool]) -> list:
+    """Delete the oldest entries while `stale(value)` holds; return their keys.  Each owner stamps
+    an entry under its own lock as it inserts it, so its table ages in insertion order."""
+    dropped = list(takewhile(lambda key: stale(table[key]), table))
+    for key in dropped:
+        del table[key]
+    return dropped
 
 
 class KitRequest(NamedTuple):
@@ -585,8 +595,7 @@ class ServiceServer:
                     if self._closed.is_set() or not events and self._waiting > 1:
                         return  # shut down, or idle while another worker waits
                     horizon = time.monotonic() - KEEPALIVE_IDLE_S
-                    for stale in [f for f, since in self._idle.items() if since <= horizon]:
-                        del self._idle[stale]
+                    for stale in drop_stale(self._idle, lambda since: since <= horizon):
                         self._open.pop(stale).close()
                     if fd == self._sock.fileno():
                         sock = self._sock

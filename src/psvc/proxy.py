@@ -24,6 +24,8 @@ reported there as ``service``.  Plain responses relay to the browser
 untouched apart from hop-by-hop headers; one that cannot be read is a
 502.  HTTPS is not intercepted.
 
+``Chain`` holds every rule above and no socket; ``handle_transaction``, its
+one driver, is the only code that sends a ``Step`` or emits its SEND event.
 Upstream, the proxy speaks HTTP/1.1 itself (``send_request``): one write
 per request, replies read by the scaffold's own head reader, and idle
 connections pooled by origin.
@@ -38,7 +40,6 @@ import select
 import socket
 import threading
 import time
-from itertools import takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import SplitResult, urlsplit
@@ -55,6 +56,7 @@ from .kit import (
     ServiceServer,
     Stream,
     content_length,
+    drop_stale,
     encode_head,
     field_tokens,
     header_value,
@@ -99,6 +101,7 @@ from .transcript import RECV, SEND
 
 if TYPE_CHECKING:
     import subprocess
+    from collections.abc import Callable, Generator
 
 log = Log(__name__)
 
@@ -186,9 +189,7 @@ class _Pool:
         """The newest open idle connection to `origin`, if any; every stale one is closed."""
         with self._lock:
             stale = time.monotonic() - POOL_IDLE_S
-            dropped = list(takewhile(lambda conn: self._idle[conn][1] < stale, self._idle))
-            for conn in dropped:
-                del self._idle[conn]
+            dropped = drop_stale(self._idle, lambda entry: entry[1] < stale)
             sock = next((c for c in reversed(self._idle) if self._idle[c][0] == origin), None)
             self._idle.pop(sock, None)
         if sock is not None and not _alive(sock):
@@ -433,6 +434,149 @@ class BrokerLink:
             stop_process(self._proc)
 
 
+class Step(NamedTuple):
+    """A request a Chain asks for; a HEAD to a path (/white, /yellow, /resolve) is the broker's."""
+
+    method: str
+    url: str
+    headers: list[tuple[str, str]]
+    body: bytes
+    detail: dict  # the fields of its SEND event
+
+
+class Chain:
+    """One browser request's redirection chain, with no socket: ``run`` yields a Step per request,
+    takes its reply or the Refusal sending it raised, and returns the final reply or raises."""
+
+    def __init__(self, emit: Callable[..., object]):
+        self.emit = emit  # records the chain's RECV events; whoever sends a Step emits its SEND
+
+    def run(
+        self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
+    ) -> Generator[Step, UpstreamResponse, UpstreamResponse]:
+        """Relay the request announcing redirection capability, dropping a client's own
+        PSvc-Version and PSvc-Invocation, then follow its redirections."""
+        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() not in _OWN_FIELDS]
+        if method in ("GET", "POST"):
+            out.append((H_VERSION, PROTOCOL_VERSION))
+        response = yield Step(method, url, out, body, {})
+        for _ in range(MAX_CHAIN):
+            if response.status == BROKER_RESULT:
+                # The broker answers only the proxy's own HEADs, which
+                # _ask_broker reads; a 313 in the response chain is forged.
+                self.emit(
+                    RECV, "?", "313", response.status, origin=response.origin, action="rejected"
+                )
+                log.warning("refusing 313 from %s", response.origin)
+                raise Refusal(502, "refused a broker-result redirection from a non-broker source")
+            if response.status not in (YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL):
+                return response
+            try:
+                directive = parse_directive(response.status, list(response.headers), response.body)
+            except MalformedDirective as exc:
+                callback = header_value(response.headers, H_CALLBACK)
+                response = yield from self._to_callback(callback, error=ERR_PARAMETERS, reason=str(exc))
+                continue
+            if directive.kind == SERVICE_CALL:
+                response = yield from self._do_invoke(directive, response.origin)
+            else:
+                response = yield from self._do_listing(directive, response.origin)
+        raise Refusal(502, f"redirection chain exceeded {MAX_CHAIN} steps")
+
+    def _to_callback(
+        self, callback: str | None, *, service: str | None = None, error: str | None = None,
+        reason: str | None = None,
+    ):
+        """POST a broker result, or an error code, to the SP's callback URL.  A failure
+        (`reason` given) is logged, or is a 502 when there is no callback to report it to."""
+        if reason is not None:
+            if callback is None:
+                raise Refusal(502, reason)
+            log.warning("reporting %r to %s: %s", error, callback, reason)
+        fields = [(H_VERSION, PROTOCOL_VERSION), (H_SERVICE, service), (H_ERROR, error)]
+        headers = [(name, value) for name, value in fields if value is not None]
+        svc = None if service is None else "result"
+        return (yield Step("POST", callback, headers, b"", {"svc": svc, "err": error}))
+
+    def _ask_broker(self, path: str, headers: list[tuple[str, str]], tag: str):
+        """HEAD the broker and read its 313: (Location, PSvc-Service, PSvc-Error).
+
+        Unreachable passes through; any other status is a 502.
+        """
+        reply = yield Step("HEAD", path, headers, b"", {"svc": tag})
+        location, service, error = (
+            header_value(reply.headers, name) for name in ("Location", H_SERVICE, H_ERROR)
+        )
+        self.emit(
+            RECV, "HEAD", path.partition("?")[0], reply.status,
+            origin=reply.origin, loc=location, err=error,
+        )
+        if reply.status != BROKER_RESULT:
+            raise Refusal(502, f"broker answered {reply.status} instead of a result")
+        return location, service, error
+
+    def _do_listing(self, directive: PsvcDirective, sp_host: str):
+        """Serve a 310/311 by asking the broker and POSTing its envelope back."""
+        if directive.kind == YELLOW_PAGES:
+            path, query, operation, empty = "/yellow", directive.yellow.as_object(), OP_YELLOW, []
+        else:
+            path, query, operation, empty = "/white", dict(directive.white), OP_WHITE, None
+        headers = [
+            (H_SERVICE, json.dumps(query)),
+            (H_CALLBACK, directive.callback),
+            ("Referer", sp_host),
+        ]
+        try:
+            location, service, error = yield from self._ask_broker(path, headers, "query")
+        except Unreachable as exc:
+            # The SP still gets an answer: an empty result envelope.
+            log.warning("broker unreachable for listing: %s", exc)
+            self.emit(RECV, "HEAD", path, None, err="unreachable")
+            location, error = None, None
+            service = encode_broker_result(BrokerResult(operation, query, empty))
+        callback = location or directive.callback
+        return (yield from self._to_callback(callback, service=service, error=error))
+
+    def _do_invoke(self, directive: PsvcDirective, sp_host: str):
+        """Serve a 312: resolve the handle, then send the held request to the service."""
+        # The resolution arrives within this request, so the ref only has
+        # to be checked against the one just sent.
+        ref = os.urandom(12).hex()
+        try:
+            location, endpoint, error = yield from self._ask_broker(
+                f"/resolve?ref={ref}",
+                [(H_SERVICE, directive.handle), ("Referer", sp_host)],
+                "handle",
+            )
+        except Unreachable as exc:
+            return (yield from self._to_callback(
+                directive.callback, error=ERR_SERVICE, reason=f"broker unreachable: {exc}"
+            ))
+        if error is not None:
+            code = error if error in ERROR_CODES else ERR_SERVICE
+            return (yield from self._to_callback(
+                directive.callback, error=code, reason=f"broker refused the call: {error}"
+            ))
+        if location != f":{ref}":
+            raise Refusal(502, "broker resolution did not name this call's reference")
+        if not endpoint:
+            raise Refusal(502, "broker resolution lacked a service endpoint")
+        base = endpoint if "://" in endpoint else f"http://{endpoint}"
+        url = base.rstrip("/") + (directive.parameters or "/")
+        carried = strip_hop_by_hop(directive.carried_headers)
+        headers = [(k, v) for k, v in carried if k.lower() not in _NOT_CARRIED]
+        headers += [("Referer", sp_host), (H_INVOCATION, "1")]
+        if directive.method in ("GET", "POST"):
+            headers.append((H_VERSION, PROTOCOL_VERSION))
+        detail = {"referer": sp_host, "svc": "invocation"}
+        try:
+            return (yield Step(directive.method, url, headers, directive.carried_body, detail))
+        except Refusal as exc:
+            return (yield from self._to_callback(
+                directive.callback, error=ERR_SERVICE, reason=f"invocation failed: {exc.reason}"
+            ))
+
+
 class PersonalServiceProxy(ServiceServer):
     """The proxy: relays each browser request and runs its redirection chain."""
 
@@ -464,142 +608,24 @@ class PersonalServiceProxy(ServiceServer):
     def handle_transaction(
         self, method: str, url: str, headers: list[tuple[str, str]], body: bytes
     ) -> UpstreamResponse:
-        """Run one browser request to completion, chaining redirections.
-
-        The request is relayed announcing redirection capability; a client's
-        own PSvc-Version and PSvc-Invocation are dropped.
-        """
-        out = [(k, v) for k, v in strip_hop_by_hop(headers) if k.lower() not in _OWN_FIELDS]
-        if method in ("GET", "POST"):
-            out.append((H_VERSION, PROTOCOL_VERSION))
-        response = self._relay(method, url, out, body)
-        for _ in range(MAX_CHAIN):
-            if response.status == BROKER_RESULT:
-                # The broker answers only the proxy's own HEADs, which
-                # _ask_broker reads; a 313 in the response chain is forged.
-                self.transcript.emit(
-                    RECV, "?", "313", response.status, origin=response.origin, action="rejected"
-                )
-                log.warning("refusing 313 from %s", response.origin)
-                raise Refusal(502, "refused a broker-result redirection from a non-broker source")
-            if response.status not in (YELLOW_PAGES, WHITE_PAGES, SERVICE_CALL):
-                return response
-            try:
-                directive = parse_directive(response.status, list(response.headers), response.body)
-            except MalformedDirective as exc:
-                callback = header_value(response.headers, H_CALLBACK)
-                response = self._to_callback(callback, error=ERR_PARAMETERS, reason=str(exc))
-                continue
-            if directive.kind == SERVICE_CALL:
-                response = self._do_invoke(directive, response.origin)
-            else:
-                response = self._do_listing(directive, response.origin)
-        raise Refusal(502, f"redirection chain exceeded {MAX_CHAIN} steps")
-
-    def _relay(
-        self, method: str, url: str, headers: list[tuple[str, str]], body: bytes, **detail
-    ) -> UpstreamResponse:
-        """Emit the request's SEND event, with `detail`, and send it: every upstream request
-        but the broker's goes out here."""
-        self.transcript.emit(SEND, method, url, **detail)
-        return send_request(method, url, headers, body)
-
-    def _to_callback(
-        self, callback: str | None, *, service: str | None = None, error: str | None = None,
-        reason: str | None = None,
-    ) -> UpstreamResponse:
-        """POST a broker result, or an error code, to the SP's callback URL.  A failure
-        (`reason` given) is logged, or is a 502 when there is no callback to report it to."""
-        if reason is not None:
-            if callback is None:
-                raise Refusal(502, reason)
-            log.warning("reporting %r to %s: %s", error, callback, reason)
-        fields = [(H_VERSION, PROTOCOL_VERSION), (H_SERVICE, service), (H_ERROR, error)]
-        headers = [(name, value) for name, value in fields if value is not None]
-        svc = None if service is None else "result"
-        return self._relay("POST", callback, headers, b"", svc=svc, err=error)
-
-    def _ask_broker(
-        self, path: str, headers: list[tuple[str, str]], tag: str
-    ) -> tuple[str | None, str | None, str | None]:
-        """HEAD the broker and read its 313: (Location, PSvc-Service, PSvc-Error).
-
-        Unreachable passes through; any other status is a 502.
-        """
-        self.transcript.emit(SEND, "HEAD", path, svc=tag)
-        reply = self.broker.call(path, headers)
-        location, service, error = (
-            header_value(reply.headers, name) for name in ("Location", H_SERVICE, H_ERROR)
-        )
-        self.transcript.emit(
-            RECV, "HEAD", path.partition("?")[0], reply.status,
-            origin=reply.origin, loc=location, err=error,
-        )
-        if reply.status != BROKER_RESULT:
-            raise Refusal(502, f"broker answered {reply.status} instead of a result")
-        return location, service, error
-
-    def _do_listing(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
-        """Serve a 310/311 by asking the broker and POSTing its envelope back."""
-        if directive.kind == YELLOW_PAGES:
-            path, query, operation, empty = "/yellow", directive.yellow.as_object(), OP_YELLOW, []
-        else:
-            path, query, operation, empty = "/white", dict(directive.white), OP_WHITE, None
-        headers = [
-            (H_SERVICE, json.dumps(query)),
-            (H_CALLBACK, directive.callback),
-            ("Referer", sp_host),
-        ]
+        """Drive one browser request's Chain: the only code that sends a Step and emits its SEND.
+        An SP names a URL only as a callback, a POST, so no SP's URL can reach the broker."""
+        chain = Chain(self.transcript.emit).run(method, url, headers, body)
         try:
-            location, service, error = self._ask_broker(path, headers, "query")
-        except Unreachable as exc:
-            # The SP still gets an answer: an empty result envelope.
-            log.warning("broker unreachable for listing: %s", exc)
-            self.transcript.emit(RECV, "HEAD", path, None, err="unreachable")
-            location, error = None, None
-            service = encode_broker_result(BrokerResult(operation, query, empty))
-        return self._to_callback(location or directive.callback, service=service, error=error)
-
-    def _do_invoke(self, directive: PsvcDirective, sp_host: str) -> UpstreamResponse:
-        """Serve a 312: resolve the handle, then send the held request to the service."""
-        # The resolution arrives within this request, so the ref only has
-        # to be checked against the one just sent.
-        ref = os.urandom(12).hex()
-        try:
-            location, endpoint, error = self._ask_broker(
-                f"/resolve?ref={ref}",
-                [(H_SERVICE, directive.handle), ("Referer", sp_host)],
-                "handle",
-            )
-        except Unreachable as exc:
-            return self._to_callback(
-                directive.callback, error=ERR_SERVICE, reason=f"broker unreachable: {exc}"
-            )
-        if error is not None:
-            code = error if error in ERROR_CODES else ERR_SERVICE
-            return self._to_callback(
-                directive.callback, error=code, reason=f"broker refused the call: {error}"
-            )
-        if location != f":{ref}":
-            raise Refusal(502, "broker resolution did not name this call's reference")
-        if not endpoint:
-            raise Refusal(502, "broker resolution lacked a service endpoint")
-        base = endpoint if "://" in endpoint else f"http://{endpoint}"
-        url = base.rstrip("/") + (directive.parameters or "/")
-        carried = strip_hop_by_hop(directive.carried_headers)
-        headers = [(k, v) for k, v in carried if k.lower() not in _NOT_CARRIED]
-        headers += [("Referer", sp_host), (H_INVOCATION, "1")]
-        if directive.method in ("GET", "POST"):
-            headers.append((H_VERSION, PROTOCOL_VERSION))
-        try:
-            return self._relay(
-                directive.method, url, headers, directive.carried_body,
-                referer=sp_host, svc="invocation",
-            )
-        except Refusal as exc:
-            return self._to_callback(
-                directive.callback, error=ERR_SERVICE, reason=f"invocation failed: {exc.reason}"
-            )
+            step = next(chain)
+            while True:
+                self.transcript.emit(SEND, step.method, step.url, **step.detail)
+                try:
+                    if step.method == "HEAD" and step.url.startswith("/"):
+                        reply = self.broker.call(step.url, step.headers)
+                    else:
+                        reply = send_request(step.method, step.url, step.headers, step.body)
+                except Refusal as exc:
+                    step = chain.throw(exc)
+                else:
+                    step = chain.send(reply)
+        except StopIteration as done:
+            return done.value
 
     def shutdown(self) -> None:
         super().shutdown()

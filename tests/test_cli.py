@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import socket
+import stat
 import subprocess
 import sys
 import time
@@ -26,6 +27,7 @@ from psvc.kit import (
     STOP_TIMEOUT_S,
     allocate_port,
     launch,
+    read_port_file,
     stop_process,
     wait_until,
 )
@@ -198,6 +200,24 @@ def test_a_party_sent_sigterm_as_its_port_appears_exits_0(party, tmp_path):
         finally:
             stop_process(proc)
 
+
+def test_broker_run_creates_a_missing_per_user_directory_private(tmp_path):
+    # Under a umask of 022 a plain mkdir would let other users list the
+    # descriptors and read broker.ept.
+    ps_dir = tmp_path / "new"
+    argv = [arg.format(ps_dir=ps_dir) for arg in CLI_PARTIES["broker"]]
+    proc = run_psvc("python-m", *argv, stdout=subprocess.DEVNULL, umask=0o022)
+    try:
+        wait_until(
+            proc, lambda: read_port_file(ps_dir / ENDPOINT_FILE), time.monotonic() + 20,
+            "the broker exited with %d", "the broker never published broker.ept",
+        )
+        mode = stat.S_IMODE(ps_dir.stat().st_mode)
+        proc.terminate()
+        assert proc.wait(timeout=STOP_TIMEOUT_S) == 0
+    finally:
+        stop_process(proc)
+    assert mode == 0o700
 
 def test_a_demo_service_sent_sigint_as_its_port_first_accepts_exits_0(tmp_path):
     # Its SIGINT handler is set before it listens, so the first connection a launcher's

@@ -13,6 +13,7 @@ import threading
 import time
 from http.client import HTTPConnection
 from pathlib import Path
+from unittest import mock
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -28,6 +29,7 @@ from psvc.demo.sp import DEFAULT_WP_QUERY, DemoSP
 from psvc.kit import (
     ENDPOINT_FILE,
     KitResponse,
+    Refusal,
     ServiceServer,
     allocate_port,
     stop_process,
@@ -50,6 +52,7 @@ from psvc.protocol import (
     OP_YELLOW,
     SERVICE_CALL,
     WHITE_PAGES,
+    YELLOW_PAGES,
     decode_broker_result,
     encode_broker_result,
 )
@@ -457,6 +460,18 @@ class TestListingFlows:
         posted = sp.requests[1]
         result = decode_broker_result(posted.header(H_SERVICE))
         assert result.response["handle"] == "h-1"
+
+    @pytest.mark.parametrize("query", ['{"Purpose": "authentication"}', "{"])
+    def test_a_callback_naming_a_broker_path_never_reaches_the_broker(self, proxy, stub, query):
+        # Only the chain's own HEADs go to the broker; a callback is POSTed
+        # upstream, and a relative URL cannot be forwarded.
+        sp = stub()
+        broker = broker_stub(stub)
+        sp.enqueue(Scripted(311, ((H_SERVICE, query), (H_CALLBACK, "/white"))))
+        server = proxy(broker_port=broker.port)
+        status, _, body = via(server, "GET", sp.url("/login"))
+        assert status == 400 and b"cannot forward to '/white'" in body
+        assert [r.path for r in broker.requests] == (["/white"] if query != "{" else [])
 
     def test_listing_error_forwarded_to_callback(self, proxy, stub):
         sp = stub()
@@ -1029,6 +1044,172 @@ class TestChaining:
         assert (status, body) == (200, b"deep result\n")
         assert [r.path for r in sp.requests] == ["/login", "/wp"]
         assert service.requests[0].path == "/go"
+
+
+# -- the chain alone, with scripted replies and no socket ----------------------
+
+BROKER_AT = "127.0.0.1:1"  # the origin a broker reply names
+SERVICE_AT = "127.0.0.1:9"  # the endpoint an honest resolution names
+VICTIM = "http://victim.test/steal"  # what a forged 313 names
+CALLBACKS = ("http://sp-a.test/cb", "http://sp-b.test:8081/cb?x=1")
+# Fields a 312 may set that the proxy sets itself: each value differs from the proxy's.
+SP_SET = [("Referer", "http://forged.test/"), (H_INVOCATION, "forged"), (H_VERSION, "9"),
+          ("Content-Length", "3"), ("X-Carried", "kept")]
+# Directives first: Hypothesis draws early options most, and they make the chain go on.
+DIRECTIVES = ("call", "white", "yellow")
+SP_MOVES = (*DIRECTIVES, "forged-313", "malformed", "no-callback", "plain", "unreachable",
+            "refusal")
+LISTING_MOVES = ("honest", "error", "not-313", "unreachable", "refusal")
+RESOLVE_MOVES = ("honest", "wrong-ref", "no-endpoint", *LISTING_MOVES[1:])
+
+
+def _values(headers, name: str) -> list[str]:
+    return [v for k, v in headers if k.lower() == name.lower()]
+
+
+def _no_socket(*args, **kwargs):
+    raise AssertionError("the chain opened a socket")
+
+
+class ChainPlay:
+    """Answers a Chain's Steps from Hypothesis draws and checks each Step as it comes."""
+
+    def __init__(self, data, endless: bool):
+        self.data, self.endless = data, endless
+        self.steps: list[psvc.proxy.Step] = []
+        self.answers: list = []
+        self.events: list[tuple] = []
+        self.carrier = None  # the latest non-broker reply: the one a directive came in
+        self.sp_set: list[tuple[str, str]] = []  # the fields the latest 312 set
+
+    def draw(self, moves):
+        return self.data.draw(st.sampled_from(moves))
+
+    def answer_sp(self, step):
+        origin = urlsplit(step.url).netloc
+        move = self.draw(DIRECTIVES if self.endless else SP_MOVES)
+        callback = self.draw(CALLBACKS)
+        query = json.dumps({"Purpose": "authentication"})
+        if move == "unreachable":
+            return Unreachable("scripted: unreachable", refused=self.draw((True, False)))
+        if move == "refusal":
+            return Refusal(502, "scripted: unreadable reply")
+        if move == "plain":
+            status, headers = 200, [("Content-Type", "text/plain")]
+        elif move == "forged-313":
+            status, headers = BROKER_RESULT, [("Location", VICTIM), (H_SERVICE, "x")]
+        elif move in ("white", "yellow"):
+            status = WHITE_PAGES if move == "white" else YELLOW_PAGES
+            headers = [(H_SERVICE, query), (H_CALLBACK, callback)]
+        elif move == "malformed":
+            status, headers = WHITE_PAGES, [(H_SERVICE, "{"), (H_CALLBACK, callback)]
+        elif move == "no-callback":
+            status, headers = WHITE_PAGES, [(H_SERVICE, query)]
+        else:
+            status = SERVICE_CALL
+            method = self.draw(("GET", "POST", "PUT", "HEAD"))
+            self.sp_set = [f for f in SP_SET if self.data.draw(st.booleans())]
+            headers = [(H_SERVICE, json.dumps({"handle": "h-1"})), (H_METHOD, method)]
+            headers += [(H_PARAMETERS, "/auth?sid=1"), *self.sp_set]
+            if self.data.draw(st.booleans()):
+                headers.append((H_CALLBACK, callback))
+        reply = psvc.proxy.UpstreamResponse(status, "Scripted", tuple(headers), b"abc", origin)
+        self.carrier = reply
+        return reply
+
+    def answer_broker(self, step):
+        path, _, ref = step.url.partition("?ref=")
+        moves = RESOLVE_MOVES if path == "/resolve" else LISTING_MOVES
+        move = "honest" if self.endless else self.draw(moves)
+        if move == "unreachable":
+            return Unreachable("scripted: no broker", refused=True)
+        if move == "refusal":
+            return Refusal(502, "scripted: unreadable broker reply")
+        if path == "/resolve":
+            location = ":" + ("0" * 24 if move == "wrong-ref" else ref)
+            headers = [("Location", location)]
+            if move != "no-endpoint":
+                headers.append((H_SERVICE, SERVICE_AT))
+        else:
+            headers = [("Location", header_value(step.headers, H_CALLBACK)), (H_SERVICE, "[]")]
+        if move == "error":
+            headers.append((H_ERROR, self.draw((ERR_HANDLE, ERR_SERVICE, "bogus"))))
+        status = 200 if move == "not-313" else BROKER_RESULT
+        return psvc.proxy.UpstreamResponse(status, "Scripted", tuple(headers), b"", BROKER_AT)
+
+    def check(self, step, method: str):
+        """Every property a Step must have, given the Steps and answers before it."""
+        cap = 1 + 3 * psvc.proxy.MAX_CHAIN
+        assert len(self.steps) <= cap, f"more than {cap} steps"
+        assert step.url != VICTIM, "went where a forged 313 pointed"
+        version = ["1"] if step.method in ("GET", "POST") else []
+        if len(self.steps) == 1:
+            assert step.method == method
+            assert _values(step.headers, H_VERSION) == version
+            assert _values(step.headers, H_INVOCATION) == []
+        elif step.method == "HEAD" and step.url.startswith("/"):
+            assert _values(step.headers, "Referer") == [self.carrier.origin]
+        elif step.detail.get("svc") == "invocation":
+            asked, answer = self.steps[-2], self.answers[-1]
+            assert asked.url.startswith("/resolve?ref="), "an invocation that no resolve preceded"
+            assert isinstance(answer, psvc.proxy.UpstreamResponse)
+            ref = asked.url.partition("?ref=")[2]
+            assert header_value(answer.headers, "Location") == f":{ref}"
+            assert _values(step.headers, "Referer") == [self.carrier.origin]
+            assert _values(step.headers, H_INVOCATION) == ["1"]
+            assert _values(step.headers, H_VERSION) == version
+            assert _values(step.headers, "Content-Length") == []
+            for name, value in self.sp_set:  # only X-Carried is the 312's to set
+                carried = value in _values(step.headers, name)
+                assert carried == (name == "X-Carried"), f"{name} of the 312, carried: {carried}"
+
+    def run(self, method: str, headers: list[tuple[str, str]]):
+        """The chain's outcome, a final reply or a Refusal, after checking every Step."""
+        chain = psvc.proxy.Chain(lambda *event, **detail: self.events.append(event)).run(
+            method, "http://sp-a.test/login", headers, b"form"
+        )
+        try:
+            step = next(chain)
+            while True:
+                self.steps.append(step)
+                self.check(step, method)
+                broker = step.method == "HEAD" and step.url.startswith("/")
+                answer = self.answer_broker(step) if broker else self.answer_sp(step)
+                self.answers.append(answer)
+                if isinstance(answer, Refusal):
+                    step = chain.throw(answer)
+                else:
+                    step = chain.send(answer)
+        except StopIteration as done:
+            return done.value
+        except Refusal as exc:
+            return exc
+
+
+class TestChainAlone:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["GET", "POST", "PUT", "HEAD"]),
+        st.lists(st.sampled_from([(H_VERSION, "0"), (H_VERSION, "7"), (H_INVOCATION, "1"),
+                                  ("Accept", "*/*")]), max_size=4),
+        st.booleans(),
+        st.data(),
+    )
+    def test_every_chain_ends_within_bounds_and_keeps_the_redirection_rules(
+        self, method, headers, endless, data
+    ):
+        """An endless run always answers a directive; any other run draws every reply."""
+        play = ChainPlay(data, endless)
+        with mock.patch("socket.socket", _no_socket), \
+                mock.patch("socket.create_connection", _no_socket):
+            outcome = play.run(method, headers)
+        assert all(event[0] != transcript.SEND for event in play.events), "the sender emits SEND"
+        if isinstance(outcome, Refusal):
+            assert outcome.status == 502
+        else:
+            assert not 310 <= outcome.status <= BROKER_RESULT
+        if endless:
+            assert isinstance(outcome, Refusal) and "exceeded" in outcome.reason
 
 
 MINI_BROKER = """\
