@@ -22,6 +22,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+from ..kit import StartError
 from ..registry import ServiceDescriptor, read_bounded
 
 POLICY_FILE = "policy.json"
@@ -34,8 +35,8 @@ MODE_BLACKLIST = "blacklist"
 _MODES = (MODE_ALLOW_ALL, MODE_WHITELIST, MODE_BLACKLIST)
 
 
-class PolicyError(ValueError):
-    """policy.json present but unusable."""
+class PolicyError(StartError):
+    """policy.json present but unusable: the broker does not start."""
 
 
 def _host_matches(sp_host: str, patterns: tuple[str, ...]) -> bool:

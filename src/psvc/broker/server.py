@@ -36,9 +36,11 @@ from .runtime import ServiceLauncher
 
 
 class BrokerServer(ServiceServer):
-    """Runs a Broker behind a loopback HTTP endpoint; ``start()`` publishes it in broker.ept."""
+    """Runs a Broker behind a loopback HTTP endpoint; ``start()`` publishes it in broker.ept.
+    A missing per-user directory is made with mode 0700: others may not list or read it."""
 
     def __init__(self, ps_dir: Path | str):
+        Path(ps_dir).mkdir(mode=0o700, parents=True, exist_ok=True)
         self.broker = Broker(ps_dir, launcher=ServiceLauncher(on_spawn=self._on_spawn))
         self.endpoint_file = Path(ps_dir) / ENDPOINT_FILE
         super().__init__((LOOPBACK, 0), self._handle, "Broker")

@@ -9,7 +9,9 @@
 
 The per-user directory is ~/.PS unless --ps-dir names another.  The
 broker binds a free loopback port and publishes it in broker.ept there;
---port-file also writes each server's port to a file of its own.
+--port-file also writes each server's port to a file of its own.  A
+server that cannot start prints one line, `cannot start: REASON`, and
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -64,20 +66,18 @@ def _invoke_extras(path: str) -> tuple[tuple[tuple[str, str], ...], bytes]:
 
 def _cmd_broker_run(args: argparse.Namespace) -> int:
     from .broker import BrokerServer
+    from .kit import serve
 
-    ps_dir = Path(args.ps_dir)
-    ps_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
-    server = BrokerServer(ps_dir)
-    print(f"broker at {server.netloc} serving {ps_dir}", flush=True)
-    return server.run(args.port_file)
+    banner = f"broker at {{netloc}} serving {Path(args.ps_dir)}"
+    return serve(lambda: BrokerServer(args.ps_dir), args.port_file, banner=banner)
 
 
 def _cmd_proxy_run(args: argparse.Namespace) -> int:
+    from .kit import serve
     from .proxy import PersonalServiceProxy
 
-    server = PersonalServiceProxy(args.ps_dir, args.listen)
-    print(f"proxy at {server.netloc} (per-user dir {args.ps_dir})", flush=True)
-    return server.run(args.port_file)
+    at = f"proxy at {{netloc}} (per-user dir {args.ps_dir})"
+    return serve(lambda: PersonalServiceProxy(args.ps_dir, args.listen), args.port_file, banner=at)
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -100,20 +100,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo_sp(args: argparse.Namespace) -> int:
-    from .demo.sp import FAULTS, DemoSP
+    from .demo.sp import DemoSP
+    from .kit import serve
 
-    if args.fault and args.fault not in FAULTS:
-        print(f"unknown fault {args.fault!r}; known: {', '.join(FAULTS)}", file=sys.stderr)
-        return 2
-    sp = DemoSP(
-        args.listen,
-        wp_query=args.wp_query,
-        yp_query=args.yp_query,
-        fault=args.fault,
-        invoke_extras=args.invoke_extras,
-    )
-    print(f"demo SP at {sp.netloc}", flush=True)
-    return sp.run(args.port_file)
+    opts = {"yp_query": args.yp_query, "fault": args.fault, "invoke_extras": args.invoke_extras}
+    return serve(lambda: DemoSP(args.listen, **opts), args.port_file, banner="demo SP at {netloc}")
 
 
 def _cmd_demo_service(args: argparse.Namespace) -> int:
@@ -159,6 +150,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
+    from .kit import LOOPBACK
+
     class Parser(argparse.ArgumentParser):
         """Takes flags only in full, so no flag stands in for another (--port for --port-file)."""
 
@@ -176,24 +169,25 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-user service directory (default: %(default)s)",
         )
 
+    def add_address(p: argparse.ArgumentParser, port: int | None = None) -> None:
+        """--port-file, and --listen unless `port` is None, by default `port` at LOOPBACK."""
+        if port is not None:
+            help = "HOST:PORT to listen on (default: %(default)s)"  # a string default is parsed
+            p.add_argument("--listen", type=_parse_listen, default=f"{LOOPBACK}:{port}", help=help)
+        p.add_argument("--port-file", help="write the chosen port here once listening")
+
     broker = commands.add_parser("broker", help="per-user broker")
     broker_sub = broker.add_subparsers(dest="broker_command", required=True)
     broker_run = broker_sub.add_parser("run", help="serve until SIGTERM")
     add_ps_dir(broker_run)
-    broker_run.add_argument("--port-file", help="write the chosen port here once listening")
+    add_address(broker_run)
     broker_run.set_defaults(func=_cmd_broker_run)
 
     proxy = commands.add_parser("proxy", help="redirection-aware HTTP proxy")
     proxy_sub = proxy.add_subparsers(dest="proxy_command", required=True)
     proxy_run = proxy_sub.add_parser("run", help="serve until SIGTERM")
     add_ps_dir(proxy_run)
-    proxy_run.add_argument(
-        "--listen",
-        type=_parse_listen,
-        default=("127.0.0.1", 3128),
-        help="HOST:PORT to listen on (default: 127.0.0.1:3128)",
-    )
-    proxy_run.add_argument("--port-file", help="write the chosen port here once listening")
+    add_address(proxy_run, 3128)
     proxy_run.set_defaults(func=_cmd_proxy_run)
 
     lint = commands.add_parser("lint", help="validate a .psd service descriptor")
@@ -204,14 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sub = demo.add_subparsers(dest="demo_command", required=True)
 
     demo_sp = demo_sub.add_parser("sp", help="service provider wanting eID sign-in")
-    demo_sp.add_argument(
-        "--listen",
-        type=_parse_listen,
-        default=("127.0.0.1", 8080),
-        help="HOST:PORT to listen on (default: 127.0.0.1:8080)",
-    )
-    demo_sp.add_argument("--port-file", help="write the chosen port here once listening")
-    demo_sp.add_argument("--wp-query", type=_json_object, help="white-pages query (JSON object)")
+    add_address(demo_sp, 8080)
     demo_sp.add_argument("--yp-query", type=_json_object, help="yellow-pages query (JSON object)")
     demo_sp.add_argument("--fault", help="misbehave on purpose (for the error scenarios)")
     demo_sp.add_argument(

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from ..kit import (
     LOOPBACK,
-    BootstrapError,
     KitRequest,
     KitResponse,
     ServiceServer,
@@ -33,6 +32,7 @@ from ..kit import (
     detect_psvc_invocation,
     header_value,
     put_bounded,
+    serve,
     sp_return_page,
 )
 
@@ -112,11 +112,9 @@ class MockAuthService:
 
 def main(argv: list[str]) -> int:
     """Entry point honoring the port-as-last-argument launch convention."""
-    try:
+    def make() -> ServiceServer:
         port = bootstrap(argv)
-    except BootstrapError as exc:
-        print(f"cannot start: {exc}", flush=True)
-        return 2
-    server = ServiceServer((LOOPBACK, port), MockAuthService(port).handle, "Service")
+        return ServiceServer((LOOPBACK, port), MockAuthService(port).handle, "Service")
+
     # Until SIGINT; SIGTERM keeps its default action, and a launched service ends at once.
-    return server.run(signals=(signal.SIGINT,))
+    return serve(make, signals=(signal.SIGINT,))

@@ -25,10 +25,12 @@ from typing import Any, NamedTuple
 from urllib.parse import quote
 
 from ..kit import (
+    LOOPBACK,
     KitRequest,
     KitResponse,
     Log,
     ServiceServer,
+    StartError,
     drop_stale,
     escape,
     field_tokens,
@@ -99,13 +101,13 @@ class DemoSP(ServiceServer):
         self,
         address: tuple[str, int],
         *,
-        wp_query: dict[str, Any] | None = None,
         yp_query: dict[str, Any] | None = None,
         fault: str | None = None,
         invoke_extras: tuple[tuple[tuple[str, str], ...], bytes] = ((), b""),
     ):
-        # None: the defaults, shared and never mutated.
-        self.wp_query = DEFAULT_WP_QUERY if wp_query is None else wp_query
+        if fault not in (None, *FAULTS):
+            raise StartError(f"unknown fault {fault!r}; known: {', '.join(FAULTS)}")
+        # None: the default, shared and never mutated.
         self.yp_query = DEFAULT_YP_QUERY if yp_query is None else yp_query
         self.fault = fault
         # Extra headers and body attached to the 312, carried to the service.
@@ -207,7 +209,7 @@ class DemoSP(ServiceServer):
         session = self.new_session(next_url)
         headers = [(H_CALLBACK, self.absolute(f"/wp-callback?sid={session.sid}"))]
         if self.fault != FAULT_MALFORMED_311:
-            headers.insert(0, (H_SERVICE, json.dumps(self.wp_query)))
+            headers.insert(0, (H_SERVICE, json.dumps(DEFAULT_WP_QUERY)))
         return KitResponse(WHITE_PAGES, tuple(headers), note={"svc": "query"})
 
     def _discover(self, request: KitRequest) -> KitResponse:
@@ -220,7 +222,7 @@ class DemoSP(ServiceServer):
         return KitResponse(YELLOW_PAGES, tuple(headers), note={"svc": "query"})
 
     def _evil313(self, request: KitRequest) -> KitResponse:
-        target = request.query.get("to") or "http://127.0.0.1:9/"
+        target = request.query.get("to") or f"http://{LOOPBACK}:9/"
         headers = (("Location", target), (H_SERVICE, "forged"))
         return KitResponse(BROKER_RESULT, headers, note={"loc": target})
 

@@ -6,8 +6,8 @@ it at launch).  The kit reads that port from argv, spots proxy-built
 invocations, renders every party's HTML pages (among them the one that
 hands results back to the SP via an auto-submitting POST form) and
 bounds the parties' per-user tables.  Every party serves on its
-one-handler-function server (``ServiceServer.run``, until SIGINT or
-SIGTERM, or the signals given), which logs every request to the transcript.
+one-handler-function server, which logs every request to the transcript,
+and runs as a process by ``serve``, which says in one line why one cannot start.
 
 A spawned service imports this module and little else, so it holds the
 wire constants a service needs (``psvc.protocol`` re-exports them).  It
@@ -64,11 +64,15 @@ MAX_ENDPOINT_BYTES = 8  # a port is at most 5 digits, and a hand-written file ma
 LOOPBACK = "127.0.0.1"  # the broker and its services listen here; broker.ept names only a port
 
 STOP_TIMEOUT_S = 5.0  # stop_process kills a child still running after this
-STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)  # ServiceServer.run serves until one, by default
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)  # serve() serves until one, by default
 LAUNCH_POLL_S = 0.02  # how often wait_until asks whether a launched child is ready
 
 
-class BootstrapError(ValueError):
+class StartError(ValueError):
+    """A party refuses to start as asked; serve() prints why in one line and returns 2."""
+
+
+class BootstrapError(StartError):
     """The launch convention was not honored; the service must not start."""
 
 
@@ -91,7 +95,10 @@ def write_port_file(path: Path | str, port: int) -> Path:
     import tempfile  # the broker, proxy and SP publish ports; services do not
 
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    except OSError as exc:  # it names the temporary file
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with open(fd, "wb") as fh:
             fh.write(str(port).encode("ascii"))
@@ -490,7 +497,7 @@ class ServiceServer:
     """HTTP/1.1 server driven by one handler function; every psvc party runs on it.
 
     It binds in the constructor, so the port is known (and can be published)
-    before serving starts.  ``run()`` sets the signal handlers, listens
+    before serving starts; ``serve()`` then sets the signal handlers, listens
     (``start()``) and only then publishes.  Every method reaches the
     handler, whose response leaves in one write, with Content-Length.  A
     handler that raises, or a response header holding CR, LF or NUL, gets a
@@ -520,7 +527,11 @@ class ServiceServer:
         self._handler = handler
         self._sock = socket.socket()  # bound, not yet listening: a connect is refused
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind(address)
+        try:
+            self._sock.bind(address)
+        except OSError as exc:  # it names no address, and a party's one line must
+            self._sock.close()
+            raise OSError(f"cannot listen on {address[0]}:{address[1]}: {exc}") from None
         self._sock.setblocking(False)
         self.host, self.port = self._sock.getsockname()[:2]
         self.netloc = f"{self.host}:{self.port}"  # the form Referer, Host and the transcript use
@@ -542,21 +553,6 @@ class ServiceServer:
         self._epoll.register(self._sock, _ONESHOT)
         with self._lock:
             self._spawn()
-
-    def run(self, port_file: Path | str | None = None, signals=STOP_SIGNALS) -> int:
-        """From the main thread: serve until one of `signals`, then shut down.  Their handlers
-        only let it wake os.read, and are set before the server listens and writes `port_file`."""
-        wake, signalled = os.pipe()  # neither end is inherited by a launched child
-        os.set_blocking(signalled, False)
-        signal.set_wakeup_fd(signalled)
-        for signum in signals:
-            signal.signal(signum, lambda *_: None)
-        self.start()
-        if port_file:
-            write_port_file(port_file, self.port)
-        os.read(wake, 1)
-        self.shutdown()
-        return 0
 
     def shutdown(self) -> None:
         """Close the listener and every connection, and wait for the workers to end."""
@@ -736,3 +732,35 @@ class ServiceServer:
         sock.settimeout(KEEPALIVE_IDLE_S)  # reads left it at what remained of their deadline
         bodiless = method == "HEAD" or status < 200 or status in (204, 304)
         sock.sendall(head if bodiless else head + response.body)
+
+
+def serve(make: Callable[[], ServiceServer], port_file=None, signals=STOP_SIGNALS, banner="") -> int:
+    """Run a party as this process, from its main thread: ``make()`` binds its server,
+    `banner` is printed (its ``{netloc}`` the server's), the handlers of `signals` are set
+    (each only wakes os.read, so it takes no lock), ``start()`` listens (the broker writes
+    broker.ept) and `port_file` is written.  At one of `signals` or a KeyboardInterrupt it
+    shuts down and returns 0.  On an OSError or a StartError it prints why, in one line,
+    after ``shutdown()`` if the server was built, and returns 2."""
+    server = failure = None
+    try:
+        server = make()
+        if banner:
+            print(banner.replace("{netloc}", server.netloc), flush=True)
+        wake, signalled = os.pipe()  # neither end is inherited by a launched child
+        os.set_blocking(signalled, False)
+        signal.set_wakeup_fd(signalled)
+        for signum in signals:
+            signal.signal(signum, lambda *_: None)
+        server.start()
+        if port_file:
+            write_port_file(port_file, server.port)
+        os.read(wake, 1)
+    except (OSError, StartError) as exc:
+        failure = exc
+    except KeyboardInterrupt:  # a signal whose handler raises it, as a tracer may set
+        pass
+    if server is not None:
+        server.shutdown()
+    if failure is not None:
+        print(f"cannot start: {failure}", flush=True)
+    return 0 if failure is None else 2

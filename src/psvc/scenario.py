@@ -34,6 +34,7 @@ from urllib.parse import quote, urlencode, urljoin, urlsplit
 
 from .kit import (
     ENDPOINT_FILE,
+    LOOPBACK,
     KitRequest,
     KitResponse,
     Refusal,
@@ -69,14 +70,10 @@ CC_PRESENTATION: dict[str, Any] = {
     "Device name": "Cartão de Cidadão",
 }
 
+# Matches the demo SP's white query as the authenticator does: the two are ambiguous.
 TWIN_PRESENTATION: dict[str, Any] = {
     "Purpose": "authentication",
-    "Device": "Other eID",
-}
-
-BROKEN_PRESENTATION: dict[str, Any] = {
-    "Purpose": "authentication",
-    "Device": "Broken eID",
+    "Device": "Portuguese eID",
 }
 
 
@@ -130,7 +127,7 @@ class Victim(ServiceServer):
 
     def __init__(self) -> None:
         self.hits: list[tuple[str, str]] = []
-        super().__init__(("127.0.0.1", 0), self._hit, "Victim")
+        super().__init__((LOOPBACK, 0), self._hit, "Victim")
         self.start()
 
     def _hit(self, request: KitRequest) -> KitResponse:
@@ -297,13 +294,13 @@ class ScenarioContext:
     def write_demo_descriptors(
         self, *, twin: bool = False, broken: bool = False, broker: bool = True
     ) -> None:
-        """Write the demo authenticator's descriptor, and the others asked for."""
+        """Write the demo authenticator's descriptor, whose service dies at launch if
+        `broken`, and the others asked for."""
         service = [*PSVC, "demo", "service"]
         dead = [sys.executable, "-c", "raise SystemExit(3)"]
         table = [
-            (True, "cc-personal-service", service, CC_PRESENTATION),
+            (True, "cc-personal-service", dead if broken else service, CC_PRESENTATION),
             (twin, "twin-auth-service", service, TWIN_PRESENTATION),
-            (broken, "broken-service", dead, BROKEN_PRESENTATION),
             (broker, "broker", self.broker_argv, {"Purpose": "service brokering"}),
         ]
         for wanted, stem, cmd, presentation in table:
@@ -332,44 +329,31 @@ class ScenarioContext:
         except Refusal as exc:
             tail = output.read_text("utf-8", "replace").splitlines()[-OUTPUT_TAIL_LINES:]
             raise ScenarioFailure(f"{exc.reason}; its output ends:\n" + "\n".join(tail)) from None
-        netloc = f"127.0.0.1:{port}"
+        netloc = f"{LOOPBACK}:{port}"
         self.tokens[netloc] = name
         return netloc
 
     def boot_broker(self, *, env: dict[str, str] | None = None) -> str:
         return self._boot("broker", self.broker_argv, self.ps_dir / ENDPOINT_FILE, env)
 
+    def _boot_listener(self, name: str, *args: str) -> str:
+        """Boot `psvc ARGS` on a free loopback port, which it writes to <name>.port."""
+        port_file = self.workdir / f"{name}.port"
+        argv = [*PSVC, *args, "--listen", f"{LOOPBACK}:0", "--port-file", str(port_file)]
+        return self._boot(name, argv, port_file)
+
     def boot_proxy(self) -> str:
-        port_file = self.workdir / "proxy.port"
-        argv = [
-            *PSVC, "proxy", "run",
-            "--listen", "127.0.0.1:0",
-            "--ps-dir", str(self.ps_dir),
-            "--port-file", str(port_file),
-        ]
-        self.proxy_netloc = self._boot("proxy", argv, port_file)
+        args = ["proxy", "run", "--ps-dir", str(self.ps_dir)]
+        self.proxy_netloc = self._boot_listener("proxy", *args)
         return self.proxy_netloc
 
-    def boot_sp(
-        self,
-        *,
-        wp_query: dict | None = None,
-        fault: str | None = None,
-        extras_file: Path | None = None,
-    ) -> str:
-        port_file = self.workdir / "sp.port"
-        argv = [
-            *PSVC, "demo", "sp",
-            "--listen", "127.0.0.1:0",
-            "--port-file", str(port_file),
-        ]
-        if wp_query is not None:
-            argv += ["--wp-query", json.dumps(wp_query)]
+    def boot_sp(self, *, fault: str | None = None, extras_file: Path | None = None) -> str:
+        args = ["demo", "sp"]
         if fault is not None:
-            argv += ["--fault", fault]
+            args += ["--fault", fault]
         if extras_file is not None:
-            argv += ["--invoke-extras", str(extras_file)]
-        self.sp_netloc = self._boot("sp", argv, port_file)
+            args += ["--invoke-extras", str(extras_file)]
+        self.sp_netloc = self._boot_listener("sp", *args)
         return self.sp_netloc
 
     def boot_all(self, **sp_options) -> None:
@@ -398,7 +382,7 @@ class ScenarioContext:
         rendered = [e.render() for e in self.events()]
         mapping = dict(self.tokens)
         for spawn in self.spawns():  # read after the events, so it holds every launch they show
-            mapping.setdefault(f"127.0.0.1:{spawn.detail['port']}", "service")
+            mapping.setdefault(f"{LOOPBACK}:{spawn.detail['port']}", "service")
         return normalize_lines(rendered, mapping)
 
     def spawns(self) -> list[Event]:
@@ -581,8 +565,7 @@ def scenario_error_parameters(ctx: ScenarioContext) -> None:
 def scenario_error_ambiguous(ctx: ScenarioContext) -> None:
     """A white query matching two services is refused as 'ambiguous'."""
     ctx.write_demo_descriptors(twin=True)
-    query = {"Purpose": "authentication"}
-    _error_scenario(ctx, "authentication unavailable", "ambiguous", wp_query=query)
+    _error_scenario(ctx, "authentication unavailable", "ambiguous")
 
 
 def scenario_error_handle(ctx: ScenarioContext) -> None:
@@ -594,8 +577,7 @@ def scenario_error_handle(ctx: ScenarioContext) -> None:
 def scenario_error_service(ctx: ScenarioContext) -> None:
     """A service that dies at launch is reported as 'service'."""
     ctx.write_demo_descriptors(broken=True)
-    query = {"Purpose": "authentication", "Device": "Broken eID"}
-    _error_scenario(ctx, "authentication failed", "service", wp_query=query)
+    _error_scenario(ctx, "authentication failed", "service")
 
 
 def scenario_reject_313(ctx: ScenarioContext) -> None:

@@ -628,7 +628,7 @@ def live_broker(tmp_path: Path):
 def test_the_broker_publishes_broker_ept_only_once_it_listens(tmp_path):
     server = BrokerServer(tmp_path)
     try:
-        assert not (tmp_path / ENDPOINT_FILE).exists()  # run() has yet to set its handlers
+        assert not (tmp_path / ENDPOINT_FILE).exists()  # serve() has yet to set its handlers
         server.start()
         assert read_endpoint_file(tmp_path) == ("127.0.0.1", server.port)
     finally:

@@ -3,7 +3,8 @@
 The demo service starts by every route, with or without the parser.  A party
 run from the command line stops cleanly on SIGTERM, even one sent as its port
 appears, and the demo service on SIGINT, even one sent as its port first
-accepts; a launched demo service ends by SIGTERM itself.
+accepts; a launched demo service ends by SIGTERM itself.  A party that cannot
+start says why in one line and exits 2.
 """
 
 from __future__ import annotations
@@ -67,11 +68,7 @@ def scenario_argvs(monkeypatch, workdir: Path) -> list[list[str]]:
     ctx = ScenarioContext("cli", workdir)
     ctx.boot_broker()
     ctx.boot_proxy()
-    ctx.boot_sp(
-        wp_query={"Purpose": "authentication"},
-        fault="tamper-handle",
-        extras_file=extras,
-    )
+    ctx.boot_sp(fault="tamper-handle", extras_file=extras)
     return started
 
 
@@ -87,8 +84,8 @@ def test_every_party_command_line_parses(source, monkeypatch, tmp_path):
     assert proxy.port_file
     assert sps and all(sp.func is cli._cmd_demo_sp for sp in sps)
     assert all(sp.listen == ("127.0.0.1", 0) and sp.port_file for sp in sps)
-    queries = [sp.wp_query or sp.yp_query for sp in sps]
-    assert queries[-1] == {"Purpose": "authentication"}
+    queries = {benchmark_argvs: [None, {"Purpose": "authentication"}], scenario_argvs: [None]}
+    assert [sp.yp_query for sp in sps] == queries[source]
 
 
 @pytest.mark.parametrize(
@@ -97,6 +94,14 @@ def test_every_party_command_line_parses(source, monkeypatch, tmp_path):
 def test_removed_broker_flags_are_usage_errors(removed, tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["broker", "run", "--ps-dir", str(tmp_path), *removed])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("removed", [["--wp-query", "{}"]], ids=["wp-query"])
+def test_removed_sp_flags_are_usage_errors(removed, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(["demo", "sp", *removed])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -112,11 +117,10 @@ def test_per_user_directory_defaults_to_home(monkeypatch, tmp_path):
     [
         ["proxy", "run", "--listen", "127.0.0.1:70000"],
         ["demo", "sp", "--listen", "127.0.0.1:70000"],
-        ["demo", "sp", "--wp-query", "nope"],
         ["demo", "sp", "--yp-query", "[1, 2]"],
         ["demo", "sp", "--invoke-extras", "no-such-file.json"],
     ],
-    ids=["proxy-port", "sp-port", "wp-query", "yp-query", "extras"],
+    ids=["proxy-port", "sp-port", "yp-query", "extras"],
 )
 def test_unusable_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as info:
@@ -270,6 +274,110 @@ def test_python_m_psvc_demo_service_without_a_port_exits_2():
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert out == "cannot start: last argument 'nope' is not a port number\n"
+
+
+# cli.main, with the party's start() and kit's port-file write checked in passing: as it
+# starts to listen, SIGINT (a stop signal of every party) must already have its handler,
+# and the port file may be written only once the port accepts.  Then the party is sent SIGINT.
+START_ORDER_MAIN = r"""
+import os, signal, socket, sys
+from psvc import cli, kit
+
+listen, publish = kit.ServiceServer.start, kit.write_port_file
+
+def start(self):
+    stoppable = signal.getsignal(signal.SIGINT) is not signal.default_int_handler
+    print("stoppable as it listens:", stoppable)
+    listen(self)
+    os.kill(os.getpid(), signal.SIGINT)
+
+def write_port_file(path, port):
+    socket.create_connection((kit.LOOPBACK, port), timeout=5).close()  # refused before listen()
+    print("listening as it publishes")
+    return publish(path, port)
+
+kit.ServiceServer.start, kit.write_port_file = start, write_port_file
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("party", [*CLI_PARTIES, "service"])
+def test_a_party_listens_once_it_can_stop_and_publishes_once_it_listens(party, tmp_path):
+    if party == "service":
+        argv = ["demo", "service", str(allocate_port())]
+    else:
+        argv = [*CLI_PARTIES[party], "--port-file", str(tmp_path / "port")]
+    argv = [arg.format(ps_dir=tmp_path) for arg in argv]
+    done = subprocess.run(
+        [sys.executable, "-c", START_ORDER_MAIN, *argv],
+        env=psvc_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "stoppable as it listens: True" in done.stdout.splitlines()
+    assert ("listening as it publishes" in done.stdout) == (party != "service")
+
+
+# cli.main, as the console script runs it; then any thread still running is named on stderr.
+CHECKED_MAIN = (
+    "import sys, threading\n"
+    "from psvc import cli\n"
+    "status = cli.main(sys.argv[1:])\n"
+    "left = [t.name for t in threading.enumerate() if t is not threading.main_thread()]\n"
+    "if left:\n"
+    "    print('left running:', *left, file=sys.stderr)\n"
+    "sys.exit(status)\n"
+)
+
+
+def start_refusal(*argv: str, banner: bool = False) -> str:
+    """The one `cannot start:` line `psvc ARGV` prints as it exits 2 within STOP_TIMEOUT_S,
+    with no traceback and no thread left running; after its banner, if it bound."""
+    done = subprocess.run(
+        [sys.executable, "-c", CHECKED_MAIN, *argv],
+        env=psvc_env(), capture_output=True, text=True, timeout=STOP_TIMEOUT_S,
+    )
+    assert (done.returncode, done.stderr) == (2, ""), done.stderr
+    *printed, line = done.stdout.splitlines()
+    assert len(printed) == banner and line.startswith("cannot start: ")
+    return line
+
+
+@pytest.mark.parametrize("party", ["proxy", "sp", "service"])
+def test_a_party_on_a_port_in_use_cannot_start_and_names_the_address(party, tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        netloc = "127.0.0.1:%d" % taken.getsockname()[1]
+        argv = {
+            "proxy": ["proxy", "run", "--listen", netloc, "--ps-dir", str(tmp_path)],
+            "sp": ["demo", "sp", "--listen", netloc],
+            "service": ["demo", "service", netloc.rpartition(":")[2]],
+        }[party]
+        line = start_refusal(*argv)
+    assert line == f"cannot start: cannot listen on {netloc}: [Errno 98] Address already in use"
+
+
+def test_a_broker_with_an_unknown_policy_mode_cannot_start(tmp_path):
+    (tmp_path / "policy.json").write_text('{"mode": "sometimes"}')
+    line = start_refusal("broker", "run", "--ps-dir", str(tmp_path))
+    assert line == "cannot start: policy.json: unknown mode 'sometimes'"
+    assert not (tmp_path / ENDPOINT_FILE).exists()
+
+
+def test_a_broker_whose_per_user_directory_is_a_file_cannot_start(tmp_path):
+    ps_file = tmp_path / "ps"
+    ps_file.write_text("")
+    line = start_refusal("broker", "run", "--ps-dir", str(ps_file))
+    assert str(ps_file) in line
+
+
+def test_a_broker_whose_port_file_cannot_be_written_shuts_down_and_says_why(tmp_path):
+    port_file = tmp_path / "missing" / "broker.port"
+    argv = ["broker", "run", "--ps-dir", str(tmp_path), "--port-file", str(port_file)]
+    line = start_refusal(*argv, banner=True)
+    assert line == f"cannot start: cannot write {port_file}: No such file or directory"
+    # It listened and published broker.ept before the write failed, and no longer listens.
+    port = read_port_file(tmp_path / ENDPOINT_FILE)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
 
 def test_demo_help_lists_the_service(capsys):

@@ -198,7 +198,7 @@ class TestKitResponse:
 
 
 def test_a_server_refuses_connections_until_it_starts():
-    # Bound in the constructor, so the port is known, but not listening: run() sets
+    # Bound in the constructor, so the port is known, but not listening: serve() sets
     # its signal handlers before start(), and nothing may connect before that.
     server = ServiceServer(("127.0.0.1", 0), lambda request: KitResponse.text("ok\n"), "Test")
     try:

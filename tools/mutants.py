@@ -14,9 +14,11 @@ written.  A mutant is reported as:
     stale     its text is no longer found exactly once: update the mutant
     error     pytest could not run the named tests (exit status 2 to 5)
 
-The exit status is 0 only when every mutant run was killed.  Standard
-library only; kept out of the Tier-1 suite, since it runs tests once per
-mutant.
+A mutant in ACCEPTED survives by design and carries the reason; it runs
+too, and is reported as ``accepted``, with its verdict and that reason.
+The exit status is 0 only when every other mutant run was killed.
+Standard library only; kept out of the Tier-1 suite, since it runs tests
+once per mutant.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class Mutant(NamedTuple):
 CHAIN_TEST = (
     "tests/test_proxy.py::TestChainAlone::"
     "test_every_chain_ends_within_bounds_and_keeps_the_redirection_rules"
+)
+
+START_ORDER_TEST = (
+    "tests/test_cli.py::test_a_party_listens_once_it_can_stop_and_publishes_once_it_listens"
 )
 
 MUTANTS = [
@@ -103,6 +109,129 @@ MUTANTS = [
             "tests/test_broker.py::TestBrokerHTTP::test_handle_presented_by_wrong_sp",
         ),
     ),
+    # -- the input bounds: each mutant removes the check, since tests monkeypatch
+    # several of the constants.
+    Mutant(
+        "line-unbounded", "src/psvc/kit.py",
+        "            if len(self._buf) - self._pos >= MAX_LINE:\n"
+        "                break\n"
+        "            chunk = self._recv(65536)\n"
+        "            if not chunk:\n"
+        "                return None\n"
+        "            self._buf, self._pos = self._buf[self._pos :] + chunk, 0\n"
+        "        if end < 0 or end + 1 - self._pos > MAX_LINE:\n",
+        "            chunk = self._recv(65536)\n"
+        "            if not chunk:\n"
+        "                return None\n"
+        "            self._buf, self._pos = self._buf[self._pos :] + chunk, 0\n"
+        "        if end < 0:\n",
+        "a start line or a field line holds at most MAX_LINE bytes",
+        ("tests/test_http_reader.py::test_over_the_bounds_is_refused",),
+    ),
+    Mutant(
+        "fields-unbounded", "src/psvc/kit.py",
+        "        if len(fields) == MAX_FIELDS:\n",
+        "        if False:\n",
+        "a head holds at most MAX_FIELDS field lines",
+        ("tests/test_http_reader.py::test_over_the_bounds_is_refused",),
+    ),
+    Mutant(
+        "descriptor-unbounded", "src/psvc/registry.py",
+        "    if len(data) > MAX_DESCRIPTOR_BYTES:\n",
+        "    if False:\n",
+        "a descriptor over MAX_DESCRIPTOR_BYTES is refused as too large",
+        ("tests/test_registry.py::TestLoadCatalog::test_the_size_bound_is_one_header_line",),
+    ),
+    Mutant(
+        "policy-unbounded", "src/psvc/broker/policy.py",
+        "    if len(data) > MAX_POLICY_BYTES:\n",
+        "    if False:\n",
+        "a policy.json over MAX_POLICY_BYTES stops the broker from starting",
+        ("tests/test_broker.py::TestAccessPolicy::"
+         "test_a_policy_over_the_size_bound_is_refused_unread",),
+    ),
+    Mutant(
+        "endpoint-unbounded", "src/psvc/kit.py",
+        "    return port if len(data) <= MAX_ENDPOINT_BYTES and 0 < port < 65536 else None\n",
+        "    return port if 0 < port < 65536 else None\n",
+        "a port file over MAX_ENDPOINT_BYTES names no port",
+        ("tests/test_broker.py::TestEndpointFile::test_unusable_contents",),
+    ),
+    Mutant(
+        "tables-unbounded", "src/psvc/kit.py",
+        "    if len(table) <= (MAX_TABLE_ENTRIES if limit is None else limit):\n",
+        "    if limit is None or len(table) <= limit:\n",
+        "the demo SP's and the demo service's tables hold at most MAX_TABLE_ENTRIES",
+        (
+            "tests/test_scenarios.py::test_demo_sp_tables_stay_bounded",
+            "tests/test_scenarios.py::test_demo_service_dialogs_stay_bounded",
+        ),
+    ),
+    Mutant(
+        "handles-unbounded", "src/psvc/broker/handles.py",
+        "            put_bounded(self._live, text, entry, MAX_LIVE_HANDLES)\n",
+        "            self._live[text] = entry\n",
+        "at most MAX_LIVE_HANDLES handles stay open, the oldest forgotten first",
+        (
+            "tests/test_handles.py::TestTable::test_cap_evicts_oldest_first",
+            "tests/test_broker.py::TestResolveHandle::test_evicted_handle",
+        ),
+    ),
+    Mutant(
+        "query-depth-unbounded", "src/psvc/registry.py",
+        "    return room == 0 or any(_nested_deeper(item, room - 1) for item in value)\n",
+        "    return False\n",
+        "a query or a presentation nests at most MAX_QUERY_DEPTH levels",
+        (
+            "tests/test_protocol.py::TestQueryCodecs::test_nesting_is_bounded",
+            "tests/test_registry.py::TestLoadCatalog::test_presentation_nested_too_deep_is_skipped",
+        ),
+    ),
+    # -- the demo SP's own rule, and the start order serve() holds
+    Mutant(
+        "next-leaves-host", "src/psvc/demo/sp.py",
+        '        next_url = next_url if next_url.startswith("/") else "/"',
+        '        next_url = next_url or "/"',
+        "the demo SP redirects a signed-in user only to a path on its own host",
+        ("tests/test_scenarios.py::test_demo_sp_redirects_after_sign_in_stay_on_its_host",),
+    ),
+    Mutant(
+        "port-file-before-start", "src/psvc/kit.py",
+        "        server.start()\n"
+        "        if port_file:\n"
+        "            write_port_file(port_file, server.port)\n",
+        "        if port_file:\n"
+        "            write_port_file(port_file, server.port)\n"
+        "        server.start()\n",
+        "a party writes its port file only once it listens",
+        (START_ORDER_TEST,),
+    ),
+    Mutant(
+        "handlers-after-start", "src/psvc/kit.py",
+        "        for signum in signals:\n"
+        "            signal.signal(signum, lambda *_: None)\n"
+        "        server.start()\n",
+        "        server.start()\n"
+        "        for signum in signals:\n"
+        "            signal.signal(signum, lambda *_: None)\n",
+        "a party listens only once a stop signal ends it in a clean shutdown",
+        (START_ORDER_TEST,),
+    ),
+]
+
+# Mutants that survive by design, each with the reason.  They run and are reported
+# apart from the others, and leave the exit status alone.
+ACCEPTED = [
+    (
+        Mutant(
+            "chain-bound-raised", "src/psvc/proxy.py",
+            "MAX_CHAIN = 8 ", "MAX_CHAIN = 64 ",
+            "a browser request runs through at most MAX_CHAIN redirections",
+            (CHAIN_TEST,),
+        ),
+        "equivalent by design: the invariant is that a chain is bounded, not the bound's "
+        "value, and the chain test reads MAX_CHAIN",
+    ),
 ]
 
 
@@ -140,22 +269,30 @@ def run_mutant(mutant: Mutant) -> str:
 
 
 def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
+    reasons = {mutant.name: reason for mutant, reason in ACCEPTED}
+    everyone = MUTANTS + [mutant for mutant, _ in ACCEPTED]
+    unknown = set(argv) - {m.name for m in everyone}
     if unknown:
         print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    chosen = [m for m in everyone if not argv or m.name in argv]
     counts: dict[str, int] = {}
     started = time.monotonic()
     for mutant in chosen:
         began = time.monotonic()
         verdict = run_mutant(mutant)
-        counts[verdict] = counts.get(verdict, 0) + 1
         took = time.monotonic() - began
+        if mutant.name in reasons:
+            counts["accepted"] = counts.get("accepted", 0) + 1
+            note = f"{verdict}; {reasons[mutant.name]}"
+            print(f"accepted  {mutant.name:28} {took:6.1f} s  {note}", flush=True)
+            continue
+        counts[verdict] = counts.get(verdict, 0) + 1
         print(f"{verdict:9} {mutant.name:28} {took:6.1f} s  {mutant.invariant}", flush=True)
     summary = ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))
     print(f"{len(chosen)} mutants: {summary}; {time.monotonic() - started:.1f} s")
-    return 0 if counts.get("killed", 0) == len(chosen) else 1
+    judged = len(chosen) - counts.get("accepted", 0)
+    return 0 if counts.get("killed", 0) == judged else 1
 
 
 if __name__ == "__main__":
