@@ -21,7 +21,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..kit import LOOPBACK, KitRequest, KitResponse, ServiceServer, header_value
-from ..kit import ENDPOINT_FILE, write_port_file  # broker.ept, written by start()
+from ..kit import ENDPOINT_FILE, read_port_file, write_port_file  # broker.ept, written by start()
 from ..protocol import (
     ERR_PARAMETERS,
     H_CALLBACK,
@@ -36,8 +36,9 @@ from .runtime import ServiceLauncher
 
 
 class BrokerServer(ServiceServer):
-    """Runs a Broker behind a loopback HTTP endpoint; ``start()`` publishes it in broker.ept.
-    A missing per-user directory is made with mode 0700: others may not list or read it."""
+    """Runs a Broker behind a loopback HTTP endpoint; ``start()`` publishes it in broker.ept,
+    and ``shutdown()`` removes that file while it names this broker.  A missing per-user
+    directory is made with mode 0700: others may not list or read it."""
 
     def __init__(self, ps_dir: Path | str):
         Path(ps_dir).mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -79,5 +80,7 @@ class BrokerServer(ServiceServer):
             return broker_reply(callback, error=ERR_PARAMETERS)
 
     def shutdown(self) -> None:
+        if read_port_file(self.endpoint_file) == self.port:  # else a newer broker's, kept
+            self.endpoint_file.unlink(missing_ok=True)
         super().shutdown()
         self.broker.shutdown()

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# argparse, base64, json and logging are imported where they are used: a
+# argparse, json and logging are imported where they are used: a
 # launched demo service needs none of them, and each launch pays for what it loads.
 if TYPE_CHECKING:
     import argparse
@@ -45,20 +45,6 @@ def _json_object(text: str) -> dict:
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError(f"expected a JSON object, got {text!r}")
     return value
-
-
-def _invoke_extras(path: str) -> tuple[tuple[tuple[str, str], ...], bytes]:
-    """The headers and body a JSON file {"headers": [[k, v], ...], "body_b64": ...} names."""
-    import argparse
-    import json
-    from base64 import b64decode
-
-    try:
-        record = json.loads(Path(path).read_text("utf-8"))
-        headers = tuple((k, v) for k, v in record.get("headers", []))
-        return headers, b64decode(record.get("body_b64", ""))
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
-        raise argparse.ArgumentTypeError(f"unusable extras file {path}: {exc}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -103,8 +89,8 @@ def _cmd_demo_sp(args: argparse.Namespace) -> int:
     from .demo.sp import DemoSP
     from .kit import serve
 
-    opts = {"yp_query": args.yp_query, "fault": args.fault, "invoke_extras": args.invoke_extras}
-    return serve(lambda: DemoSP(args.listen, **opts), args.port_file, banner="demo SP at {netloc}")
+    banner = "demo SP at {netloc}"
+    return serve(lambda: DemoSP(args.listen, yp_query=args.yp_query), args.port_file, banner=banner)
 
 
 def _cmd_demo_service(args: argparse.Namespace) -> int:
@@ -200,13 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo_sp = demo_sub.add_parser("sp", help="service provider wanting eID sign-in")
     add_address(demo_sp, 8080)
     demo_sp.add_argument("--yp-query", type=_json_object, help="yellow-pages query (JSON object)")
-    demo_sp.add_argument("--fault", help="misbehave on purpose (for the error scenarios)")
-    demo_sp.add_argument(
-        "--invoke-extras",
-        type=_invoke_extras,
-        default=((), b""),
-        help="JSON file with extra headers/body to attach to the invocation",
-    )
     demo_sp.set_defaults(func=_cmd_demo_sp)
 
     demo_service = demo_sub.add_parser(

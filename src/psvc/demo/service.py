@@ -8,10 +8,6 @@ the authentication result to the SP with an auto-POST page.  Open
 dialogs are capped at kit.MAX_TABLE_ENTRIES, oldest dropped first.  The
 "signature" is a nonce echo: good enough to prove the plumbing,
 nothing more.
-
-When PSVC_DUMP_DIR is set, each invocation request is dumped as JSON
-(headers in arrival order, body digest) so tests can check that the
-proxy carried everything faithfully.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ import base64
 import os
 import signal
 import threading
-import time
-from pathlib import Path
 
 from ..kit import (
     LOOPBACK,
@@ -30,7 +24,6 @@ from ..kit import (
     ServiceServer,
     bootstrap,
     detect_psvc_invocation,
-    header_value,
     put_bounded,
     serve,
     sp_return_page,
@@ -38,8 +31,6 @@ from ..kit import (
 
 USER = "demo-user"
 DEVICE = "Portuguese eID"
-
-DUMP_ENV = "PSVC_DUMP_DIR"
 
 
 def _new_sid() -> str:
@@ -53,26 +44,6 @@ class MockAuthService:
         self._dialogs: dict[str, dict[str, str]] = {}
         self._lock = threading.Lock()
 
-    def _dump_invocation(self, request: KitRequest) -> None:
-        dump_dir = os.environ.get(DUMP_ENV)
-        if not dump_dir:
-            return
-        import hashlib  # only dumps need these; a service starts without them
-        import json
-
-        record = {
-            "method": request.method,
-            "path": request.path,
-            "query": request.query,
-            "headers": [[k, v] for k, v in request.headers],
-            "body_sha256": hashlib.sha256(request.body).hexdigest(),
-            "body_len": len(request.body),
-            "referer": header_value(request.headers, "Referer"),
-            "invocation_marker": header_value(request.headers, "PSvc-Invocation"),
-        }
-        path = Path(dump_dir) / f"invocation-{time.monotonic_ns()}.json"
-        path.write_text(json.dumps(record, indent=1), "utf-8")
-
     def handle(self, request: KitRequest) -> KitResponse:
         if request.method == "GET" and request.path == "/auth":
             return self._auth(request)
@@ -83,7 +54,6 @@ class MockAuthService:
     def _auth(self, request: KitRequest) -> KitResponse:
         if not detect_psvc_invocation(request.headers):
             return KitResponse.text("only proxy-built invocations are served here\n", 403)
-        self._dump_invocation(request)
         query = request.query
         sid = query["sid"] if "sid" in query else _new_sid()
         dialog = {"nonce": query.get("nonce", ""), "return": query.get("return", "")}

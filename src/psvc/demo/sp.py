@@ -10,9 +10,7 @@ set, and the browser is sent back to the original page.  A sid+nonce
 pair is accepted once: a replayed result gets 403.  Open sign-in
 attempts and issued cookies are each capped at kit.MAX_TABLE_ENTRIES,
 oldest dropped first, and an attempt expires after SESSION_MAX_AGE_S.
-
-Fault switches let scenarios exercise the error paths: a 311 with no
-query, a tampered handle, or a forged broker-result redirection.
+The misbehaviour the error scenarios need lives in the runner's subclass.
 """
 
 from __future__ import annotations
@@ -25,12 +23,10 @@ from typing import Any, NamedTuple
 from urllib.parse import quote
 
 from ..kit import (
-    LOOPBACK,
     KitRequest,
     KitResponse,
     Log,
     ServiceServer,
-    StartError,
     drop_stale,
     escape,
     field_tokens,
@@ -39,7 +35,6 @@ from ..kit import (
     put_bounded,
 )
 from ..protocol import (
-    BROKER_RESULT,
     H_CALLBACK,
     H_ERROR,
     H_METHOD,
@@ -66,23 +61,12 @@ DEFAULT_WP_QUERY: dict[str, Any] = {
 
 DEFAULT_YP_QUERY: dict[str, Any] = {"Purpose": "authentication"}
 
-FAULT_MALFORMED_311 = "malformed-311"
-FAULT_TAMPER_HANDLE = "tamper-handle"
-FAULTS = (FAULT_MALFORMED_311, FAULT_TAMPER_HANDLE)
-
 
 class _Session(NamedTuple):
     sid: str
     nonce: str
     next_url: str
     born: float  # time.monotonic() when the attempt began
-
-
-def _tamper(handle: str) -> str:
-    """Change the middle hex digit, so the text still looks like a handle."""
-    mid = len(handle) // 2
-    swapped = "a" if handle[mid] != "a" else "b"
-    return handle[:mid] + swapped + handle[mid + 1 :]
 
 
 def _html(status: int, title: str, body: str, **note) -> KitResponse:
@@ -97,21 +81,9 @@ def _redirect(to: str) -> KitResponse:
 class DemoSP(ServiceServer):
     """Session state plus one route handler per page."""
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        *,
-        yp_query: dict[str, Any] | None = None,
-        fault: str | None = None,
-        invoke_extras: tuple[tuple[tuple[str, str], ...], bytes] = ((), b""),
-    ):
-        if fault not in (None, *FAULTS):
-            raise StartError(f"unknown fault {fault!r}; known: {', '.join(FAULTS)}")
+    def __init__(self, address: tuple[str, int], *, yp_query: dict[str, Any] | None = None):
         # None: the default, shared and never mutated.
         self.yp_query = DEFAULT_YP_QUERY if yp_query is None else yp_query
-        self.fault = fault
-        # Extra headers and body attached to the 312, carried to the service.
-        self.invoke_headers, self.invoke_body = invoke_extras
         self.sessions: dict[str, _Session] = {}
         self.cookies: dict[str, str] = {}  # token -> user
         self.lock = threading.Lock()
@@ -119,7 +91,6 @@ class DemoSP(ServiceServer):
             ("GET", "/"): self._front,
             ("GET", "/login"): self._login,
             ("GET", "/discover"): self._discover,
-            ("GET", "/evil313"): self._evil313,
             ("POST", "/wp-callback"): self._wp_callback,
             ("POST", "/yp-callback"): self._yp_callback,
             ("POST", "/invoke-error"): self._invoke_error,
@@ -207,10 +178,9 @@ class DemoSP(ServiceServer):
                 "which your client does not announce</p>",
             )
         session = self.new_session(next_url)
-        headers = [(H_CALLBACK, self.absolute(f"/wp-callback?sid={session.sid}"))]
-        if self.fault != FAULT_MALFORMED_311:
-            headers.insert(0, (H_SERVICE, json.dumps(DEFAULT_WP_QUERY)))
-        return KitResponse(WHITE_PAGES, tuple(headers), note={"svc": "query"})
+        callback = self.absolute(f"/wp-callback?sid={session.sid}")
+        headers = ((H_SERVICE, json.dumps(DEFAULT_WP_QUERY)), (H_CALLBACK, callback))
+        return KitResponse(WHITE_PAGES, headers, note={"svc": "query"})
 
     def _discover(self, request: KitRequest) -> KitResponse:
         if PROTOCOL_VERSION not in field_tokens(request.headers, H_VERSION):
@@ -220,11 +190,6 @@ class DemoSP(ServiceServer):
             (H_CALLBACK, self.absolute("/yp-callback")),
         ]
         return KitResponse(YELLOW_PAGES, tuple(headers), note={"svc": "query"})
-
-    def _evil313(self, request: KitRequest) -> KitResponse:
-        target = request.query.get("to") or f"http://{LOOPBACK}:9/"
-        headers = (("Location", target), (H_SERVICE, "forged"))
-        return KitResponse(BROKER_RESULT, headers, note={"loc": target})
 
     def _wp_callback(self, request: KitRequest) -> KitResponse:
         session = self.session(request.query.get("sid"))
@@ -249,10 +214,8 @@ class DemoSP(ServiceServer):
             )
 
         handle = envelope.response["handle"]
-        if self.fault == FAULT_TAMPER_HANDLE:
-            handle = _tamper(handle)
         return_url = quote(self.absolute("/result"), safe="")
-        headers = [
+        headers = (
             (H_SERVICE, json.dumps({"handle": handle})),
             (H_METHOD, "GET"),
             (
@@ -260,9 +223,8 @@ class DemoSP(ServiceServer):
                 f"/auth?return={return_url}&sid={session.sid}&nonce={session.nonce}",
             ),
             (H_CALLBACK, self.absolute(f"/invoke-error?sid={session.sid}")),
-        ]
-        headers.extend(self.invoke_headers)
-        return KitResponse(SERVICE_CALL, tuple(headers), self.invoke_body, note={"svc": "handle"})
+        )
+        return KitResponse(SERVICE_CALL, headers, note={"svc": "handle"})
 
     def _yp_callback(self, request: KitRequest) -> KitResponse:
         raw = header_value(request.headers, H_SERVICE)

@@ -555,7 +555,8 @@ class ServiceServer:
             self._spawn()
 
     def shutdown(self) -> None:
-        """Close the listener and every connection, and wait for the workers to end."""
+        """Close the listener and every connection, wait for the workers to end, and
+        close the transcript."""
         with self._lock:
             if self._closed.is_set():
                 return
@@ -574,6 +575,7 @@ class ServiceServer:
         self._sock.close()
         self._epoll.close()
         os.close(self._wake)
+        self.transcript.close()
 
     def _spawn(self) -> None:  # the lock is held
         worker = threading.Thread(target=self._work, daemon=True)

@@ -1,13 +1,15 @@
 """End-to-end scenarios replaying the personal-service flows.
 
-Each scenario materializes a fresh per-user directory, boots broker,
-proxy, and demo SP as separate processes on ephemeral ports, then
-drives a synthetic browser through the proxy.  Every party appends to
-one shared transcript; after the run the transcript is normalized
-(ports, session ids, references, and process ids become stable tokens)
-and checked: phase patterns must appear in order, and when a golden
-transcript exists the whole normalized run must match it line for
-line.
+Each scenario materializes a fresh per-user directory, boots broker and
+proxy as separate processes on ephemeral ports, serves the demo SP, which
+stands for the outside web site, in this process, then drives a synthetic
+browser through the proxy.  The SP misbehaves where a scenario asks: it
+forges a 313 on /evil313, and can edit each 311 and 312 it answers.
+Every party appends to one shared transcript; after the run the
+transcript is normalized (ports, session ids, references, and process
+ids become stable tokens) and checked: phase patterns must appear in
+order, and when a golden transcript exists the whole normalized run
+must match it line for line.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import sys
 import tempfile
 import time
 import traceback
-from base64 import b64encode
 from difflib import unified_diff
 from html.parser import HTMLParser
 from http.client import HTTPConnection
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 from urllib.parse import quote, urlencode, urljoin, urlsplit
 
+from .demo.sp import DemoSP
 from .kit import (
     ENDPOINT_FILE,
     LOOPBACK,
@@ -46,8 +48,9 @@ from .kit import (
     stop_process,
     wait_until,
 )
+from .protocol import BROKER_RESULT, H_SERVICE, SERVICE_CALL, WHITE_PAGES
 from .transcript import ENV_VAR as TRANSCRIPT_ENV
-from .transcript import Event, SPAWN, read_events
+from .transcript import Event, SPAWN, Transcript, read_events
 
 if TYPE_CHECKING:
     import subprocess
@@ -75,6 +78,28 @@ TWIN_PRESENTATION: dict[str, Any] = {
     "Purpose": "authentication",
     "Device": "Portuguese eID",
 }
+
+DEAD_SERVICE = [sys.executable, "-c", "raise SystemExit(3)"]  # dies at launch
+
+# The demo service, but each /auth request it receives is also written as JSON to
+# the directory its first argument names: the launch command header-fidelity checks.
+RECORDING_SERVICE = """\
+import hashlib, json, sys, time
+from psvc.demo import service
+from psvc.kit import header_value
+handle = service.MockAuthService.handle
+def record(self, request):
+    if request.path == "/auth":
+        fields, body = request.headers, request.body
+        dump = {"headers": fields, "body_sha256": hashlib.sha256(body).hexdigest(),
+                "body_len": len(body), "referer": header_value(fields, "Referer"),
+                "invocation_marker": header_value(fields, "PSvc-Invocation")}
+        with open(f"{sys.argv[1]}/invocation-{time.monotonic_ns()}.json", "w") as out:
+            json.dump(dump, out)
+    return handle(self, request)
+service.MockAuthService.handle = record
+sys.exit(service.main(sys.argv[1:]))
+"""
 
 
 class ScenarioFailure(AssertionError):
@@ -133,6 +158,56 @@ class Victim(ServiceServer):
     def _hit(self, request: KitRequest) -> KitResponse:
         self.hits.append((request.method, request.target))
         return KitResponse(200, (), b"victim\n")
+
+
+Edit = Callable[[KitResponse], KitResponse]
+
+
+class ScenarioSP(DemoSP):
+    """The demo SP, logging to `transcript_path`, that forges a 313 on /evil313 and passes
+    each 311 and 312 it answers through `edit`, if given."""
+
+    def __init__(self, transcript_path: Path, edit: Edit | None = None) -> None:
+        super().__init__((LOOPBACK, 0))
+        self.transcript.close()  # the one this process's environment names, if any
+        self.transcript = Transcript(transcript_path, "SP")
+        self.edit = edit
+        self.start()
+
+    def _handle(self, request: KitRequest) -> KitResponse:
+        if (request.method, request.path) == ("GET", "/evil313"):
+            target = request.query.get("to") or f"http://{LOOPBACK}:9/"
+            headers = (("Location", target), (H_SERVICE, "forged"))
+            return KitResponse(BROKER_RESULT, headers, note={"loc": target})
+        response = super()._handle(request)
+        if self.edit and response.status in (WHITE_PAGES, SERVICE_CALL):
+            return self.edit(response)
+        return response
+
+
+def _tamper(handle: str) -> str:
+    """Change the middle hex digit, so the text still looks like a handle."""
+    mid = len(handle) // 2
+    swapped = "a" if handle[mid] != "a" else "b"
+    return handle[:mid] + swapped + handle[mid + 1 :]
+
+
+def without_query(response: KitResponse) -> KitResponse:
+    """A 311 that names no query."""
+    if response.status != WHITE_PAGES:
+        return response
+    return response._replace(headers=tuple(f for f in response.headers if f[0] != H_SERVICE))
+
+
+def tampered_handle(response: KitResponse) -> KitResponse:
+    """A 312 that names a tampered handle."""
+    if response.status != SERVICE_CALL:
+        return response
+    fields = [
+        (k, json.dumps({"handle": _tamper(json.loads(v)["handle"])}) if k == H_SERVICE else v)
+        for k, v in response.headers
+    ]
+    return response._replace(headers=tuple(fields))
 
 
 # -- synthetic browser ------------------------------------------------------
@@ -264,6 +339,7 @@ class ScenarioContext:
         self.transcript_path = workdir / "transcript.jsonl"
         self.broker_argv = [*PSVC, "broker", "run", "--ps-dir", str(self.ps_dir)]
         self.parties: list[subprocess.Popen] = []
+        self.sp: ScenarioSP | None = None
         self.victim: Victim | None = None
         self.tokens: dict[str, str] = {}  # netloc -> token
         self.notes: dict[str, Any] = {}
@@ -272,7 +348,7 @@ class ScenarioContext:
 
     # -- environment -----------------------------------------------------
 
-    def child_env(self, **extra: str) -> dict[str, str]:
+    def child_env(self) -> dict[str, str]:
         """This process's environment, with an import path that works from any cwd.
 
         Children run in the scenario's temp dir, where a relative
@@ -286,21 +362,19 @@ class ScenarioContext:
             entries += [str(Path(entry).resolve()) for entry in inherited.split(os.pathsep)]
         env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
         env[TRANSCRIPT_ENV] = str(self.transcript_path)
-        env.update(extra)
         return env
 
     # -- per-user directory ------------------------------------------------
 
     def write_demo_descriptors(
-        self, *, twin: bool = False, broken: bool = False, broker: bool = True
+        self, *, twin: bool = False, service: list[str] | None = None, broker: bool = True
     ) -> None:
-        """Write the demo authenticator's descriptor, whose service dies at launch if
-        `broken`, and the others asked for."""
-        service = [*PSVC, "demo", "service"]
-        dead = [sys.executable, "-c", "raise SystemExit(3)"]
+        """Write the demo authenticator's descriptor, launching `service` if given, and
+        the others asked for."""
+        demo = [*PSVC, "demo", "service"]
         table = [
-            (True, "cc-personal-service", dead if broken else service, CC_PRESENTATION),
-            (twin, "twin-auth-service", service, TWIN_PRESENTATION),
+            (True, "cc-personal-service", service or demo, CC_PRESENTATION),
+            (twin, "twin-auth-service", demo, TWIN_PRESENTATION),
             (broker, "broker", self.broker_argv, {"Purpose": "service brokering"}),
         ]
         for wanted, stem, cmd, presentation in table:
@@ -311,12 +385,12 @@ class ScenarioContext:
 
     # -- booting parties ----------------------------------------------------
 
-    def _boot(self, name: str, argv: list[str], port_file: Path, env: dict | None = None) -> str:
+    def _boot(self, name: str, argv: list[str], port_file: Path) -> str:
         """Start a party, wait for the port it publishes, and name its netloc.  Its output
         goes to ``<workdir>/<name>.log``: no pipe can fill up and stall it, a kept
         directory holds what it wrote, and a failed boot quotes its end."""
         output = self.workdir / f"{name}.log"
-        env = self.child_env(**(env or {}))
+        env = self.child_env()
         with open(output, "wb") as sink:
             proc = launch(argv, self.workdir, name, env=env, stdout=sink, stderr=sink)
         self.parties.append(proc)
@@ -333,34 +407,27 @@ class ScenarioContext:
         self.tokens[netloc] = name
         return netloc
 
-    def boot_broker(self, *, env: dict[str, str] | None = None) -> str:
-        return self._boot("broker", self.broker_argv, self.ps_dir / ENDPOINT_FILE, env)
-
-    def _boot_listener(self, name: str, *args: str) -> str:
-        """Boot `psvc ARGS` on a free loopback port, which it writes to <name>.port."""
-        port_file = self.workdir / f"{name}.port"
-        argv = [*PSVC, *args, "--listen", f"{LOOPBACK}:0", "--port-file", str(port_file)]
-        return self._boot(name, argv, port_file)
+    def boot_broker(self) -> str:
+        return self._boot("broker", self.broker_argv, self.ps_dir / ENDPOINT_FILE)
 
     def boot_proxy(self) -> str:
-        args = ["proxy", "run", "--ps-dir", str(self.ps_dir)]
-        self.proxy_netloc = self._boot_listener("proxy", *args)
+        port_file = self.workdir / "proxy.port"
+        argv = [*PSVC, "proxy", "run", "--ps-dir", str(self.ps_dir)]
+        argv += ["--listen", f"{LOOPBACK}:0", "--port-file", str(port_file)]
+        self.proxy_netloc = self._boot("proxy", argv, port_file)
         return self.proxy_netloc
 
-    def boot_sp(self, *, fault: str | None = None, extras_file: Path | None = None) -> str:
-        args = ["demo", "sp"]
-        if fault is not None:
-            args += ["--fault", fault]
-        if extras_file is not None:
-            args += ["--invoke-extras", str(extras_file)]
-        self.sp_netloc = self._boot_listener("sp", *args)
+    def boot_sp(self, edit: Edit | None = None) -> str:
+        self.sp = ScenarioSP(self.transcript_path, edit)
+        self.sp_netloc = self.sp.netloc
+        self.tokens[self.sp_netloc] = "sp"
         return self.sp_netloc
 
-    def boot_all(self, **sp_options) -> None:
-        """Boot broker, proxy and SP, in that order; `sp_options` go to boot_sp."""
+    def boot_all(self, edit: Edit | None = None) -> None:
+        """Boot broker, proxy and SP, in that order; `edit` goes to boot_sp."""
         self.boot_broker()
         self.boot_proxy()
-        self.boot_sp(**sp_options)
+        self.boot_sp(edit)
 
     def start_victim(self) -> Victim:
         self.victim = Victim()
@@ -400,8 +467,9 @@ class ScenarioContext:
                 os.kill(spawn.detail["pid"], signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 pass
-        if self.victim is not None:
-            self.victim.shutdown()
+        for server in (self.sp, self.victim):
+            if server is not None:
+                server.shutdown()
 
 
 def normalize_lines(lines: list[str], netloc_tokens: dict[str, str]) -> list[str]:
@@ -541,9 +609,11 @@ def scenario_broker_down(ctx: ScenarioContext) -> None:
     check(not any(l.startswith("Broker") for l in lines), "no broker should have spoken")
 
 
-def _error_scenario(ctx: ScenarioContext, page: str, expected_code: str, **sp_options) -> None:
+def _error_scenario(
+    ctx: ScenarioContext, page: str, expected_code: str, edit: Edit | None = None
+) -> None:
     """The flow ends on the SP's `page` naming the code, which reached the SP as PSvc-Error."""
-    ctx.boot_all(**sp_options)
+    ctx.boot_all(edit)
     _run_flow(ctx, "/", f"{page}: {expected_code}")
     marker = f"in_err={expected_code}"
     check(
@@ -555,7 +625,7 @@ def _error_scenario(ctx: ScenarioContext, page: str, expected_code: str, **sp_op
 def scenario_error_parameters(ctx: ScenarioContext) -> None:
     """A 311 with no query is answered through the callback with 'parameters'."""
     ctx.write_demo_descriptors()
-    _error_scenario(ctx, "authentication unavailable", "parameters", fault="malformed-311")
+    _error_scenario(ctx, "authentication unavailable", "parameters", without_query)
     check(
         not any("= HEAD /white" in l for l in ctx.lines()),
         "a malformed directive must not reach the broker",
@@ -571,12 +641,12 @@ def scenario_error_ambiguous(ctx: ScenarioContext) -> None:
 def scenario_error_handle(ctx: ScenarioContext) -> None:
     """A tampered handle is rejected as 'handle'."""
     ctx.write_demo_descriptors()
-    _error_scenario(ctx, "authentication failed", "handle", fault="tamper-handle")
+    _error_scenario(ctx, "authentication failed", "handle", tampered_handle)
 
 
 def scenario_error_service(ctx: ScenarioContext) -> None:
     """A service that dies at launch is reported as 'service'."""
-    ctx.write_demo_descriptors(broken=True)
+    ctx.write_demo_descriptors(service=DEAD_SERVICE)
     _error_scenario(ctx, "authentication failed", "service")
 
 
@@ -603,24 +673,18 @@ def scenario_reject_313(ctx: ScenarioContext) -> None:
 
 def scenario_header_fidelity(ctx: ScenarioContext) -> None:
     """Whatever the SP attaches to its 312 reaches the service unchanged."""
-    headers = [
-        (f"X-Fidelity-{i:02d}", os.urandom(16).hex()) for i in range(20)
-    ]
+    headers = tuple((f"X-Fidelity-{i:02d}", os.urandom(16).hex()) for i in range(20))
     body = os.urandom(64 * 1024)
-    extras_file = ctx.workdir / "extras.json"
-    extras_file.write_text(
-        json.dumps({"headers": [[k, v] for k, v in headers], "body_b64": b64encode(body).decode()}),
-        "utf-8",
-    )
     dump_dir = ctx.workdir / "dumps"
     dump_dir.mkdir()
 
-    ctx.write_demo_descriptors()
-    # The dump variable must reach the service: broker inherits it and
-    # passes it down at launch.
-    ctx.boot_broker(env={"PSVC_DUMP_DIR": str(dump_dir)})
-    ctx.boot_proxy()
-    ctx.boot_sp(extras_file=extras_file)
+    def attach(response: KitResponse) -> KitResponse:
+        if response.status != SERVICE_CALL:
+            return response
+        return response._replace(headers=response.headers + headers, body=body)
+
+    ctx.write_demo_descriptors(service=[sys.executable, "-c", RECORDING_SERVICE, str(dump_dir)])
+    ctx.boot_all(attach)
     _run_auth_flow(ctx)
 
     dumps = sorted(dump_dir.glob("invocation-*.json"))

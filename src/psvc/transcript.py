@@ -2,9 +2,9 @@
 
 Every party (broker, proxy, SP, personal service) appends one JSON line
 per salient step to the file named by the PSVC_TRANSCRIPT environment
-variable.  Lines are small and written with a single append, so
-concurrent writers do not interleave.  Ordering uses the system-wide
-monotonic clock, which all local processes share.
+variable.  The file is opened once, with O_APPEND, and each line is one
+small write, so concurrent writers do not interleave.  Ordering uses the
+system-wide monotonic clock, which all local processes share.
 
 Event directions:
 
@@ -21,6 +21,7 @@ response/request, setcookie=1, spawn fields, and the like.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from pathlib import Path
 from types import MappingProxyType
@@ -54,10 +55,13 @@ class Event(NamedTuple):
 
 
 class Transcript:
-    """Appends events to one JSONL file; a None path makes it a no-op."""
+    """Appends events to one JSONL file, opened once; a None path opens nothing and
+    makes it a no-op, and so does close()."""
 
     def __init__(self, path: str | os.PathLike | None, actor: str):
-        self.path = Path(path) if path else None
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT  # not inherited by a child (PEP 446)
+        self._fd = os.open(path, flags, 0o666) if path else None
+        self._lock = threading.Lock()  # close() never frees a descriptor a write still uses
         self.actor = actor
 
     @classmethod
@@ -72,16 +76,23 @@ class Transcript:
         status: int | None = None,
         **detail: Any,
     ) -> None:
-        if self.path is None:
+        if self._fd is None:
             return
         import json  # loaded by the first event, not by every party that might emit one
 
         kept = {k: v for k, v in detail.items() if v is not None}
         event = Event(time.monotonic_ns(), self.actor, direction, method, path, status, kept)
         line = json.dumps(event._asdict(), ensure_ascii=True) + "\n"
-        # One small append per event keeps concurrent writers whole.
-        with open(self.path, "a", encoding="ascii") as fh:
-            fh.write(line)
+        with self._lock:
+            if self._fd is not None:  # one small append per event keeps concurrent writers whole
+                os.write(self._fd, line.encode("ascii"))
+
+    def close(self) -> None:
+        """Close the file; an event emitted after this is dropped."""
+        with self._lock:
+            fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
 
 def read_events(path: str | os.PathLike) -> list[Event]:

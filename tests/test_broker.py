@@ -635,6 +635,22 @@ def test_the_broker_publishes_broker_ept_only_once_it_listens(tmp_path):
         server.shutdown()
 
 
+def test_a_stopped_broker_leaves_no_broker_ept(tmp_path):
+    server = BrokerServer(tmp_path)
+    server.start()
+    server.shutdown()
+    assert not (tmp_path / ENDPOINT_FILE).exists()
+
+
+def test_a_stopped_broker_keeps_a_broker_ept_that_names_another_port(tmp_path):
+    server = BrokerServer(tmp_path)
+    server.start()
+    newer = 1 if server.port != 1 else 2  # as a broker started since would have written it
+    (tmp_path / ENDPOINT_FILE).write_text(str(newer))
+    server.shutdown()
+    assert read_endpoint_file(tmp_path) == ("127.0.0.1", newer)
+
+
 def broker_head(
     server: BrokerServer,
     target: str,

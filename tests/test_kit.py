@@ -643,6 +643,15 @@ class TestOneWritePerResponse:
         assert event[1:6] == ("Test", SERVE, "GET", "/a?b=1", 201)
         assert event.detail == {"in_err": "handle", "loc": "/x"}
 
+    def test_shutdown_closes_the_transcript(self, monkeypatch, tmp_path):
+        log = tmp_path / "transcript.jsonl"
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        server = ServiceServer(("127.0.0.1", 0), lambda request: KitResponse(), "Test")
+        server.transcript.emit(SERVE, "GET", "/before")
+        server.shutdown()
+        server.transcript.emit(SERVE, "GET", "/after")  # as a worker still busy at shutdown
+        assert [event.path for event in read_events(log)] == ["/before"]
+
     def test_malformed_request_line_gets_400(self, served):
         server, seen, _ = served()
         with socket.create_connection(("127.0.0.1", server.port)) as sock:

@@ -39,6 +39,7 @@ from psvc.scenario import (
     Browser,
     ScenarioContext,
     ScenarioFailure,
+    ScenarioSP,
     kill_and_wait,
     run_scenario,
 )
@@ -342,9 +343,12 @@ def test_demo_sp_sign_in_attempts_expire(monkeypatch):
 )
 def test_demo_sp_header_that_breaks_its_line_is_a_500(target, monkeypatch, tmp_path):
     log = tmp_path / "transcript.jsonl"
-    monkeypatch.setenv(transcript.ENV_VAR, str(log))
-    sp = DemoSP(("127.0.0.1", 0))
-    sp.start()
+    if target.startswith("/evil313"):  # a route only the scenario runner's SP has
+        sp = ScenarioSP(log)
+    else:
+        monkeypatch.setenv(transcript.ENV_VAR, str(log))
+        sp = DemoSP(("127.0.0.1", 0))
+        sp.start()
     try:
         cookie = f"{psvc.demo.sp.COOKIE_NAME}={sp.issue_cookie('demo-user')}"
         with socket.create_connection(("127.0.0.1", sp.port), timeout=5) as sock:
@@ -390,9 +394,20 @@ def test_demo_sp_asks_for_a_service_only_from_a_client_that_speaks_version_1(ver
         assert b"Sign in" in body
 
 
+def test_demo_sp_has_no_forged_313_route():
+    sp = DemoSP(("127.0.0.1", 0))
+    sp.start()
+    try:
+        status, headers, _ = http_exchange(sp.netloc, "GET", "/evil313?to=http://x/")
+    finally:
+        sp.shutdown()
+    assert status == 404
+    assert header_value(headers, "Location") is None
+
+
 def test_tampered_handle_is_still_hex_and_differs_in_one_digit():
     for handle in (os.urandom(16).hex() for _ in range(200)):
-        tampered = psvc.demo.sp._tamper(handle)
+        tampered = psvc.scenario._tamper(handle)
         assert len(tampered) == 32
         assert all(c in "0123456789abcdef" for c in tampered)
         assert sum(a != b for a, b in zip(handle, tampered)) == 1

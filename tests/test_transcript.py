@@ -52,6 +52,26 @@ class TestEmitAndRead:
             b'"path": "http://sp.test/\\u00e9", "status": null, "detail": {}}\n'
         )
 
+    def test_fifty_events_open_the_file_once(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        transcript = Transcript(path, "Proxy")
+        transcript.emit(SEND, "GET", "/0")
+        moved = path.rename(tmp_path / "moved.jsonl")  # a file opened again would be a new one
+        for n in range(1, 50):
+            transcript.emit(SEND, "GET", f"/{n}")
+        transcript.close()
+        assert not path.exists()
+        assert [e.path for e in read_events(moved)] == [f"/{n}" for n in range(50)]
+
+    def test_an_event_after_close_is_dropped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        transcript = Transcript(path, "Proxy")
+        transcript.emit(SEND, "GET", "/kept")
+        transcript.close()
+        transcript.emit(SEND, "GET", "/dropped")
+        transcript.close()  # a second close does nothing
+        assert [e.path for e in read_events(path)] == ["/kept"]
+
     def test_reading_orders_by_timestamp(self, tmp_path):
         path = tmp_path / "t.jsonl"
         lines = [

@@ -109,6 +109,165 @@ MUTANTS = [
             "tests/test_broker.py::TestBrokerHTTP::test_handle_presented_by_wrong_sp",
         ),
     ),
+    Mutant(
+        "listing-ignores-policy", "src/psvc/broker/policy.py",
+        "            if (overrides[d.descriptor_id].allows(sp_host)"
+        " if d.descriptor_id in overrides else default)\n",
+        "            if True\n",
+        "a listing names only the services the access policy lets this SP see",
+        (
+            "tests/test_broker.py::TestPolicyFiltering::test_yellow_hides_denied_services",
+            "tests/test_broker.py::TestPolicyFiltering::"
+            "test_listing_under_a_mixed_policy_agrees_with_allows",
+        ),
+    ),
+    Mutant(
+        "resolution-ignores-policy", "src/psvc/broker/core.py",
+        "        if desc is None or not self.policy.allows(sp_host, desc.descriptor_id):\n",
+        "        if desc is None:\n",
+        "a handle resolves only to a service the access policy lets this SP use",
+        ("tests/test_broker.py::TestPolicyFiltering::test_resolve_respects_policy",),
+    ),
+    Mutant(
+        "handle-never-expires", "src/psvc/broker/handles.py",
+        "        if _now() - opened.mint_time > HANDLE_MAX_AGE_S:\n",
+        "        if False:\n",
+        "a handle opens for HANDLE_MAX_AGE_S after it was minted, and no longer",
+        (
+            "tests/test_handles.py::TestExpiry::test_old_handle_dies",
+            "tests/test_broker.py::TestResolveHandle::test_expired_handle",
+        ),
+    ),
+    Mutant(
+        "request-line-unchecked", "src/psvc/proxy.py",
+        "    if head is None or not REQUEST_LINE.match(head):\n",
+        "    if head is None:\n",
+        "the proxy sends no request whose start line is not one valid request line",
+        ("tests/test_proxy.py::TestServiceInvocation::"
+         "test_parameters_that_cannot_go_on_the_wire_are_service",),
+    ),
+    Mutant(
+        "body-unbounded", "src/psvc/kit.py",
+        "    if length > MAX_BODY_BYTES:\n",
+        "    if False:\n",
+        "a request body over MAX_BODY_BYTES gets a 413, unread",
+        ("tests/test_kit.py::TestKeepAlive::test_body_over_the_cap_is_refused_with_413",),
+    ),
+    Mutant(
+        "self-loop-forwarded", "src/psvc/proxy.py",
+        '        if _port(parts) == self.port and parts.hostname in (self.host, "localhost"):\n',
+        "        if False:\n",
+        "the proxy refuses with a 508 a request addressed to itself",
+        ("tests/test_proxy.py::TestPlainRelay::test_request_for_the_proxy_itself_is_refused",),
+    ),
+    Mutant(
+        "carried-hop-by-hop", "src/psvc/proxy.py",
+        "        carried = strip_hop_by_hop(directive.carried_headers)\n",
+        "        carried = list(directive.carried_headers)\n",
+        "no hop-by-hop field a 312 carries reaches the service",
+        ("tests/test_proxy.py::TestServiceInvocation::"
+         "test_a_chunked_312_carries_no_hop_by_hop_field_to_the_service",),
+    ),
+    # -- one launcher and one serve loop
+    Mutant(
+        "wait-ignores-exit", "src/psvc/kit.py",
+        "    while proc.poll() is None:\n"
+        "        if found := ready():\n",
+        "    while True:\n"
+        "        if found := ready():\n",
+        "a child that exits before it is ready fails its wait at once, with its status",
+        (
+            "tests/test_broker.py::TestServiceLauncher::test_immediately_exiting_service_fails_fast",
+            "tests/test_scenarios.py::test_boot_wait_reports_a_child_that_died",
+        ),
+    ),
+    Mutant(
+        "late-child-kept", "src/psvc/kit.py",
+        "            stop_process(proc)\n"
+        "            raise Refusal(502, late)\n",
+        "            raise Refusal(502, late)\n",
+        "a child not ready by its deadline is stopped",
+        (
+            "tests/test_broker.py::TestServiceLauncher::test_never_listening_service_times_out",
+            "tests/test_proxy.py::TestBrokerLink::test_a_launch_that_never_publishes_is_stopped",
+            "tests/test_scenarios.py::test_a_party_whose_port_file_holds_no_port_fails_its_boot",
+        ),
+    ),
+    Mutant(
+        "workdir-unchecked", "src/psvc/kit.py",
+        "    if not workdir.is_dir():\n",
+        "    if False:\n",
+        "a child is launched only in a working directory that exists",
+        ("tests/test_broker.py::TestServiceLauncher::test_missing_working_directory",),
+    ),
+    Mutant(
+        "exec-error-escapes", "src/psvc/kit.py",
+        "    except OSError as exc:\n"
+        '        raise Refusal(502, f"cannot launch {name}: {exc}") from None\n',
+        "    except ValueError as exc:\n"
+        '        raise Refusal(502, f"cannot launch {name}: {exc}") from None\n',
+        "a command that cannot be run is a Refusal that names it",
+        ("tests/test_broker.py::TestServiceLauncher::test_unlaunchable_binary",),
+    ),
+    Mutant(
+        "recovery-retries-refused", "src/psvc/proxy.py",
+        "            if published is not None and published != refused:\n",
+        "            if published is not None:\n",
+        "the proxy relaunches a broker whose published endpoint refused it",
+        (
+            "tests/test_proxy.py::TestBrokerLink::test_refused_endpoint_relaunches_and_retries",
+            "tests/test_proxy.py::TestBrokerLink::test_a_relaunch_stops_the_broker_launched_before",
+        ),
+    ),
+    Mutant(
+        "handlers-after-publish", "src/psvc/kit.py",
+        "        for signum in signals:\n"
+        "            signal.signal(signum, lambda *_: None)\n"
+        "        server.start()\n"
+        "        if port_file:\n"
+        "            write_port_file(port_file, server.port)\n",
+        "        server.start()\n"
+        "        if port_file:\n"
+        "            write_port_file(port_file, server.port)\n"
+        "        for signum in signals:\n"
+        "            signal.signal(signum, lambda *_: None)\n",
+        "a party publishes its port only once a stop signal ends it in a clean shutdown",
+        (START_ORDER_TEST,),
+    ),
+    Mutant(
+        "no-wakeup-fd", "src/psvc/kit.py",
+        "        signal.set_wakeup_fd(signalled)\n",
+        "",
+        "a stop signal wakes the serving party's main thread",
+        ("tests/test_cli.py::test_a_party_sent_sigterm_as_its_port_appears_exits_0",),
+    ),
+    Mutant(
+        "serve-skips-shutdown", "src/psvc/kit.py",
+        "    if server is not None:\n"
+        "        server.shutdown()\n",
+        "",
+        "a party that stops or cannot start shuts its server down first",
+        ("tests/test_cli.py::"
+         "test_a_broker_whose_port_file_cannot_be_written_shuts_down_and_says_why",),
+    ),
+    Mutant(
+        "launcher-shutdown-unlocked", "src/psvc/broker/runtime.py",
+        "            with rec.lock:\n"
+        "                if rec.proc is not None:\n"
+        "                    stop_process(rec.proc)\n",
+        "            if rec.proc is not None:\n"
+        "                stop_process(rec.proc)\n",
+        "the launcher's shutdown stops a launch under way too",
+        ("tests/test_broker.py::TestServiceLauncher::test_shutdown_stops_a_launch_under_way",),
+    ),
+    Mutant(
+        "newer-broker-ept-removed", "src/psvc/broker/server.py",
+        "        if read_port_file(self.endpoint_file) == self.port:",
+        "        if True:",
+        "a stopped broker removes broker.ept only while it names this broker",
+        ("tests/test_broker.py::"
+         "test_a_stopped_broker_keeps_a_broker_ept_that_names_another_port",),
+    ),
     # -- the input bounds: each mutant removes the check, since tests monkeypatch
     # several of the constants.
     Mutant(
@@ -231,6 +390,33 @@ ACCEPTED = [
         ),
         "equivalent by design: the invariant is that a chain is bounded, not the bound's "
         "value, and the chain test reads MAX_CHAIN",
+    ),
+    (
+        Mutant(
+            "stop-by-event", "src/psvc/kit.py",
+            "        wake, signalled = os.pipe()  # neither end is inherited by a launched child\n"
+            "        os.set_blocking(signalled, False)\n"
+            "        signal.set_wakeup_fd(signalled)\n"
+            "        for signum in signals:\n"
+            "            signal.signal(signum, lambda *_: None)\n"
+            "        server.start()\n"
+            "        if port_file:\n"
+            "            write_port_file(port_file, server.port)\n"
+            "        os.read(wake, 1)\n",
+            "        stopped = threading.Event()\n"
+            "        for signum in signals:\n"
+            "            signal.signal(signum, lambda *_: stopped.set())\n"
+            "        server.start()\n"
+            "        if port_file:\n"
+            "            write_port_file(port_file, server.port)\n"
+            "        stopped.wait()\n",
+            "a stop signal never hangs the serving party",
+            ("tests/test_cli.py::test_a_party_sent_sigterm_as_its_port_appears_exits_0",),
+        ),
+        "timing-dependent: a handler that sets an Event the main thread waits on deadlocks "
+        "only when the signal lands while wait() holds the Event's lock; every test passes, "
+        "and a stress run (900 boots, each sent SIGTERM 0.3-1.0 ms after its port appeared) "
+        "hung 3 of them",
     ),
 ]
 
